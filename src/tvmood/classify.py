@@ -1,10 +1,20 @@
 """Naive Bayes classifiers.
 
-Two variants: Gaussian over dense real vectors (missing entries allowed;
-a missing feature simply contributes no likelihood term, and so does a
-feature a class never saw), and multinomial over sparse term counts with
-additive smoothing. Both predict through log space with log-sum-exp
-normalization, so posteriors are always finite and sum to one.
+Two variants: Gaussian and multinomial. Gaussian takes either dense real
+vectors (missing entries allowed; a missing feature simply contributes no
+likelihood term, and so does a feature a class never saw) or sparse term
+counts, where an absent term counts 0. Multinomial takes sparse term
+counts with additive smoothing. Both predict through log space with
+log-sum-exp normalization, so posteriors are always finite and sum to one.
+
+Gaussian NB over term counts is the dense model over the training
+vocabulary, computed without materialising the zeros. Training makes one
+pass over the instances and costs O(nnz + V*C) for nnz nonzero counts, V
+vocabulary terms and C classes. Prediction costs O(C * nnz) per instance:
+each class holds the all-zero document's log-likelihood as an exact sum
+of floats, and a document only corrects the terms it contains. Both use
+``math.fsum``, which rounds the exact sum once, so moments and posteriors
+equal the dense computation on the densified rows bit for bit.
 
 Models are immutable after training and serialize to a versioned JSON
 document that round-trips predictions bit-exactly.
@@ -24,6 +34,7 @@ VARIANCE_FLOOR_SCALE = 1e-9
 MODEL_FORMAT_VERSION = 1
 
 Instance = Sequence[Optional[float]]
+Counts = Mapping[str, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,12 +83,59 @@ def _population_moments(values: Sequence[float]) -> tuple[float, float]:
     return mean, variance
 
 
+def _split(value: float) -> tuple[float, float]:
+    """Veltkamp split: ``hi + lo == value`` exactly, each with <= 26 significant bits.
+
+    So ``n * hi`` and ``n * lo`` are exact for any integer ``n < 2**27``.
+    """
+    scaled = 134217729.0 * value  # 2**27 + 1
+    hi = scaled - (scaled - value)
+    return hi, value - hi
+
+
+def _padded_moments(nonzero: Sequence[int], n: int) -> tuple[float, float]:
+    """``_population_moments`` of ``nonzero`` padded with zeros to ``n`` values.
+
+    Bit-identical to the padded call: both fsums see the same exact sum,
+    since the ``n - len(nonzero)`` equal squares of the zeros enter as two
+    exact products.
+    """
+    if not nonzero:
+        return 0.0, 0.0
+    mean = math.fsum(nonzero) / n
+    hi, lo = _split((0.0 - mean) ** 2)
+    zeros = n - len(nonzero)
+    squares = [(value - mean) ** 2 for value in nonzero]
+    squares += (zeros * hi, zeros * lo)
+    return mean, math.fsum(squares) / n
+
+
+def _exact_partials(values: list[float]) -> tuple[float, ...]:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    A non-overlapping expansion, like the partials of Shewchuk's ``msum``:
+    the rounded sum, then the rounded remainder, until nothing remains.
+    ``fsum(partials + more)`` therefore equals ``fsum(values + more)``.
+    """
+    partials: list[float] = []
+    while True:
+        rest = math.fsum(values + [-p for p in partials])
+        if not rest:
+            return tuple(partials)
+        partials.append(rest)
+
+
 @dataclass(frozen=True, slots=True)
 class GaussianNbModel:
     """Per class and feature: mean and floored variance of training values.
 
     ``means[c][f]`` is None when class ``c`` had no non-missing value for
     feature ``f``; such pairs are skipped at prediction.
+
+    A model trained on term counts has a ``vocabulary``: feature ``f`` is
+    the count of ``vocabulary[f]``. Its derived fields hold, per class and
+    term, ``log(2*pi*variance)`` and the log-density of a zero count, and
+    per class the exact partials of the all-zero document's log-likelihood.
     """
 
     class_labels: tuple[str, ...]
@@ -86,10 +144,39 @@ class GaussianNbModel:
     variances: tuple[tuple[Optional[float], ...], ...]
     variance_floor: float
     feature_count: int
+    vocabulary: Optional[tuple[str, ...]] = None
+    term_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    log_norms: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    zero_terms: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    zero_partials: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        vocabulary = self.vocabulary or ()
+        log_norms: tuple[tuple[float, ...], ...] = ()
+        zero_terms: tuple[tuple[float, ...], ...] = ()
+        if vocabulary:
+            log_norms = tuple(
+                tuple(math.log(2.0 * math.pi * variance) for variance in row)
+                for row in self.variances
+            )
+            # the expression predict_gaussian evaluates for a zero entry
+            zero_terms = tuple(
+                tuple(
+                    -0.5 * (log_norm + (0.0 - mean) ** 2 / variance)
+                    for mean, variance, log_norm in zip(means, variances, norms)
+                )
+                for means, variances, norms in zip(self.means, self.variances, log_norms)
+            )
+        object.__setattr__(self, "term_index", {term: i for i, term in enumerate(vocabulary)})
+        object.__setattr__(self, "log_norms", log_norms)
+        object.__setattr__(self, "zero_terms", zero_terms)
+        object.__setattr__(
+            self, "zero_partials", tuple(_exact_partials(list(row)) for row in zero_terms)
+        )
 
 
 def train_gaussian(
-    instances: Sequence[Instance], labels: Sequence[str]
+    instances: Sequence[Instance] | Sequence[Counts], labels: Sequence[str]
 ) -> GaussianNbModel:
     """Fit per-class, per-feature Gaussians.
 
@@ -97,6 +184,10 @@ def train_gaussian(
     floored at ``1e-9`` times the largest per-feature variance of the whole
     training set (or at ``1e-9`` when every feature is constant). Priors
     are class frequencies.
+
+    Instances are either dense rows or term-count mappings. Over counts,
+    the features are the training vocabulary and an absent term counts 0;
+    the model equals the one trained on the densified rows.
     """
     if len(instances) != len(labels):
         raise ValueError("instances and labels have different lengths")
@@ -105,6 +196,8 @@ def train_gaussian(
     class_labels = tuple(sorted(set(labels)))
     if len(class_labels) < 2:
         raise ValueError("training data contains a single class")
+    if isinstance(instances[0], Mapping):
+        return _train_gaussian_counts(instances, labels, class_labels)
     feature_count = len(instances[0])
     for instance in instances:
         if len(instance) != feature_count:
@@ -150,12 +243,68 @@ def train_gaussian(
     )
 
 
-def predict_gaussian(model: GaussianNbModel, instance: Instance) -> Posterior:
+def _train_gaussian_counts(
+    instances: Sequence[Counts], labels: Sequence[str], class_labels: tuple[str, ...]
+) -> GaussianNbModel:
+    class_of = {label: index for index, label in enumerate(class_labels)}
+    class_sizes = [0] * len(class_labels)
+    # term -> per-class lists of the term's nonzero counts
+    nonzero: dict[str, list[list[int]]] = {}
+    for vector, label in zip(instances, labels):
+        if not isinstance(vector, Mapping):
+            raise ValueError("training instances mix term counts and dense rows")
+        index = class_of[label]
+        class_sizes[index] += 1
+        for term, count in vector.items():
+            per_class = nonzero.get(term)
+            if per_class is None:
+                per_class = nonzero[term] = [[] for _ in class_labels]
+            per_class[index].append(count)
+    vocabulary = tuple(sorted(nonzero))
+    if not vocabulary:
+        raise ValueError("empty vocabulary: no training instance has any term")
+
+    global_max_variance = 0.0
+    for term in vocabulary:
+        values = [count for per_class in nonzero[term] for count in per_class]
+        _, variance = _padded_moments(values, len(instances))
+        global_max_variance = max(global_max_variance, variance)
+    variance_floor = (
+        VARIANCE_FLOOR_SCALE * global_max_variance
+        if global_max_variance > 0
+        else VARIANCE_FLOOR_SCALE
+    )
+
+    means = []
+    variances = []
+    for index, size in enumerate(class_sizes):
+        moments = [_padded_moments(nonzero[term][index], size) for term in vocabulary]
+        means.append(tuple(mean for mean, _ in moments))
+        variances.append(tuple(max(variance, variance_floor) for _, variance in moments))
+
+    return GaussianNbModel(
+        class_labels=class_labels,
+        log_priors=_log_priors(labels, class_labels),
+        means=tuple(means),
+        variances=tuple(variances),
+        variance_floor=variance_floor,
+        feature_count=len(vocabulary),
+        vocabulary=vocabulary,
+    )
+
+
+def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Posterior:
     """Posterior over classes for one instance.
 
     Missing entries and (class, feature) pairs without training data are
     skipped; an instance with no usable feature falls back to the priors.
+    A model trained on term counts takes a term-count mapping and ignores
+    terms outside its vocabulary.
     """
+    if model.vocabulary is not None:
+        if not isinstance(instance, Mapping):
+            raise ValueError("model was trained on term counts; expected a mapping")
+        return _predict_gaussian_counts(model, instance)
     if len(instance) != model.feature_count:
         raise ValueError(
             f"instance has {len(instance)} features, model expects "
@@ -179,6 +328,30 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance) -> Posterior:
     return _normalize_log_scores(model.class_labels, log_scores)
 
 
+def _predict_gaussian_counts(model: GaussianNbModel, instance: Counts) -> Posterior:
+    # the all-zero document's sum, minus the zero-count term and plus the
+    # actual term of each count the document has
+    present = [
+        (model.term_index[term], count)
+        for term, count in instance.items()
+        if term in model.term_index
+    ]
+    log_scores = []
+    for index in range(len(model.class_labels)):
+        means = model.means[index]
+        variances = model.variances[index]
+        log_norms = model.log_norms[index]
+        zero_terms = model.zero_terms[index]
+        terms = list(model.zero_partials[index])
+        for feature, value in present:
+            terms.append(-zero_terms[feature])
+            terms.append(
+                -0.5 * (log_norms[feature] + (value - means[feature]) ** 2 / variances[feature])
+            )
+        log_scores.append(model.log_priors[index] + math.fsum(terms))
+    return _normalize_log_scores(model.class_labels, log_scores)
+
+
 @dataclass(frozen=True, slots=True)
 class MultinomialNbModel:
     """Smoothed per-class term distributions over the training vocabulary."""
@@ -196,6 +369,12 @@ class MultinomialNbModel:
         )
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a smoothing weight that is not a positive finite number."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a positive finite number, got {alpha}")
+
+
 def train_multinomial(
     instances: Sequence[Mapping[str, int]],
     labels: Sequence[str],
@@ -210,28 +389,28 @@ def train_multinomial(
         raise ValueError("instances and labels have different lengths")
     if not instances:
         raise ValueError("no training instances")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     class_labels = tuple(sorted(set(labels)))
     if len(class_labels) < 2:
         raise ValueError("training data contains a single class")
-    vocabulary = tuple(sorted({term for vector in instances for term in vector}))
+    class_of = {label: index for index, label in enumerate(class_labels)}
+    class_counts: list[dict[str, int]] = [{} for _ in class_labels]
+    for vector, label in zip(instances, labels):
+        counts = class_counts[class_of[label]]
+        for term, count in vector.items():
+            counts[term] = counts.get(term, 0) + count
+    vocabulary = tuple(sorted({term for counts in class_counts for term in counts}))
     if not vocabulary:
         raise ValueError("empty vocabulary: no training instance has any term")
 
     log_term_probs = []
-    for label in class_labels:
-        counts = {term: 0 for term in vocabulary}
-        for vector, value in zip(instances, labels):
-            if value != label:
-                continue
-            for term, count in vector.items():
-                counts[term] += count
+    for counts in class_counts:
         class_total = sum(counts.values())
         denominator = math.log(class_total + alpha * len(vocabulary))
         log_term_probs.append(
             tuple(
-                math.log(counts[term] + alpha) - denominator for term in vocabulary
+                math.log(counts.get(term, 0) + alpha) - denominator
+                for term in vocabulary
             )
         )
 
@@ -281,6 +460,8 @@ def model_to_json(model: GaussianNbModel | MultinomialNbModel) -> str:
             "means": [list(row) for row in model.means],
             "variances": [list(row) for row in model.variances],
         }
+        if model.vocabulary is not None:
+            payload["vocabulary"] = list(model.vocabulary)
     elif isinstance(model, MultinomialNbModel):
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
@@ -311,6 +492,9 @@ def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
             variances=tuple(tuple(row) for row in payload["variances"]),
             variance_floor=payload["variance_floor"],
             feature_count=payload["feature_count"],
+            vocabulary=(
+                tuple(payload["vocabulary"]) if "vocabulary" in payload else None
+            ),
         )
     if kind == "multinomial":
         return MultinomialNbModel(

@@ -190,7 +190,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     nb_kind = args.nb
     if nb_kind is None:
         nb_kind = "gaussian" if args.rep == "meta" else "multinomial"
-    config = evaluation.ClassifierConfig(kind=nb_kind, alpha=args.alpha)
+    try:
+        config = evaluation.ClassifierConfig(kind=nb_kind, alpha=args.alpha)
+    except ValueError as exc:  # --nb is checked by argparse, so alpha is at fault
+        raise ValueError(f"--alpha: {exc}") from None
     report = evaluation.run_cv(
         corpus, lexicon, args.rep, args.folds, args.seed, config
     )

@@ -69,8 +69,7 @@ class ClassifierConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "multinomial"):
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        classify.check_alpha(self.alpha)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,10 +216,11 @@ def run_cv(
 
     Each fold trains on the remaining folds and predicts its held-out
     documents; metrics are computed over the pooled predictions. Any
-    vocabulary fitting happens inside training (the multinomial vocabulary
-    and the dense feature space for Gaussian-on-counts come from training
-    folds only), so no information leaks from held-out documents. The
-    per-document representations themselves are parameter-free.
+    vocabulary fitting happens inside training (both classifiers over term
+    counts take their vocabulary from the training folds only, and ignore
+    held-out terms outside it), so no information leaks from held-out
+    documents. The per-document representations themselves are
+    parameter-free.
     """
     if representation not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
@@ -254,9 +254,9 @@ def run_cv(
     # Per-document representations carry no fitted parameters, so they can
     # be extracted once up front without leaking across folds.
     if representation == "meta":
-        dense = [features.fuse(features.extract_meta(doc, lexicon)) for doc in docs]
+        rows = [features.fuse(features.extract_meta(doc, lexicon)) for doc in docs]
     else:
-        sparse = [features.extract_vsm(doc, lexicon) for doc in docs]
+        rows = [features.extract_vsm(doc, lexicon) for doc in docs]
 
     posteriors: list[Optional[classify.Posterior]] = [None] * len(docs)
     for fold in range(k):
@@ -264,33 +264,16 @@ def run_cv(
         test_idx = [i for i in range(len(docs)) if fold_of[i] == fold]
         train_labels = [labels[i] for i in train_idx]
 
-        if representation == "meta":
-            model = classify.train_gaussian(
-                [dense[i] for i in train_idx], train_labels
-            )
-            for i in test_idx:
-                posteriors[i] = classify.predict_gaussian(model, dense[i])
-        elif config.kind == "multinomial":
+        if config.kind == "multinomial":
             model = classify.train_multinomial(
-                [sparse[i] for i in train_idx], train_labels, config.alpha
+                [rows[i] for i in train_idx], train_labels, config.alpha
             )
             for i in test_idx:
-                posteriors[i] = classify.predict_multinomial(model, sparse[i])
+                posteriors[i] = classify.predict_multinomial(model, rows[i])
         else:
-            # Gaussian over counts: densify on the training vocabulary only;
-            # held-out terms outside it are dropped.
-            vocabulary = sorted({t for i in train_idx for t in sparse[i]})
-            if not vocabulary:
-                raise ValueError("empty vocabulary: no training document has any term")
-
-            def densify(vector: dict[str, int]) -> list[float]:
-                return [float(vector.get(term, 0)) for term in vocabulary]
-
-            model = classify.train_gaussian(
-                [densify(sparse[i]) for i in train_idx], train_labels
-            )
+            model = classify.train_gaussian([rows[i] for i in train_idx], train_labels)
             for i in test_idx:
-                posteriors[i] = classify.predict_gaussian(model, densify(sparse[i]))
+                posteriors[i] = classify.predict_gaussian(model, rows[i])
 
     predicted = [posterior.predicted_label for posterior in posteriors]
     matrix, tp_rates, fp_rates = confusion_and_rates(labels, predicted, class_order)

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tvmood.classify import (
     VARIANCE_FLOOR_SCALE,
@@ -108,6 +110,106 @@ def test_gaussian_matches_density_oracle():
         assert posterior.probabilities == pytest.approx(oracle_probs, abs=1e-9)
 
 
+TERMS = ["t0", "t1", "t2", "t3", "t4", "t5"]
+
+
+def densify(vector, vocabulary):
+    return [float(vector.get(term, 0)) for term in vocabulary]
+
+
+@st.composite
+def counts_problems(draw, counts=st.integers(1, 9)):
+    """Term-count training data with at least two classes and one term, plus a query.
+
+    Queries may hold terms outside the training vocabulary, or none at all.
+    """
+    n_classes = draw(st.integers(2, 3))
+    classes = [f"c{c}" for c in range(n_classes)]
+    labels = classes + draw(st.lists(st.sampled_from(classes), max_size=8))
+    vector = st.dictionaries(st.sampled_from(TERMS), counts, max_size=4)
+    instances = [draw(vector) for _ in labels]
+    instances[0] = instances[0] or {"t0": 1}
+    query = draw(st.dictionaries(st.sampled_from(TERMS + ["oov"]), counts, max_size=5))
+    return instances, labels, query
+
+
+@given(counts_problems(counts=st.one_of(st.integers(1, 9), st.integers(1, 10**6))))
+def test_gaussian_counts_equal_dense_rows_bit_for_bit(problem):
+    instances, labels, query = problem
+    model = train_gaussian(instances, labels)
+    vocabulary = sorted({term for vector in instances for term in vector})
+    dense = train_gaussian([densify(x, vocabulary) for x in instances], labels)
+    assert model.vocabulary == tuple(vocabulary)
+    assert model.means == dense.means
+    assert model.variances == dense.variances
+    assert model.variance_floor == dense.variance_floor
+    posterior = predict_gaussian(model, query)
+    assert posterior == predict_gaussian(dense, densify(query, vocabulary))
+    reloaded = model_from_json(model_to_json(model))
+    assert reloaded == model
+    assert predict_gaussian(reloaded, query) == posterior
+
+
+@st.composite
+def spread_counts_problems(draw):
+    """Term-count training data where every class holds 3-5 instances, plus a query."""
+    row = st.lists(st.integers(0, 5), min_size=3, max_size=3)
+    labels, instances = [], []
+    for c in range(draw(st.integers(2, 3))):
+        for _ in range(draw(st.integers(3, 5))):
+            labels.append(f"c{c}")
+            instances.append({t: n for t, n in zip(TERMS, draw(row)) if n})
+    query = draw(st.dictionaries(st.sampled_from(TERMS[:3] + ["oov"]), st.integers(1, 5)))
+    return instances, labels, query
+
+
+@given(spread_counts_problems())
+def test_gaussian_counts_match_density_oracle(problem):
+    """The counts path against the density oracle, on well-conditioned problems.
+
+    When floored variances give two classes log-likelihoods of order 1e10
+    that nearly cancel, double precision resolves the posterior to about
+    1e-6 only, on the dense path too; so no variance here is floored.
+    """
+    instances, labels, query = problem
+    assume(any(instances))
+    model = train_gaussian(instances, labels)
+    assume(all(v > model.variance_floor for row in model.variances for v in row))
+    vocabulary = model.vocabulary
+    posterior = predict_gaussian(model, query)
+    oracle_labels, oracle_probs = gaussian_posterior(
+        [densify(x, vocabulary) for x in instances], labels, densify(query, vocabulary)
+    )
+    assert posterior.labels == tuple(oracle_labels)
+    assert posterior.probabilities == pytest.approx(oracle_probs, abs=1e-9)
+
+
+def test_gaussian_counts_unseen_terms_and_empty_query():
+    instances = [{"a": 2, "b": 1}, {"a": 1}, {"c": 4}, {"c": 2, "b": 3}]
+    labels = ["x", "x", "y", "y"]
+    model = train_gaussian(instances, labels)
+    dense = train_gaussian([densify(x, "abc") for x in instances], labels)
+    # class y never saw "a": a point mass at zero, held up by the floor
+    y, a = model.class_labels.index("y"), model.term_index["a"]
+    assert model.means[y][a] == 0.0
+    assert model.variances[y][a] == model.variance_floor
+    empty = predict_gaussian(model, {})
+    assert empty == predict_gaussian(dense, [0.0, 0.0, 0.0])
+    assert predict_gaussian(model, {"zzz": 5}) == empty
+    for query in ({"a": 1, "zzz": 2}, {"c": 3}, {"a": 1, "b": 1, "c": 1}):
+        assert predict_gaussian(model, query) == predict_gaussian(dense, densify(query, "abc"))
+
+
+def test_gaussian_counts_and_dense_rows_do_not_mix():
+    with pytest.raises(ValueError, match="mix"):
+        train_gaussian([{"a": 1}, [1.0]], ["x", "y"])
+    with pytest.raises(ValueError, match="vocabulary"):
+        train_gaussian([{}, {}], ["x", "y"])
+    counts_model = train_gaussian([{"a": 1}, {"b": 1}], ["x", "y"])
+    with pytest.raises(ValueError, match="mapping"):
+        predict_gaussian(counts_model, [1.0, 0.0])
+
+
 def test_multinomial_hand_smoothing():
     model = train_multinomial([{"a": 2, "b": 1}, {"c": 3}], ["x", "y"], alpha=1.0)
     x_row = model.log_term_probs[model.class_labels.index("x")]
@@ -165,8 +267,9 @@ def test_multinomial_errors():
         train_multinomial([{"a": 1}, {"b": 1}], ["x", "x"])
     with pytest.raises(ValueError, match="vocabulary"):
         train_multinomial([{}, {}], ["x", "y"])
-    with pytest.raises(ValueError, match="alpha"):
-        train_multinomial([{"a": 1}, {"b": 1}], ["x", "y"], alpha=0.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            train_multinomial([{"a": 1}, {"b": 1}], ["x", "y"], alpha=alpha)
 
 
 def test_multinomial_matches_fraction_oracle():

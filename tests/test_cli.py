@@ -291,6 +291,26 @@ def test_evaluate_rejects_meta_multinomial(tmp_path, capsys, lexicon_path, corpu
     assert "gaussian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_evaluate_rejects_non_finite_alpha(tmp_path, capsys, lexicon_path, corpus_path, alpha):
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", lexicon_path,
+            "--corpus", corpus_path,
+            "--format", "counts",
+            "--out", str(tmp_path / "r"),
+            "--folds", "2",
+            "--min-genre-support", "1",
+            f"--alpha={alpha}",  # argparse reads a bare "-inf" as an option
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--alpha" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_evaluate_empty_after_filter(tmp_path, capsys, lexicon_path, corpus_path):
     code = main(
         [

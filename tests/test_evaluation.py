@@ -232,6 +232,12 @@ def test_run_cv_rejects_meta_with_multinomial():
         )
 
 
+@pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf"), float("-inf")])
+def test_classifier_config_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ClassifierConfig(kind="multinomial", alpha=alpha)
+
+
 def test_run_cv_weighted_auc_survives_relabeling():
     corpus, lexicon = separable_corpus()
     base = run_cv(corpus, lexicon, "vsm", k=5, seed=3)
