@@ -1,7 +1,8 @@
-"""Golden outputs: the exact bytes ``evaluate`` writes.
+"""Golden outputs: the exact bytes ``score``, ``features``, ``synth`` and
+``evaluate`` write.
 
-Each case runs the CLI on fixed inputs and compares the JSON and CSV
-reports byte for byte with the files in ``tests/golden/``. Refactors and
+Each case runs the CLI on fixed inputs and compares the files it writes
+byte for byte with the files in ``tests/golden/``. Refactors and
 performance changes must keep these bytes; a change that means to alter
 them replaces the golden files and says why.
 """
@@ -37,47 +38,77 @@ def synth_lexicon_text(size: int = 240) -> str:
     return "\n".join(lines) + "\n"
 
 
+def synth_args(tmp_path: Path, corpus: str) -> list[str]:
+    """``synth`` arguments (no ``--out``) that generate the ``corpus`` case."""
+    if corpus == "sample":
+        return [
+            "--lexicon", str(SAMPLE / "lexicon.csv"),
+            "--profiles", str(SAMPLE / "profiles.json"),
+        ]
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text(synth_lexicon_text(), encoding="utf-8")
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps(SYNTH_PROFILES), encoding="utf-8")
+    return ["--lexicon", str(lexicon), "--profiles", str(profiles), "--seed", "5"]
+
+
 def sample_inputs(tmp_path: Path) -> list[str]:
     return [
         "--lexicon", str(SAMPLE / "lexicon.csv"),
         "--corpus", str(SAMPLE / "corpus.jsonl"),
         "--format", "text",
-        "--folds", "2",
-        "--min-genre-support", "1",
     ]
 
 
 def synth_inputs(tmp_path: Path) -> list[str]:
-    lexicon = tmp_path / "lexicon.csv"
-    lexicon.write_text(synth_lexicon_text(), encoding="utf-8")
-    profiles = tmp_path / "profiles.json"
-    profiles.write_text(json.dumps(SYNTH_PROFILES), encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"
-    code = main(
-        [
-            "synth", "--lexicon", str(lexicon), "--profiles", str(profiles),
-            "--out", str(corpus), "--seed", "5",
-        ]
-    )
-    assert code == 0
+    assert main(["synth", *synth_args(tmp_path, "synth"), "--out", str(corpus)]) == 0
     return [
-        "--lexicon", str(lexicon),
+        "--lexicon", str(tmp_path / "lexicon.csv"),
         "--corpus", str(corpus),
         "--format", "counts",
-        "--folds", "3",
-        "--seed", "11",
     ]
 
 
 INPUTS = {"sample": sample_inputs, "synth": synth_inputs}
 
+EVALUATE_FLAGS = {
+    "sample": ["--folds", "2", "--min-genre-support", "1"],
+    "synth": ["--folds", "3", "--seed", "11"],
+}
+
+# golden file stem -> subcommand and flags; each writes one CSV to --out
+CSV_COMMANDS = {
+    "score": ["score"],
+    "score_per_document": ["score", "--per-document"],
+    "score_window_1w": ["score", "--window", "1w"],
+    "features": ["features"],
+}
+
 
 def evaluate_reports(tmp_path: Path, corpus: str, rep: str, nb: str) -> tuple[bytes, bytes]:
     """Run ``evaluate`` on one golden case; return the JSON and CSV bytes."""
     out = tmp_path / "report"
-    argv = ["evaluate", *INPUTS[corpus](tmp_path), "--rep", rep, "--nb", nb, "--out", str(out)]
+    argv = [
+        "evaluate", *INPUTS[corpus](tmp_path), *EVALUATE_FLAGS[corpus],
+        "--rep", rep, "--nb", nb, "--out", str(out),
+    ]
     assert main(argv) == 0
     return (tmp_path / "report.json").read_bytes(), (tmp_path / "report.csv").read_bytes()
+
+
+def csv_output(tmp_path: Path, corpus: str, command: str) -> bytes:
+    """Run one of ``CSV_COMMANDS`` on a golden corpus; return the CSV bytes."""
+    out = tmp_path / "out.csv"
+    assert main([*CSV_COMMANDS[command], *INPUTS[corpus](tmp_path), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def synth_output(tmp_path: Path, corpus: str) -> bytes:
+    """Run ``synth`` for one golden case; return the JSON-lines bytes."""
+    out = tmp_path / "synth.jsonl"
+    assert main(["synth", *synth_args(tmp_path, corpus), "--out", str(out)]) == 0
+    return out.read_bytes()
 
 
 @pytest.mark.parametrize("rep,nb", VARIANTS)
@@ -87,3 +118,16 @@ def test_evaluate_report_bytes(tmp_path, corpus, rep, nb):
     stem = GOLDEN / f"evaluate_{corpus}_{rep}_{nb}"
     assert report_json == stem.with_suffix(".json").read_bytes()
     assert report_csv == stem.with_suffix(".csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+@pytest.mark.parametrize("corpus", sorted(INPUTS))
+def test_csv_output_bytes(tmp_path, corpus, command):
+    golden = GOLDEN / f"{command}_{corpus}.csv"
+    assert csv_output(tmp_path, corpus, command) == golden.read_bytes()
+
+
+@pytest.mark.parametrize("corpus", sorted(INPUTS))
+def test_synth_output_bytes(tmp_path, corpus):
+    golden = GOLDEN / f"synth_{corpus}.jsonl"
+    assert synth_output(tmp_path, corpus) == golden.read_bytes()
