@@ -14,7 +14,6 @@ from .affect import (
     SeriesPoint,
     score_channel,
     score_counts,
-    score_counts_with_spread,
     score_windows,
     series_to_csv,
 )

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Mapping, Optional
 
 from .corpus import Corpus, format_timestamp
-from .lexicon import AffectEntry, AffectLexicon
+from .lexicon import AffectLexicon
 
 DIMENSIONS = ("valence", "arousal", "dominance")
 
@@ -85,57 +86,75 @@ class AffectSeries:
             raise ValueError("series points must be strictly ordered by start")
 
 
-def _matched_entries(
-    term_counts: Mapping[str, int], lexicon: AffectLexicon
-) -> list[tuple[int, AffectEntry]]:
-    return [
-        (count, entry)
-        for term, count in term_counts.items()
-        if (entry := lexicon.lookup(term)) is not None
-    ]
+@dataclass(frozen=True, slots=True)
+class MatchStats:
+    """The lexicon terms one term map matches, and their weighted statistics.
+
+    ``counts[i]`` is the count of the i-th matched term (in map order) and
+    ``values[d][i]`` its lexicon mean on dimension ``DIMENSIONS[d]``;
+    ``low`` and ``high`` hold each dimension's smallest and largest value.
+    """
+
+    counts: list[int]
+    values: tuple[list[float], list[float], list[float]]
+    low: tuple[float, ...]
+    high: tuple[float, ...]
+    score: AffectScore
+    spread: AffectSpread
 
 
-def _score_pooled(
+def match_stats(
     term_counts: Mapping[str, int], lexicon: AffectLexicon
-) -> tuple[AffectScore, AffectSpread]:
-    matched = _matched_entries(term_counts, lexicon)
-    if not matched:
-        raise NoSignalError("no term matched the lexicon")
-    total = sum(count for count, _ in matched)
+) -> Optional[MatchStats]:
+    """Frequency-weighted statistics of the terms a map shares with the lexicon.
+
+    One lookup pass collects the matched counts and values; each dimension's
+    mean is sum(count * value) / sum(count) and its spread the weighted
+    population sd, both summed exactly with ``math.fsum``. Returns None when
+    no term matches.
+    """
+    counts: list[int] = []
+    values: tuple[list[float], list[float], list[float]] = ([], [], [])
+    valence, arousal, dominance = values
+    for term, count in term_counts.items():
+        entry = lexicon.lookup(term)
+        if entry is not None:
+            counts.append(count)
+            valence.append(entry.valence.mean)
+            arousal.append(entry.arousal.mean)
+            dominance.append(entry.dominance.mean)
+    if not counts:
+        return None
+    total = sum(counts)
+    low = tuple(map(min, values))
+    high = tuple(map(max, values))
     means = []
     sds = []
-    for dim in DIMENSIONS:
-        values = [(count, getattr(entry, dim).mean) for count, entry in matched]
-        mean = math.fsum(count * value for count, value in values) / total
+    for column, lo, hi in zip(values, low, high):
+        mean = math.fsum(map(operator.mul, counts, column)) / total
         # the true mean lies within the matched value range; clamp float dust
-        low = min(value for _, value in values)
-        high = max(value for _, value in values)
-        mean = min(max(mean, low), high)
-        variance = (
-            math.fsum(count * (value - mean) ** 2 for count, value in values) / total
-        )
+        mean = min(max(mean, lo), hi)
+        squares = (count * (value - mean) ** 2 for count, value in zip(counts, column))
+        variance = math.fsum(squares) / total
         means.append(mean)
         sds.append(math.sqrt(variance) if variance > 0 else 0.0)
-    score = AffectScore(means[0], means[1], means[2], len(matched), total)
-    return score, AffectSpread(sds[0], sds[1], sds[2])
+    score = AffectScore(*means, len(counts), total)
+    return MatchStats(counts, values, low, high, score, AffectSpread(*sds))
 
 
-def score_counts(term_counts: Mapping[str, int], lexicon: AffectLexicon) -> AffectScore:
-    """Score one term-count map.
+def score_counts(
+    term_counts: Mapping[str, int], lexicon: AffectLexicon
+) -> tuple[AffectScore, AffectSpread]:
+    """Score one term-count map; return the score and its weighted spread.
 
     For each dimension the score is sum(count * lexicon mean) / sum(count)
     over the terms present in both the map and the lexicon. Raises
     :class:`NoSignalError` when nothing matches.
     """
-    score, _ = _score_pooled(term_counts, lexicon)
-    return score
-
-
-def score_counts_with_spread(
-    term_counts: Mapping[str, int], lexicon: AffectLexicon
-) -> tuple[AffectScore, AffectSpread]:
-    """Like :func:`score_counts` but also returns the weighted spread."""
-    return _score_pooled(term_counts, lexicon)
+    stats = match_stats(term_counts, lexicon)
+    if stats is None:
+        raise NoSignalError("no term matched the lexicon")
+    return stats.score, stats.spread
 
 
 def score_channel(
@@ -146,20 +165,16 @@ def score_channel(
     Pooling happens before scoring, so this is not an average of per-document
     scores: documents contribute in proportion to their matched token counts.
     """
-    pooled: Counter[str] = Counter()
-    found = False
-    for doc in corpus.documents:
-        if doc.channel == channel:
-            found = True
-            pooled.update(doc.term_counts)
-    if not found:
+    docs = corpus.by_channel(channel)
+    if not docs:
         raise NoSignalError(f"no documents for channel {channel!r}")
-    try:
-        return _score_pooled(pooled, lexicon)
-    except NoSignalError:
-        raise NoSignalError(
-            f"channel {channel!r} has no terms matching the lexicon"
-        ) from None
+    pooled: Counter[str] = Counter()
+    for doc in docs:
+        pooled.update(doc.term_counts)
+    stats = match_stats(pooled, lexicon)
+    if stats is None:
+        raise NoSignalError(f"channel {channel!r} has no terms matching the lexicon")
+    return stats.score, stats.spread
 
 
 def score_windows(
@@ -179,35 +194,31 @@ def score_windows(
     """
     if window_length <= timedelta(0):
         raise ValueError("window_length must be positive")
-    docs = corpus.by_channel(channel)
-    for doc in docs:
+    buckets: dict[int, Counter[str]] = defaultdict(Counter)
+    for doc in corpus.by_channel(channel):
         if doc.timestamp is None:
             raise ValueError(
                 f"document {doc.id!r} has no timestamp; windowed scoring "
                 f"requires one"
             )
-    if not docs:
+        buckets[(doc.timestamp - origin) // window_length].update(doc.term_counts)
+    if not buckets:
         return AffectSeries(channel, window_length, ())
-
-    buckets: dict[int, Counter[str]] = defaultdict(Counter)
-    for doc in docs:
-        index = (doc.timestamp - origin) // window_length
-        buckets[index].update(doc.term_counts)
 
     points = []
     for index in range(min(buckets), max(buckets) + 1):
         start = origin + index * window_length
-        counts = buckets.get(index)
-        if counts is None:
+        stats = match_stats(buckets[index], lexicon) if index in buckets else None
+        if stats is None:
             points.append(SeriesPoint(start, None, None))
-            continue
-        try:
-            score, spread = _score_pooled(counts, lexicon)
-        except NoSignalError:
-            points.append(SeriesPoint(start, None, None))
-            continue
-        points.append(SeriesPoint(start, score, spread))
+        else:
+            points.append(SeriesPoint(start, stats.score, stats.spread))
     return AffectSeries(channel, window_length, tuple(points))
+
+
+def value_fields(score: AffectScore, spread: AffectSpread) -> list[str]:
+    """The three means, then the three sds, as exact ``repr`` CSV fields."""
+    return [repr(getattr(part, dim)) for part in (score, spread) for dim in DIMENSIONS]
 
 
 def series_to_csv(series_list: list[AffectSeries]) -> str:
@@ -221,16 +232,7 @@ def series_to_csv(series_list: list[AffectSeries]) -> str:
             if point.is_gap:
                 row.extend([""] * 7)
             else:
-                row.extend(
-                    [
-                        repr(point.score.valence),
-                        repr(point.score.arousal),
-                        repr(point.score.dominance),
-                        repr(point.spread.valence),
-                        repr(point.spread.arousal),
-                        repr(point.spread.dominance),
-                        str(point.score.matched_token_total),
-                    ]
-                )
+                row.extend(value_fields(point.score, point.spread))
+                row.append(str(point.score.matched_token_total))
             writer.writerow(row)
     return buffer.getvalue()

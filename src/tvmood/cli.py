@@ -15,6 +15,8 @@ import json
 import re
 import sys
 from datetime import datetime, timedelta, timezone
+from functools import partial
+from typing import Callable, NoReturn
 
 from . import affect, evaluation, features, synth
 from .corpus import Corpus, CorpusError, load_corpus_file, corpus_to_jsonl
@@ -56,19 +58,6 @@ def _write_text(path: str, content: str) -> None:
         handle.write(content)
 
 
-def _score_row(score: affect.AffectScore, spread: affect.AffectSpread) -> list[str]:
-    return [
-        repr(score.valence),
-        repr(score.arousal),
-        repr(score.dominance),
-        repr(spread.valence),
-        repr(spread.arousal),
-        repr(spread.dominance),
-        str(score.matched_distinct_terms),
-        str(score.matched_token_total),
-    ]
-
-
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
     ranges = []
@@ -101,30 +90,32 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    skipped: list[tuple[str, str]] = []
-    rows = 0
+    # each job is (leading row fields, scorer); the first field names a skip
     if args.per_document:
         writer.writerow(("id", "channel") + SCORE_VALUE_COLUMNS)
-        for doc in corpus.documents:
-            try:
-                score, spread = affect.score_counts_with_spread(
-                    doc.term_counts, lexicon
-                )
-            except affect.NoSignalError:
-                skipped.append((doc.id, "no lexicon matches"))
-                continue
-            writer.writerow([doc.id, doc.channel] + _score_row(score, spread))
-            rows += 1
+        jobs = [
+            ((doc.id, doc.channel), partial(affect.score_counts, doc.term_counts, lexicon))
+            for doc in corpus.documents
+        ]
     else:
         writer.writerow(("channel",) + SCORE_VALUE_COLUMNS)
-        for channel in corpus.channels():
-            try:
-                score, spread = affect.score_channel(corpus, channel, lexicon)
-            except affect.NoSignalError:
-                skipped.append((channel, "no lexicon matches"))
-                continue
-            writer.writerow([channel] + _score_row(score, spread))
-            rows += 1
+        jobs = [
+            ((channel,), partial(affect.score_channel, corpus, channel, lexicon))
+            for channel in corpus.channels()
+        ]
+    skipped: list[tuple[str, str]] = []
+    rows = 0
+    for key, scorer in jobs:
+        try:
+            score, spread = scorer()
+        except affect.NoSignalError:
+            skipped.append((key[0], "no lexicon matches"))
+            continue
+        writer.writerow(
+            [*key, *affect.value_fields(score, spread)]
+            + [str(score.matched_distinct_terms), str(score.matched_token_total)]
+        )
+        rows += 1
 
     if skipped:
         writer.writerow([])
@@ -153,18 +144,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raw = json.load(handle)
     if not isinstance(raw, list):
         raise ValueError("profiles file must hold a JSON array")
-    profiles = []
-    for item in raw:
-        profiles.append(
-            synth.GenreProfile(
-                label=item["label"],
-                document_count=item["document_count"],
-                bias=item.get("bias", 1.0),
-                target=tuple(item["target"]),
-                token_range=tuple(item.get("token_range", (30, 80))),
-                channel=item.get("channel"),
-            )
-        )
+    profiles = [_read_profile(index, item) for index, item in enumerate(raw)]
     start = (
         synth.DEFAULT_START
         if args.start is None
@@ -174,6 +154,47 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_text(args.out, corpus_to_jsonl(corpus))
     print(f"wrote {len(corpus)} documents to {args.out}")
     return 0
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _list_of(length: int, check: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, list) and len(v) == length and all(map(check, v))
+
+
+# GenreProfile field -> (check of its JSON value, what the value must be)
+_PROFILE_FIELDS = {
+    "label": (lambda v: isinstance(v, str), "a string"),
+    "document_count": (_is_int, "an integer"),
+    "bias": (_is_number, "a number"),
+    "target": (_list_of(3, _is_number), "a list of three numbers"),
+    "token_range": (_list_of(2, _is_int), "a list of two integers"),
+    "channel": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def _read_profile(index: int, item: object) -> synth.GenreProfile:
+    """Build one genre profile from its JSON item; errors name index and field."""
+    if not isinstance(item, dict):
+        raise ValueError(f"profile {index}: not a JSON object")
+    item = {"bias": 1.0, "token_range": [30, 80], "channel": None, **item}
+    for key, (check, what) in _PROFILE_FIELDS.items():
+        if key not in item:
+            raise ValueError(f"profile {index}: missing required field {key!r}")
+        if not check(item[key]):
+            raise ValueError(f"profile {index}: field {key!r} must be {what}")
+    fields = {key: item[key] for key in _PROFILE_FIELDS}
+    fields.update(target=tuple(item["target"]), token_range=tuple(item["token_range"]))
+    try:
+        return synth.GenreProfile(**fields)
+    except ValueError as exc:
+        raise ValueError(f"profile {index}: {exc}") from None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -187,11 +208,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"no genre reaches the minimum support of {args.min_genre_support}"
         )
 
-    nb_kind = args.nb
-    if nb_kind is None:
-        nb_kind = "gaussian" if args.rep == "meta" else "multinomial"
     try:
-        config = evaluation.ClassifierConfig(kind=nb_kind, alpha=args.alpha)
+        config = evaluation.ClassifierConfig(
+            kind=args.nb or evaluation.DEFAULT_NB[args.rep], alpha=args.alpha
+        )
     except ValueError as exc:  # --nb is checked by argparse, so alpha is at fault
         raise ValueError(f"--alpha: {exc}") from None
     report = evaluation.run_cv(
@@ -221,8 +241,15 @@ def _parse_cli_timestamp(value: str) -> datetime:
         return datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line and exit status 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tvmood",
         description=(
             "Affect scoring and genre classification for television "
@@ -297,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--nb",
         choices=("gaussian", "multinomial"),
         default=None,
-        help="classifier variant (default: gaussian for meta, multinomial for vsm)",
+        help="classifier variant (default: "
+        + ", ".join(f"{nb} for {rep}" for rep, nb in evaluation.DEFAULT_NB.items())
+        + ")",
     )
     sub.add_argument(
         "--alpha", type=float, default=1.0, help="multinomial smoothing (default 1.0)"

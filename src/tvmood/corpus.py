@@ -65,6 +65,15 @@ def format_timestamp(moment: datetime) -> str:
     return moment.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _check_counts(doc_id: str, term_counts: dict[str, int]) -> None:
+    for term, count in term_counts.items():
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise ValueError(
+                f"document {doc_id!r}: term {term!r} has count {count!r}, "
+                f"which is not a positive integer"
+            )
+
+
 @dataclass(frozen=True, slots=True)
 class Document:
     """One transcript item with per-term counts.
@@ -84,12 +93,7 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id is empty")
-        for term, count in self.term_counts.items():
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ValueError(
-                    f"document {self.id!r}: term {term!r} has non-positive "
-                    f"count {count!r}"
-                )
+        _check_counts(self.id, self.term_counts)
         if self.total_tokens != sum(self.term_counts.values()):
             raise ValueError(
                 f"document {self.id!r}: total_tokens {self.total_tokens} does "
@@ -123,6 +127,7 @@ class Document:
         timestamp: Optional[datetime] = None,
     ) -> "Document":
         """Build from a pre-counted map; tokens are lowercased and merged."""
+        _check_counts(id, term_counts)  # before merging can hide a bad count
         merged: dict[str, int] = {}
         for term, count in term_counts.items():
             lowered = term.lower()
@@ -218,33 +223,19 @@ def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
         if genre is not None and not isinstance(genre, str):
             raise CorpusError(f"line {line_no}: field 'genre' must be a string")
 
-        if mode == "text":
-            if "text" not in record:
-                raise CorpusError(f"line {line_no}: missing required field 'text'")
-            if not isinstance(record["text"], str):
-                raise CorpusError(f"line {line_no}: field 'text' must be a string")
-            document = Document.from_text(
-                doc_id, record["channel"], record["text"], genre, timestamp
-            )
-        else:
-            if "term_counts" not in record:
-                raise CorpusError(
-                    f"line {line_no}: missing required field 'term_counts'"
-                )
-            raw_counts = record["term_counts"]
-            if not isinstance(raw_counts, dict):
-                raise CorpusError(
-                    f"line {line_no}: field 'term_counts' must be an object"
-                )
-            for term, count in raw_counts.items():
-                if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                    raise CorpusError(
-                        f"line {line_no}: term {term!r} has non-positive "
-                        f"count {count!r}"
-                    )
-            document = Document.from_counts(
-                doc_id, record["channel"], raw_counts, genre, timestamp
-            )
+        field, kind, what, build = (
+            ("text", str, "a string", Document.from_text)
+            if mode == "text"
+            else ("term_counts", dict, "an object", Document.from_counts)
+        )
+        if field not in record:
+            raise CorpusError(f"line {line_no}: missing required field {field!r}")
+        if not isinstance(record[field], kind):
+            raise CorpusError(f"line {line_no}: field {field!r} must be {what}")
+        try:
+            document = build(doc_id, record["channel"], record[field], genre, timestamp)
+        except ValueError as exc:
+            raise CorpusError(f"line {line_no}: {exc}") from None
         documents.append(document)
     return Corpus(tuple(documents))
 

@@ -26,7 +26,9 @@ from . import classify, features
 from .corpus import Corpus
 from .lexicon import AffectLexicon
 
-REPRESENTATIONS = ("vsm", "meta")
+# representation -> the Naive Bayes variant used when none is chosen
+DEFAULT_NB = {"vsm": "multinomial", "meta": "gaussian"}
+REPRESENTATIONS = tuple(DEFAULT_NB)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -198,12 +200,6 @@ def confusion_and_rates(
     return matrix, tp_rates, fp_rates
 
 
-def _default_config(representation: str) -> ClassifierConfig:
-    if representation == "meta":
-        return ClassifierConfig(kind="gaussian")
-    return ClassifierConfig(kind="multinomial", alpha=1.0)
-
-
 def run_cv(
     corpus: Corpus,
     lexicon: AffectLexicon,
@@ -225,7 +221,7 @@ def run_cv(
     if representation not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
     if config is None:
-        config = _default_config(representation)
+        config = ClassifierConfig(DEFAULT_NB[representation])
     if representation == "meta" and config.kind != "gaussian":
         raise ValueError(
             "the meta representation is real-valued and requires the "

@@ -5,8 +5,9 @@ The summary representation carries five statistics (min, max, mean, sd,
 median) per affect dimension plus four stylistic counts, nineteen features
 in all. Statistics are computed over the frequency-weighted multiset of
 matched-term values: a term counted three times contributes its lexicon
-value three times. The mean therefore agrees exactly with
-:func:`tvmood.affect.score_counts`, the sd is the weighted population sd,
+value three times. Min, max, mean and sd come from
+:func:`tvmood.affect.match_stats`, so the mean agrees exactly with
+:func:`tvmood.affect.score_counts`; the sd is the weighted population sd,
 and the median is the weighted median (lower-middle element when the total
 weight is even). A document with no lexicon matches gets missing values for
 all fifteen affect statistics; the stylistic counts are always present.
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .affect import DIMENSIONS, match_stats
 from .corpus import Corpus, Document
 from .lexicon import AffectLexicon
 
@@ -78,64 +79,38 @@ class MetaFeatureVector:
     max_word_frequency: int
 
 
-def _weighted_stats(pairs: list[tuple[float, int]]) -> DimensionStats:
-    """Stats over a weighted multiset given as (value, weight) pairs."""
-    total = sum(weight for _, weight in pairs)
-    low = min(value for value, _ in pairs)
-    high = max(value for value, _ in pairs)
-    mean = math.fsum(value * weight for value, weight in pairs) / total
-    # the true mean lies within [low, high]; clamp float dust
-    mean = min(max(mean, low), high)
-    variance = math.fsum(weight * (value - mean) ** 2 for value, weight in pairs) / total
-    sd = math.sqrt(variance) if variance > 0 else 0.0
-
-    # Weighted median: the element at 1-based position ceil(total/2) of the
-    # expanded multiset, i.e. the lower-middle element for even totals.
+def _weighted_median(values: list[float], counts: list[int], total: int) -> float:
+    """Weighted median: the element at 1-based position ceil(total/2) of the
+    expanded multiset, i.e. the lower-middle element for even totals."""
     target = (total + 1) // 2
     accumulated = 0
-    median = pairs[0][0]
-    for value, weight in sorted(pairs):
-        accumulated += weight
+    for value, count in sorted(zip(values, counts)):
+        accumulated += count
         if accumulated >= target:
-            median = value
             break
-    return DimensionStats(low, high, mean, sd, median)
+    return value
 
 
 def extract_meta(doc: Document, lexicon: AffectLexicon) -> MetaFeatureVector:
     """Build the summary-statistics representation of one document."""
-    matched = [
-        (count, entry)
-        for term, count in doc.term_counts.items()
-        if (entry := lexicon.lookup(term)) is not None
-    ]
-    num_words = doc.total_tokens
-    num_unique_words = len(doc.term_counts)
-    max_word_frequency = max(doc.term_counts.values(), default=0)
-
-    if not matched:
-        return MetaFeatureVector(
-            valence=None,
-            arousal=None,
-            dominance=None,
-            num_words=num_words,
-            num_unique_words=num_unique_words,
-            num_unique_anew_words=0,
-            max_word_frequency=max_word_frequency,
-        )
-
-    stats = {}
-    for dim in ("valence", "arousal", "dominance"):
-        pairs = [(getattr(entry, dim).mean, count) for count, entry in matched]
-        stats[dim] = _weighted_stats(pairs)
+    stats = match_stats(doc.term_counts, lexicon)
+    dims: list[Optional[DimensionStats]] = [None, None, None]
+    if stats is not None:
+        total = stats.score.matched_token_total
+        for d, dim in enumerate(DIMENSIONS):
+            dims[d] = DimensionStats(
+                stats.low[d],
+                stats.high[d],
+                getattr(stats.score, dim),
+                getattr(stats.spread, dim),
+                _weighted_median(stats.values[d], stats.counts, total),
+            )
     return MetaFeatureVector(
-        valence=stats["valence"],
-        arousal=stats["arousal"],
-        dominance=stats["dominance"],
-        num_words=num_words,
-        num_unique_words=num_unique_words,
-        num_unique_anew_words=len(matched),
-        max_word_frequency=max_word_frequency,
+        *dims,
+        num_words=doc.total_tokens,
+        num_unique_words=len(doc.term_counts),
+        num_unique_anew_words=0 if stats is None else len(stats.counts),
+        max_word_frequency=max(doc.term_counts.values(), default=0),
     )
 
 

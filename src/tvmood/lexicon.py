@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
@@ -46,8 +47,8 @@ def normalize_rating(raw: float) -> float:
 
 def normalize_sd(raw_sd: float) -> float:
     """Scale a raw standard deviation by 1/8; no offset is applied."""
-    if raw_sd < 0:
-        raise LexiconError(f"standard deviation {raw_sd!r} is negative")
+    if not 0.0 <= raw_sd < math.inf:
+        raise LexiconError(f"standard deviation {raw_sd!r} is not finite and non-negative")
     return raw_sd / RAW_SPAN
 
 
@@ -61,8 +62,8 @@ class RatingStat:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mean <= 1.0:
             raise ValueError(f"mean {self.mean!r} is outside [0, 1]")
-        if self.sd < 0.0:
-            raise ValueError(f"sd {self.sd!r} is negative")
+        if not 0.0 <= self.sd < math.inf:
+            raise ValueError(f"sd {self.sd!r} is not finite and non-negative")
 
 
 @dataclass(frozen=True, slots=True)

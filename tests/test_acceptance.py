@@ -86,7 +86,7 @@ def test_criterion_01_scoring_oracle():
         # sprinkle unmatched terms without exceeding the 50-term cap
         for extra in range(rng.randint(0, min(3, 50 - n_terms))):
             counts[f"unmatched{extra}"] = rng.randint(1, 4)
-        score = score_counts(counts, lexicon)
+        score, _ = score_counts(counts, lexicon)
         for dim in DIMENSIONS:
             expected = expansion_stats(counts, lexicon, dim)["mean"]
             worst = max(worst, abs(getattr(score, dim) - expected))

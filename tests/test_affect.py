@@ -13,7 +13,6 @@ from tvmood.affect import (
     NoSignalError,
     score_channel,
     score_counts,
-    score_counts_with_spread,
     score_windows,
     series_to_csv,
 )
@@ -27,14 +26,14 @@ WEEK = timedelta(weeks=1)
 
 def test_score_single_term_equals_its_value():
     lexicon = make_lexicon({"w": (0.5, 0.5, 0.5)})
-    score = score_counts({"w": 5}, lexicon)
+    score, _ = score_counts({"w": 5}, lexicon)
     assert (score.valence, score.arousal, score.dominance) == (0.5, 0.5, 0.5)
     assert score.matched_distinct_terms == 1
     assert score.matched_token_total == 5
 
 
 def test_score_weighted_mean_hand_case(small_lexicon):
-    score = score_counts({"good": 3, "bad": 1}, small_lexicon)
+    score, _ = score_counts({"good": 3, "bad": 1}, small_lexicon)
     assert score.valence == pytest.approx(0.6875, abs=1e-15)
     assert score.matched_distinct_terms == 2
     assert score.matched_token_total == 4
@@ -47,9 +46,9 @@ def test_score_no_matches_raises(small_lexicon):
 
 def test_score_is_scale_invariant(small_lexicon):
     counts = {"good": 3, "bad": 1, "fire": 2}
-    base = score_counts(counts, small_lexicon)
+    base, _ = score_counts(counts, small_lexicon)
     for k in (2, 5, 17):
-        scaled = score_counts({t: c * k for t, c in counts.items()}, small_lexicon)
+        scaled, _ = score_counts({t: c * k for t, c in counts.items()}, small_lexicon)
         assert scaled.valence == pytest.approx(base.valence, abs=1e-12)
         assert scaled.arousal == pytest.approx(base.arousal, abs=1e-12)
         assert scaled.dominance == pytest.approx(base.dominance, abs=1e-12)
@@ -61,7 +60,7 @@ def test_score_stays_within_matched_value_range():
     vocabulary = lexicon.words()
     for _ in range(200):
         counts = random_counts(rng, vocabulary)
-        score = score_counts(counts, lexicon)
+        score, _ = score_counts(counts, lexicon)
         for dim in ("valence", "arousal", "dominance"):
             values = [getattr(lexicon.lookup(t), dim).mean for t in counts]
             assert min(values) - 1e-12 <= getattr(score, dim) <= max(values) + 1e-12
@@ -78,7 +77,7 @@ def test_score_matches_expansion_oracle():
             with pytest.raises(NoSignalError):
                 score_counts(counts, lexicon)
             continue
-        score, spread = score_counts_with_spread(counts, lexicon)
+        score, spread = score_counts(counts, lexicon)
         for dim in ("valence", "arousal", "dominance"):
             stats = expansion_stats(counts, lexicon, dim)
             assert getattr(score, dim) == pytest.approx(stats["mean"], abs=1e-12)
@@ -89,7 +88,7 @@ def test_channel_single_document_matches_score_counts(small_lexicon):
     counts = {"good": 3, "fire": 1}
     corpus = Corpus((make_doc("a", counts, channel="cnn"),))
     pooled_score, pooled_spread = score_channel(corpus, "cnn", small_lexicon)
-    direct_score, direct_spread = score_counts_with_spread(counts, small_lexicon)
+    direct_score, direct_spread = score_counts(counts, small_lexicon)
     assert pooled_score == direct_score
     assert pooled_spread == direct_spread
 
@@ -147,7 +146,7 @@ def test_channel_pooling_equals_summed_count_maps():
         for counts in doc_counts:
             pooled.update(counts)
         channel_score, _ = score_channel(corpus, "ch", lexicon)
-        assert channel_score == score_counts(dict(pooled), lexicon)
+        assert channel_score == score_counts(dict(pooled), lexicon)[0]
 
 
 def test_windows_thirteen_four_week_periods(small_lexicon):
@@ -164,7 +163,7 @@ def test_windows_single_document_equals_its_score(small_lexicon):
     corpus = Corpus((make_doc("a", counts, channel="cnn", timestamp=T0),))
     series = score_windows(corpus, "cnn", small_lexicon, 4 * WEEK, T0)
     assert len(series.points) == 1
-    assert series.points[0].score == score_counts(counts, small_lexicon)
+    assert series.points[0].score == score_counts(counts, small_lexicon)[0]
 
 
 def test_windows_emit_gap_for_empty_window(small_lexicon):

@@ -324,3 +324,49 @@ def test_evaluate_empty_after_filter(tmp_path, capsys, lexicon_path, corpus_path
     )
     assert code != 0
     assert "support" in capsys.readouterr().err
+
+
+def test_lexicon_validate_rejects_non_finite_sd(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text(LEXICON_TEXT.splitlines()[0] + "\njoy,5,nan,5,inf,5,1\n", encoding="utf-8")
+    assert main(["lexicon-validate", "--lexicon", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "profile,fragment",
+    [
+        ("not an object", "profile 1: not a JSON object"),
+        ({"document_count": 3, "target": [0.8, 0.5, 0.5]}, "profile 1: missing required field 'label'"),
+        ({"label": "x", "document_count": "3", "target": [0.8, 0.5, 0.5]}, "profile 1: field 'document_count'"),
+    ],
+    ids=["not-object", "missing-label", "string-count"],
+)
+def test_synth_rejects_malformed_profile(tmp_path, capsys, lexicon_path, profile, fragment):
+    good = {"label": "up", "document_count": 2, "target": [0.8, 0.5, 0.5]}
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps([good, profile]), encoding="utf-8")
+    out = tmp_path / "synth.jsonl"
+    argv = ["synth", "--lexicon", lexicon_path, "--profiles", str(profiles), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,fragment",
+    [
+        (["--lexicon", "L", "--folds", "abc"], "--folds"),
+        ([], "--lexicon"),
+        (["--lexicon", "L", "--alpha", "-inf"], "--alpha"),
+    ],
+    ids=["bad-folds", "missing-lexicon", "negative-inf-alpha"],
+)
+def test_flag_errors_are_one_line(capsys, flags, fragment):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--corpus", "C", "--out", "R", *flags])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err

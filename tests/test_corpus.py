@@ -140,6 +140,17 @@ def test_load_counts_mode_rejects_non_positive_counts():
             load_corpus(line, mode="counts")
 
 
+def test_load_document_errors_carry_line_number():
+    with pytest.raises(CorpusError, match=r"^line 2: document id is empty$"):
+        load_corpus("\n".join([record("ok", text="x"), record("", text="y")]), mode="text")
+    with pytest.raises(CorpusError) as excinfo:
+        load_corpus('{"id":"a","channel":"c","timestamp":"2013-01-07T00:00:00Z",'
+                    '"term_counts":{"fire":1e3}}', mode="counts")
+    message = str(excinfo.value)
+    assert message.startswith("line 1: ") and "not a positive integer" in message
+    assert "1000.0" in message and "non-positive" not in message
+
+
 def test_load_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         load_corpus("", mode="tokens")

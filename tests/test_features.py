@@ -85,7 +85,7 @@ def test_extract_meta_mean_agrees_with_score_counts():
         counts = random_counts(rng, vocabulary)
         meta = extract_meta(make_doc(f"d{trial}", counts), lexicon)
         try:
-            score = score_counts(counts, lexicon)
+            score, _ = score_counts(counts, lexicon)
         except NoSignalError:
             assert meta.valence is None
             continue

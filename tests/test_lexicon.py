@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tvmood.lexicon import (
     AffectLexicon,
     LexiconError,
+    RatingStat,
     normalize_rating,
     normalize_sd,
     parse_lexicon,
@@ -56,6 +57,16 @@ def test_normalize_sd_scales_without_offset():
     assert normalize_sd(0.0) == 0.0
     with pytest.raises(LexiconError):
         normalize_sd(-0.1)
+
+
+@pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
+def test_non_finite_sd_is_rejected(raw):
+    with pytest.raises(LexiconError):
+        normalize_sd(raw)
+    with pytest.raises(ValueError):
+        RatingStat(0.5, raw)
+    with pytest.raises(LexiconError, match="line 2"):
+        parse_lexicon(lexicon_text(f"joy,5,{raw},5,1,5,1"))
 
 
 def test_parse_single_row_hand_values():

@@ -53,7 +53,7 @@ def test_generate_separates_valence_groups():
         means = {}
         for genre in ("lowv", "highv"):
             scores = [
-                score_counts(doc.term_counts, lexicon).valence
+                score_counts(doc.term_counts, lexicon)[0].valence
                 for doc in corpus.documents
                 if doc.genre == genre
             ]
