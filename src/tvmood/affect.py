@@ -207,7 +207,13 @@ def score_windows(
 
     points = []
     for index in range(min(buckets), max(buckets) + 1):
-        start = origin + index * window_length
+        try:
+            start = origin + index * window_length
+        except OverflowError:
+            raise ValueError(
+                f"channel {channel!r}: window {index} from origin "
+                f"{format_timestamp(origin)} starts outside the datetime range"
+            ) from None
         stats = match_stats(buckets[index], lexicon) if index in buckets else None
         if stats is None:
             points.append(SeriesPoint(start, None, None))

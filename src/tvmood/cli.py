@@ -9,9 +9,12 @@ outputs were fully written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import re
 import sys
 from datetime import datetime, timedelta, timezone
@@ -41,8 +44,13 @@ def parse_window(spec: str) -> timedelta:
     match = _WINDOW_RE.match(spec.strip().lower())
     if not match or int(match.group(1)) == 0:
         raise ValueError(f"invalid window {spec!r}; use forms like '7d' or '4w'")
-    amount = int(match.group(1))
-    return timedelta(days=amount) if match.group(2) == "d" else timedelta(weeks=amount)
+    days = int(match.group(1)) * (1 if match.group(2) == "d" else 7)
+    try:
+        return timedelta(days=days)
+    except OverflowError:
+        raise ValueError(
+            f"--window {spec!r} is longer than {timedelta.max.days} days"
+        ) from None
 
 
 def default_origin(corpus: Corpus) -> datetime:
@@ -56,6 +64,34 @@ def default_origin(corpus: Corpus) -> datetime:
 def _write_text(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(content)
+
+
+def _write_all(outputs: dict[str, str]) -> None:
+    """Write every ``path -> content`` or, on failure, none of them.
+
+    Each content goes to a temporary file beside its target. The temporaries
+    replace the targets only after all are written, and are removed on
+    failure. A target that is a directory is refused first, because replacing
+    it would fail only after the targets before it had been replaced.
+    """
+    for path in outputs:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    temps: list[str] = []
+    try:
+        for path, content in outputs.items():
+            directory, name = os.path.split(path)
+            temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+            handle = open(temp, "x", encoding="utf-8", newline="")
+            temps.append(temp)
+            with handle:
+                handle.write(content)
+        for temp, path in zip(temps, outputs):
+            os.replace(temp, path)
+    finally:  # after a failure; once replaced, a temporary no longer exists
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
@@ -221,8 +257,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     prefix = args.out[:-5] if args.out.endswith(".json") else args.out
     json_path = prefix + ".json"
     csv_path = prefix + ".csv"
-    _write_text(json_path, evaluation.report_to_json(report))
-    _write_text(csv_path, evaluation.report_to_csv(report))
+    _write_all(
+        {
+            json_path: evaluation.report_to_json(report),
+            csv_path: evaluation.report_to_csv(report),
+        }
+    )
     print(
         f"weighted_average tp_rate={report.weighted_tp_rate:.4f} "
         f"fp_rate={report.weighted_fp_rate:.4f} auc={report.weighted_auc:.4f}"

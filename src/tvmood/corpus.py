@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional, TextIO
 
-# Token characters are letters or digits (underscore is a separator) plus
-# apostrophes; everything else splits.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
+_TOKEN_RE = re.compile(r"[^\W_]+(?:'+[^\W_]+)*")
 
 
 class CorpusError(ValueError):
@@ -29,15 +27,11 @@ class CorpusError(ValueError):
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into tokens.
 
-    Splits on every character that is not a letter, digit, or apostrophe,
-    strips leading/trailing apostrophes, and drops empty tokens.
+    A token is a maximal run of letters and digits joined by apostrophes;
+    underscores and everything else split, so apostrophes never start or end
+    a token.
     """
-    tokens = []
-    for token in _TOKEN_RE.findall(text.lower()):
-        token = token.strip("'")
-        if token:
-            tokens.append(token)
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 def count_terms(tokens: Iterable[str]) -> tuple[dict[str, int], int]:
@@ -66,6 +60,9 @@ def format_timestamp(moment: datetime) -> str:
 
 
 def _check_counts(doc_id: str, term_counts: dict[str, int]) -> None:
+    counts = term_counts.values()
+    if set(map(type, counts)) <= {int} and min(counts, default=1) >= 1:
+        return  # the common case, checked in C; the loop below names a bad term
     for term, count in term_counts.items():
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ValueError(

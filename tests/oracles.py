@@ -1,15 +1,17 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 Each oracle recomputes an expected value along a different path from the
-implementation under test: token expansion with plain numpy statistics for
-weighted scoring, direct density products in arbitrary precision (mpmath)
-for Gaussian Naive Bayes, exact rationals (Fraction) for multinomial Naive
-Bayes, and an explicit threshold-sweep ROC integration for AUC.
+implementation under test: match-then-strip tokenizing, token expansion
+with plain numpy statistics for weighted scoring, direct density products in
+arbitrary precision (mpmath) for Gaussian Naive Bayes, exact rationals
+(Fraction) for multinomial Naive Bayes, and an explicit threshold-sweep ROC
+integration for AUC.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +20,19 @@ import numpy as np
 from tvmood.classify import VARIANCE_FLOOR_SCALE
 
 mpmath.mp.dps = 60
+
+_TOKEN_RUN_RE = re.compile(r"(?:[^\W_]|')+")
+
+
+def tokenize(text):
+    """Lowercase; take runs of letters, digits and apostrophes; strip the
+    apostrophes that wrap each run and drop runs left empty."""
+    tokens = []
+    for token in _TOKEN_RUN_RE.findall(text.lower()):
+        token = token.strip("'")
+        if token:
+            tokens.append(token)
+    return tokens
 
 
 def expansion_stats(counts, lexicon, dim):

@@ -8,7 +8,7 @@ from datetime import timedelta
 
 import pytest
 
-from tvmood.cli import main, parse_window
+from tvmood.cli import _write_all, main, parse_window
 from tvmood.corpus import Corpus, corpus_to_jsonl
 from tvmood.lexicon import serialize_lexicon
 from tvmood.synth import GenreProfile, generate
@@ -51,6 +51,8 @@ def test_parse_window():
         parse_window("4x")
     with pytest.raises(ValueError):
         parse_window("0d")
+    with pytest.raises(ValueError, match="--window"):
+        parse_window("9999999999d")
 
 
 def test_lexicon_validate_ok(lexicon_path, capsys):
@@ -132,6 +134,26 @@ def test_score_window_mode(lexicon_path, corpus_path, tmp_path):
     assert lines[0].startswith("channel,window_start")
     assert any(line.startswith("cnn,") for line in lines[1:])
     assert any(line.startswith("e,") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "window_flags,fragment",
+    [
+        (["--window", "9999999999d"], "--window '9999999999d' is longer than"),
+        (["--window", "99999999d", "--origin", "2030-01-01"], "starts outside the datetime range"),
+    ],
+    ids=["window-too-long", "window-start-out-of-range"],
+)
+def test_score_oversized_window_is_one_line_error(
+    lexicon_path, corpus_path, tmp_path, capsys, window_flags, fragment
+):
+    out = tmp_path / "series.csv"
+    argv = ["score", "--lexicon", lexicon_path, "--corpus", corpus_path,
+            "--format", "counts", "--out", str(out), *window_flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert not out.exists()
 
 
 def test_score_nothing_matches_is_an_error(lexicon_path, tmp_path, capsys):
@@ -309,6 +331,37 @@ def test_evaluate_rejects_non_finite_alpha(tmp_path, capsys, lexicon_path, corpu
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--alpha" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_evaluate_failed_write_leaves_no_report(tmp_path, capsys, lexicon_path, corpus_path):
+    (tmp_path / "r.csv").mkdir()
+    code = main(
+        [
+            "evaluate",
+            "--lexicon", lexicon_path,
+            "--corpus", corpus_path,
+            "--format", "counts",
+            "--out", str(tmp_path / "r"),
+            "--folds", "2",
+            "--min-genre-support", "1",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "r.csv" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lexicon.csv", "r.csv"]
+    assert not any((tmp_path / "r.csv").iterdir())
+
+
+def test_write_all_writes_every_output_or_none(tmp_path):
+    first, second = str(tmp_path / "a.json"), str(tmp_path / "a.csv")
+    _write_all({first: "old\n", second: "old\n"})
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails while writing
+        _write_all({first: "new\n", second: "bad \udc80\n"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == "old\n"
+    _write_all({first: "new\n", second: "new\n"})
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "new\n"
 
 
 def test_evaluate_empty_after_filter(tmp_path, capsys, lexicon_path, corpus_path):

@@ -22,6 +22,7 @@ from tvmood.corpus import (
 )
 
 from conftest import T0, make_doc
+from oracles import tokenize as oracle_tokenize
 
 
 def record(doc_id="a", channel="cnn", timestamp="2013-01-07T12:00:00Z", **extra):
@@ -44,6 +45,30 @@ def test_tokenize_strips_wrapping_apostrophes_and_separators():
     assert tokenize("'quoted' text") == ["quoted", "text"]
     assert tokenize("''") == []
     assert tokenize("a_b c-d e2e") == ["a", "b", "c", "d", "e2e"]
+    assert tokenize("a''b") == ["a''b"]
+    assert tokenize("'''x'''") == ["x"]
+    assert tokenize("rock'n'roll") == ["rock'n'roll"]
+    assert tokenize("_'a'_") == ["a"]
+
+
+# Characters where a tokenizer can slip: apostrophes (ASCII and typographic),
+# underscores, digits, combining marks, a superscript digit, and letters whose
+# lowercase form is longer (U+0130), unchanged (U+00DF) or of another case
+# class (U+212A KELVIN SIGN, U+01C5 titlecase DZ).
+_TRICKY = st.sampled_from(
+    ["'", "'", "'", "_", "_", "0", "9", "a", " ", "\u2019", "\u0301", "\u0307",
+     "\u00b2", "\u0130", "\u00df", "\u212a", "\u01c5"]
+)
+
+
+@given(st.text())
+def test_tokenize_equals_strip_oracle(text):
+    assert tokenize(text) == oracle_tokenize(text)
+
+
+@given(st.text(alphabet=st.one_of(_TRICKY, _TRICKY, _TRICKY, st.characters()), max_size=40))
+def test_tokenize_equals_strip_oracle_on_tricky_alphabet(text):
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 @given(st.text(max_size=80))
@@ -138,6 +163,34 @@ def test_load_counts_mode_rejects_non_positive_counts():
         line = record("a", term_counts={"fire": bad})
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(line, mode="counts")
+
+
+class _Count(int):
+    """An int subclass other than bool: a valid count."""
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 0, -3, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda counts: Document("a", "cnn", counts, 3),
+        lambda counts: Document.from_counts("a", "cnn", counts),
+    ],
+    ids=["Document", "from_counts"],
+)
+def test_bad_count_is_rejected_naming_the_term(build, bad):
+    with pytest.raises(ValueError) as excinfo:
+        build({"calm": 1, "fire": bad, "win": 2})
+    assert str(excinfo.value) == (
+        f"document 'a': term 'fire' has count {bad!r}, which is not a positive integer"
+    )
+
+
+def test_int_subclass_counts_are_accepted():
+    doc = Document("a", "cnn", {"fire": _Count(2), "calm": 1}, 3)
+    assert doc.term_counts == {"fire": 2, "calm": 1}
+    merged = Document.from_counts("a", "cnn", {"Fire": _Count(2), "fire": _Count(1)})
+    assert merged.term_counts == {"fire": 3} and merged.total_tokens == 3
 
 
 def test_load_document_errors_carry_line_number():
