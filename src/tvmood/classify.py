@@ -1,20 +1,23 @@
 """Naive Bayes classifiers.
 
-Two variants: Gaussian and multinomial. Gaussian takes either dense real
-vectors (missing entries allowed; a missing feature simply contributes no
-likelihood term, and so does a feature a class never saw) or sparse term
-counts, where an absent term counts 0. Multinomial takes sparse term
-counts with additive smoothing. Both predict through log space with
-log-sum-exp normalization, so posteriors are always finite and sum to one.
+Two variants: Gaussian and multinomial. Multinomial takes sparse term
+counts with additive smoothing. Gaussian takes either dense real vectors
+or sparse term counts through one trainer and one predictor, which differ
+only in what an absent feature means: a missing entry of a dense row
+(``None``) contributes no likelihood term, like a feature a class never
+saw, while a term absent from a count mapping counts 0. Both variants
+predict through log space with log-sum-exp normalization, so posteriors
+are always finite and sum to one.
 
-Gaussian NB over term counts is the dense model over the training
-vocabulary, computed without materialising the zeros. Training makes one
-pass over the instances and costs O(nnz + V*C) for nnz nonzero counts, V
-vocabulary terms and C classes. Prediction costs O(C * nnz) per instance:
-each class holds the all-zero document's log-likelihood as an exact sum
-of floats, and a document only corrects the terms it contains. Both use
-``math.fsum``, which rounds the exact sum once, so moments and posteriors
-equal the dense computation on the densified rows bit for bit.
+Gaussian training makes one pass over the instances, collecting each
+feature's present values per class, and costs O(nnz + F*C) for nnz
+present values, F features (for counts, the training vocabulary) and C
+classes; the zero counts are never materialised. Prediction costs
+O(C * nnz) per instance: each class holds the all-absent instance's
+log-likelihood as an exact sum of floats (empty for dense rows), and an
+instance only corrects the features it has. Both use ``math.fsum``,
+which rounds the exact sum once, so a model over counts equals the model
+over the densified rows bit for bit, moments and posteriors alike.
 
 Models are immutable after training and serialize to a versioned JSON
 document that round-trips predictions bit-exactly.
@@ -77,12 +80,6 @@ def _normalize_log_scores(
     return Posterior(class_labels, tuple(value / total for value in shifted))
 
 
-def _population_moments(values: Sequence[float]) -> tuple[float, float]:
-    mean = math.fsum(values) / len(values)
-    variance = math.fsum((value - mean) ** 2 for value in values) / len(values)
-    return mean, variance
-
-
 def _split(value: float) -> tuple[float, float]:
     """Veltkamp split: ``hi + lo == value`` exactly, each with <= 26 significant bits.
 
@@ -93,20 +90,21 @@ def _split(value: float) -> tuple[float, float]:
     return hi, value - hi
 
 
-def _padded_moments(nonzero: Sequence[int], n: int) -> tuple[float, float]:
-    """``_population_moments`` of ``nonzero`` padded with zeros to ``n`` values.
+def _moments(values: list[float], zeros: int) -> tuple[Optional[float], Optional[float]]:
+    """Population mean and variance of ``values`` plus ``zeros`` implicit zeros.
 
-    Bit-identical to the padded call: both fsums see the same exact sum,
-    since the ``n - len(nonzero)`` equal squares of the zeros enter as two
-    exact products.
+    ``(None, None)`` when there is nothing at all. Bit-identical to the
+    two-pass moments of the padded list: both fsums see the same exact sum,
+    since the zeros' equal squares enter as two exact products.
     """
-    if not nonzero:
-        return 0.0, 0.0
-    mean = math.fsum(nonzero) / n
-    hi, lo = _split((0.0 - mean) ** 2)
-    zeros = n - len(nonzero)
-    squares = [(value - mean) ** 2 for value in nonzero]
-    squares += (zeros * hi, zeros * lo)
+    if not values:
+        return (0.0, 0.0) if zeros else (None, None)
+    n = len(values) + zeros
+    mean = math.fsum(values) / n
+    squares = [(value - mean) ** 2 for value in values]
+    if zeros:
+        hi, lo = _split((0.0 - mean) ** 2)
+        squares += (zeros * hi, zeros * lo)
     return mean, math.fsum(squares) / n
 
 
@@ -125,6 +123,20 @@ def _exact_partials(values: list[float]) -> tuple[float, ...]:
         partials.append(rest)
 
 
+def _present(
+    instance: Instance | Counts, counts: bool, feature_count: int, kind_error: str
+) -> Mapping:
+    """The instance's present features: the term counts themselves, or the
+    non-missing entries of a dense row keyed by position."""
+    if isinstance(instance, Mapping) != counts:
+        raise ValueError(kind_error)
+    if counts:
+        return instance
+    if len(instance) != feature_count:
+        raise ValueError(f"instance has {len(instance)} features, expected {feature_count}")
+    return {feature: value for feature, value in enumerate(instance) if value is not None}
+
+
 @dataclass(frozen=True, slots=True)
 class GaussianNbModel:
     """Per class and feature: mean and floored variance of training values.
@@ -133,9 +145,11 @@ class GaussianNbModel:
     feature ``f``; such pairs are skipped at prediction.
 
     A model trained on term counts has a ``vocabulary``: feature ``f`` is
-    the count of ``vocabulary[f]``. Its derived fields hold, per class and
-    term, ``log(2*pi*variance)`` and the log-density of a zero count, and
-    per class the exact partials of the all-zero document's log-likelihood.
+    the count of ``vocabulary[f]``, and an absent term is a zero count. In
+    a dense model an absent feature is missing. The derived fields hold,
+    per class and feature, ``log(2*pi*variance)`` and the log-density of an
+    absent feature (0.0 when missing), and per class the exact partials of
+    the all-absent instance's log-likelihood.
     """
 
     class_labels: tuple[str, ...]
@@ -145,33 +159,33 @@ class GaussianNbModel:
     variance_floor: float
     feature_count: int
     vocabulary: Optional[tuple[str, ...]] = None
-    term_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    log_norms: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    zero_terms: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    zero_partials: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    term_index: dict[str | int, int] = field(init=False, repr=False, compare=False)
+    log_norms: tuple[tuple[Optional[float], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    absent_terms: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    absent_partials: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vocabulary = self.vocabulary or ()
-        log_norms: tuple[tuple[float, ...], ...] = ()
-        zero_terms: tuple[tuple[float, ...], ...] = ()
-        if vocabulary:
-            log_norms = tuple(
-                tuple(math.log(2.0 * math.pi * variance) for variance in row)
-                for row in self.variances
+        counts = self.vocabulary is not None
+        features = self.vocabulary if counts else range(self.feature_count)
+        log_norms = tuple(
+            tuple(None if v is None else math.log(2.0 * math.pi * v) for v in row)
+            for row in self.variances
+        )
+        # the expression predict_gaussian evaluates for a zero count
+        absent_terms = tuple(
+            tuple(
+                -0.5 * (log_norm + (0.0 - mean) ** 2 / variance) if counts else 0.0
+                for mean, variance, log_norm in zip(means, variances, norms)
             )
-            # the expression predict_gaussian evaluates for a zero entry
-            zero_terms = tuple(
-                tuple(
-                    -0.5 * (log_norm + (0.0 - mean) ** 2 / variance)
-                    for mean, variance, log_norm in zip(means, variances, norms)
-                )
-                for means, variances, norms in zip(self.means, self.variances, log_norms)
-            )
-        object.__setattr__(self, "term_index", {term: i for i, term in enumerate(vocabulary)})
+            for means, variances, norms in zip(self.means, self.variances, log_norms)
+        )
+        object.__setattr__(self, "term_index", {term: i for i, term in enumerate(features)})
         object.__setattr__(self, "log_norms", log_norms)
-        object.__setattr__(self, "zero_terms", zero_terms)
+        object.__setattr__(self, "absent_terms", absent_terms)
         object.__setattr__(
-            self, "zero_partials", tuple(_exact_partials(list(row)) for row in zero_terms)
+            self, "absent_partials", tuple(_exact_partials(list(row)) for row in absent_terms)
         )
 
 
@@ -196,79 +210,33 @@ def train_gaussian(
     class_labels = tuple(sorted(set(labels)))
     if len(class_labels) < 2:
         raise ValueError("training data contains a single class")
-    if isinstance(instances[0], Mapping):
-        return _train_gaussian_counts(instances, labels, class_labels)
+    counts = isinstance(instances[0], Mapping)
     feature_count = len(instances[0])
-    for instance in instances:
-        if len(instance) != feature_count:
-            raise ValueError("training instances have inconsistent arity")
-
-    global_max_variance = 0.0
-    for feature in range(feature_count):
-        values = [x[feature] for x in instances if x[feature] is not None]
-        if values:
-            _, variance = _population_moments(values)
-            global_max_variance = max(global_max_variance, variance)
-    variance_floor = (
-        VARIANCE_FLOOR_SCALE * global_max_variance
-        if global_max_variance > 0
-        else VARIANCE_FLOOR_SCALE
-    )
-
-    means: list[tuple[Optional[float], ...]] = []
-    variances: list[tuple[Optional[float], ...]] = []
-    for label in class_labels:
-        class_instances = [x for x, y in zip(instances, labels) if y == label]
-        class_means: list[Optional[float]] = []
-        class_variances: list[Optional[float]] = []
-        for feature in range(feature_count):
-            values = [x[feature] for x in class_instances if x[feature] is not None]
-            if not values:
-                class_means.append(None)
-                class_variances.append(None)
-                continue
-            mean, variance = _population_moments(values)
-            class_means.append(mean)
-            class_variances.append(max(variance, variance_floor))
-        means.append(tuple(class_means))
-        variances.append(tuple(class_variances))
-
-    return GaussianNbModel(
-        class_labels=class_labels,
-        log_priors=_log_priors(labels, class_labels),
-        means=tuple(means),
-        variances=tuple(variances),
-        variance_floor=variance_floor,
-        feature_count=feature_count,
-    )
-
-
-def _train_gaussian_counts(
-    instances: Sequence[Counts], labels: Sequence[str], class_labels: tuple[str, ...]
-) -> GaussianNbModel:
+    mix = "training instances mix term counts and dense rows"
     class_of = {label: index for index, label in enumerate(class_labels)}
     class_sizes = [0] * len(class_labels)
-    # term -> per-class lists of the term's nonzero counts
-    nonzero: dict[str, list[list[int]]] = {}
-    for vector, label in zip(instances, labels):
-        if not isinstance(vector, Mapping):
-            raise ValueError("training instances mix term counts and dense rows")
+    # feature -> per-class lists of the feature's present values
+    present: dict[str | int, list[list[float]]] = {}
+    for instance, label in zip(instances, labels):
         index = class_of[label]
         class_sizes[index] += 1
-        for term, count in vector.items():
-            per_class = nonzero.get(term)
+        for feature, value in _present(instance, counts, feature_count, mix).items():
+            per_class = present.get(feature)
             if per_class is None:
-                per_class = nonzero[term] = [[] for _ in class_labels]
-            per_class[index].append(count)
-    vocabulary = tuple(sorted(nonzero))
-    if not vocabulary:
+                per_class = present[feature] = [[] for _ in class_labels]
+            per_class[index].append(value)
+    if counts and not present:
         raise ValueError("empty vocabulary: no training instance has any term")
+    vocabulary = tuple(sorted(present)) if counts else None
+    features = vocabulary or range(feature_count)
+    unseen: list[list[float]] = [[] for _ in class_labels]
+    per_feature = [present.get(feature, unseen) for feature in features]
 
     global_max_variance = 0.0
-    for term in vocabulary:
-        values = [count for per_class in nonzero[term] for count in per_class]
-        _, variance = _padded_moments(values, len(instances))
-        global_max_variance = max(global_max_variance, variance)
+    for per_class in per_feature:
+        values = [value for class_values in per_class for value in class_values]
+        _, variance = _moments(values, len(instances) - len(values) if counts else 0)
+        global_max_variance = max(global_max_variance, variance or 0.0)
     variance_floor = (
         VARIANCE_FLOOR_SCALE * global_max_variance
         if global_max_variance > 0
@@ -278,9 +246,14 @@ def _train_gaussian_counts(
     means = []
     variances = []
     for index, size in enumerate(class_sizes):
-        moments = [_padded_moments(nonzero[term][index], size) for term in vocabulary]
+        moments = [
+            _moments(per_class[index], size - len(per_class[index]) if counts else 0)
+            for per_class in per_feature
+        ]
         means.append(tuple(mean for mean, _ in moments))
-        variances.append(tuple(max(variance, variance_floor) for _, variance in moments))
+        variances.append(
+            tuple(None if v is None else max(v, variance_floor) for _, v in moments)
+        )
 
     return GaussianNbModel(
         class_labels=class_labels,
@@ -288,7 +261,7 @@ def _train_gaussian_counts(
         means=tuple(means),
         variances=tuple(variances),
         variance_floor=variance_floor,
-        feature_count=len(vocabulary),
+        feature_count=len(features),
         vocabulary=vocabulary,
     )
 
@@ -301,52 +274,31 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
     A model trained on term counts takes a term-count mapping and ignores
     terms outside its vocabulary.
     """
-    if model.vocabulary is not None:
-        if not isinstance(instance, Mapping):
-            raise ValueError("model was trained on term counts; expected a mapping")
-        return _predict_gaussian_counts(model, instance)
-    if len(instance) != model.feature_count:
-        raise ValueError(
-            f"instance has {len(instance)} features, model expects "
-            f"{model.feature_count}"
-        )
-    log_scores = []
-    for index in range(len(model.class_labels)):
-        score = model.log_priors[index]
-        terms = []
-        for feature, value in enumerate(instance):
-            if value is None:
-                continue
-            mean = model.means[index][feature]
-            if mean is None:
-                continue
-            variance = model.variances[index][feature]
-            terms.append(
-                -0.5 * (math.log(2.0 * math.pi * variance) + (value - mean) ** 2 / variance)
-            )
-        log_scores.append(score + math.fsum(terms))
-    return _normalize_log_scores(model.class_labels, log_scores)
-
-
-def _predict_gaussian_counts(model: GaussianNbModel, instance: Counts) -> Posterior:
-    # the all-zero document's sum, minus the zero-count term and plus the
-    # actual term of each count the document has
+    counts = model.vocabulary is not None
+    kind_error = (
+        "model was trained on term counts; expected a mapping"
+        if counts
+        else "model was trained on dense rows; got a mapping"
+    )
     present = [
-        (model.term_index[term], count)
-        for term, count in instance.items()
-        if term in model.term_index
+        (model.term_index[feature], value)
+        for feature, value in _present(instance, counts, model.feature_count, kind_error).items()
+        if feature in model.term_index
     ]
     log_scores = []
     for index in range(len(model.class_labels)):
         means = model.means[index]
         variances = model.variances[index]
         log_norms = model.log_norms[index]
-        zero_terms = model.zero_terms[index]
-        terms = list(model.zero_partials[index])
+        absent_terms = model.absent_terms[index]
+        terms = list(model.absent_partials[index])
         for feature, value in present:
-            terms.append(-zero_terms[feature])
+            mean = means[feature]
+            if mean is None:
+                continue
+            terms.append(-absent_terms[feature])
             terms.append(
-                -0.5 * (log_norms[feature] + (value - means[feature]) ** 2 / variances[feature])
+                -0.5 * (log_norms[feature] + (value - mean) ** 2 / variances[feature])
             )
         log_scores.append(model.log_priors[index] + math.fsum(terms))
     return _normalize_log_scores(model.class_labels, log_scores)

@@ -51,7 +51,10 @@ def parse_timestamp(value: str) -> datetime:
     moment = datetime.fromisoformat(text)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return moment.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:  # a UTC offset pushes it past year 1 or 9999
+        raise ValueError(f"timestamp {value!r} is outside the datetime range") from None
 
 
 def format_timestamp(moment: datetime) -> str:

@@ -200,6 +200,15 @@ def confusion_and_rates(
     return matrix, tp_rates, fp_rates
 
 
+def check_representation(representation: str, kind: str) -> None:
+    """Reject a classifier kind that cannot take the representation."""
+    if representation == "meta" and kind != "gaussian":
+        raise ValueError(
+            "the meta representation is real-valued and requires the "
+            "gaussian classifier"
+        )
+
+
 def run_cv(
     corpus: Corpus,
     lexicon: AffectLexicon,
@@ -222,11 +231,7 @@ def run_cv(
         raise ValueError(f"unknown representation {representation!r}")
     if config is None:
         config = ClassifierConfig(DEFAULT_NB[representation])
-    if representation == "meta" and config.kind != "gaussian":
-        raise ValueError(
-            "the meta representation is real-valued and requires the "
-            "gaussian classifier"
-        )
+    check_representation(representation, config.kind)
 
     docs = corpus.documents
     unlabeled = [doc.id for doc in docs if doc.genre is None]

@@ -5,7 +5,9 @@ implementation under test: match-then-strip tokenizing, token expansion
 with plain numpy statistics for weighted scoring, direct density products in
 arbitrary precision (mpmath) for Gaussian Naive Bayes, exact rationals
 (Fraction) for multinomial Naive Bayes, and an explicit threshold-sweep ROC
-integration for AUC.
+integration for AUC. The dense-row Gaussian Naive Bayes reference
+(per-class rescans, two-pass moments) is the bit-exact reference for
+``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from tvmood.classify import VARIANCE_FLOOR_SCALE
+from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel
 
 mpmath.mp.dps = 60
 
@@ -95,6 +97,85 @@ def gaussian_posterior(instances, labels, query):
         masses.append(mass)
     total = mpmath.fsum(masses)
     return class_labels, [float(mass / total) for mass in masses]
+
+
+def _population_moments(values):
+    mean = math.fsum(values) / len(values)
+    variance = math.fsum((value - mean) ** 2 for value in values) / len(values)
+    return mean, variance
+
+
+def train_gaussian_dense(instances, labels):
+    """Gaussian NB over dense rows with ``None`` for missing entries.
+
+    Per feature, the floor comes from the moments of all non-missing
+    values; per class, a rescan of the class's rows gives each feature's
+    moments, or ``(None, None)`` when the class has no value for it.
+    """
+    class_labels = tuple(sorted(set(labels)))
+    feature_count = len(instances[0])
+    global_max_variance = 0.0
+    for feature in range(feature_count):
+        values = [x[feature] for x in instances if x[feature] is not None]
+        if values:
+            _, variance = _population_moments(values)
+            global_max_variance = max(global_max_variance, variance)
+    variance_floor = (
+        VARIANCE_FLOOR_SCALE * global_max_variance
+        if global_max_variance > 0
+        else VARIANCE_FLOOR_SCALE
+    )
+    means, variances = [], []
+    for label in class_labels:
+        class_instances = [x for x, y in zip(instances, labels) if y == label]
+        class_means, class_variances = [], []
+        for feature in range(feature_count):
+            values = [x[feature] for x in class_instances if x[feature] is not None]
+            if not values:
+                class_means.append(None)
+                class_variances.append(None)
+                continue
+            mean, variance = _population_moments(values)
+            class_means.append(mean)
+            class_variances.append(max(variance, variance_floor))
+        means.append(tuple(class_means))
+        variances.append(tuple(class_variances))
+    log_priors = tuple(
+        math.log(sum(1 for value in labels if value == label) / len(labels))
+        for label in class_labels
+    )
+    return GaussianNbModel(
+        class_labels=class_labels,
+        log_priors=log_priors,
+        means=tuple(means),
+        variances=tuple(variances),
+        variance_floor=variance_floor,
+        feature_count=feature_count,
+    )
+
+
+def predict_gaussian_dense(model, instance):
+    """``(labels, probabilities)`` for a dense row: ``fsum`` of each class's
+    log-density terms, skipping missing entries and pairs without a mean,
+    then log-sum-exp normalization."""
+    log_scores = []
+    for index in range(len(model.class_labels)):
+        terms = []
+        for feature, value in enumerate(instance):
+            if value is None:
+                continue
+            mean = model.means[index][feature]
+            if mean is None:
+                continue
+            variance = model.variances[index][feature]
+            terms.append(
+                -0.5 * (math.log(2.0 * math.pi * variance) + (value - mean) ** 2 / variance)
+            )
+        log_scores.append(model.log_priors[index] + math.fsum(terms))
+    peak = max(log_scores)
+    shifted = [math.exp(score - peak) for score in log_scores]
+    total = math.fsum(shifted)
+    return model.class_labels, tuple(value / total for value in shifted)
 
 
 def multinomial_posterior(instances, labels, alpha, query):

@@ -22,7 +22,12 @@ from tvmood.classify import (
 )
 
 
-from oracles import gaussian_posterior, multinomial_posterior
+from oracles import (
+    gaussian_posterior,
+    multinomial_posterior,
+    predict_gaussian_dense,
+    train_gaussian_dense,
+)
 
 
 def test_gaussian_hand_moments():
@@ -82,6 +87,8 @@ def test_gaussian_arity_mismatch():
     model = train_gaussian([[0.0], [4.0]], ["A", "B"])
     with pytest.raises(ValueError, match="features"):
         predict_gaussian(model, [1.0, 2.0])
+    with pytest.raises(ValueError, match="features"):
+        train_gaussian([[0.0], [4.0, 1.0]], ["A", "B"])
 
 
 def test_gaussian_matches_density_oracle():
@@ -108,6 +115,42 @@ def test_gaussian_matches_density_oracle():
         oracle_labels, oracle_probs = gaussian_posterior(instances, labels, query)
         assert posterior.labels == tuple(oracle_labels)
         assert posterior.probabilities == pytest.approx(oracle_probs, abs=1e-9)
+
+
+@st.composite
+def dense_problems(draw):
+    """Dense rows with missing, integer and 1e6-scale entries, at least two
+    classes, plus a query row."""
+    value = st.one_of(
+        st.none(), st.integers(-(10**6), 10**6), st.floats(-1e6, 1e6, allow_nan=False)
+    )
+    width = draw(st.integers(1, 4))
+    row = st.lists(value, min_size=width, max_size=width)
+    classes = [f"c{c}" for c in range(draw(st.integers(2, 3)))]
+    labels = classes + draw(st.lists(st.sampled_from(classes), max_size=8))
+    return [draw(row) for _ in labels], labels, draw(row)
+
+
+@given(dense_problems())
+def test_gaussian_dense_rows_match_reference_bit_for_bit(problem):
+    instances, labels, query = problem
+    try:
+        reference = train_gaussian_dense(instances, labels)
+    except ValueError:  # a variance floor that underflows to 0 meets log(0)
+        with pytest.raises(ValueError):
+            train_gaussian(instances, labels)
+        return
+    model = train_gaussian(instances, labels)
+    # the JSON holds every float in shortest round-trip form: equal text,
+    # equal bits of means, variances, floor and priors
+    assert model_to_json(model) == model_to_json(reference)
+    posterior = predict_gaussian(model, query)
+    assert (posterior.labels, posterior.probabilities) == predict_gaussian_dense(
+        reference, query
+    )
+    reloaded = model_from_json(model_to_json(model))
+    assert reloaded == model
+    assert predict_gaussian(reloaded, query) == posterior
 
 
 TERMS = ["t0", "t1", "t2", "t3", "t4", "t5"]
@@ -203,11 +246,17 @@ def test_gaussian_counts_unseen_terms_and_empty_query():
 def test_gaussian_counts_and_dense_rows_do_not_mix():
     with pytest.raises(ValueError, match="mix"):
         train_gaussian([{"a": 1}, [1.0]], ["x", "y"])
+    with pytest.raises(ValueError, match="mix"):
+        train_gaussian([[1.0], {"a": 1}], ["x", "y"])
     with pytest.raises(ValueError, match="vocabulary"):
         train_gaussian([{}, {}], ["x", "y"])
     counts_model = train_gaussian([{"a": 1}, {"b": 1}], ["x", "y"])
     with pytest.raises(ValueError, match="mapping"):
         predict_gaussian(counts_model, [1.0, 0.0])
+    dense_model = train_gaussian([[0.0], [4.0]], ["x", "y"])
+    for query in ({"a": 1}, {0: 2.0}):  # not a row, even when keyed by position
+        with pytest.raises(ValueError, match="mapping"):
+            predict_gaussian(dense_model, query)
 
 
 def test_multinomial_hand_smoothing():

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
-from datetime import timedelta
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvmood.cli import _write_all, main, parse_window
 from tvmood.corpus import Corpus, corpus_to_jsonl
@@ -141,8 +147,9 @@ def test_score_window_mode(lexicon_path, corpus_path, tmp_path):
     [
         (["--window", "9999999999d"], "--window '9999999999d' is longer than"),
         (["--window", "99999999d", "--origin", "2030-01-01"], "starts outside the datetime range"),
+        (["--window", "1w", "--origin", "nope"], "--origin: Invalid isoformat string: 'nope'"),
     ],
-    ids=["window-too-long", "window-start-out-of-range"],
+    ids=["window-too-long", "window-start-out-of-range", "bad-origin"],
 )
 def test_score_oversized_window_is_one_line_error(
     lexicon_path, corpus_path, tmp_path, capsys, window_flags, fragment
@@ -409,13 +416,38 @@ def test_synth_rejects_malformed_profile(tmp_path, capsys, lexicon_path, profile
 
 
 @pytest.mark.parametrize(
+    "start,fragment",
+    [
+        ("9999-12-31", "--start 9999-12-31T00:00:00Z: the document timestamps run past"),
+        ("nope", "--start: Invalid isoformat string: 'nope'"),
+        ("0001-01-01T00:00:00+01:00", "--start: timestamp '0001-01-01T00:00:00+01:00' is outside"),
+    ],
+    ids=["start-out-of-range", "bad-start", "start-offset-out-of-range"],
+)
+def test_synth_bad_start_is_one_line_error(tmp_path, capsys, lexicon_path, start, fragment):
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(
+        json.dumps([{"label": "up", "document_count": 2, "target": [0.8, 0.5, 0.5]}]),
+        encoding="utf-8",
+    )
+    out = tmp_path / "synth.jsonl"
+    argv = ["synth", "--lexicon", lexicon_path, "--profiles", str(profiles), "--out", str(out)]
+    assert main([*argv, "--start", start]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags,fragment",
     [
         (["--lexicon", "L", "--folds", "abc"], "--folds"),
         ([], "--lexicon"),
         (["--lexicon", "L", "--alpha", "-inf"], "--alpha"),
+        (["--lexicon", "L", "--folds", "1"], "--folds: must be at least 2, got 1"),
+        (["--lexicon", "L", "--min-genre-support", "0"], "--min-genre-support: must be at least 1"),
     ],
-    ids=["bad-folds", "missing-lexicon", "negative-inf-alpha"],
+    ids=["bad-folds", "missing-lexicon", "negative-inf-alpha", "one-fold", "zero-support"],
 )
 def test_flag_errors_are_one_line(capsys, flags, fragment):
     with pytest.raises(SystemExit) as excinfo:
@@ -423,3 +455,103 @@ def test_flag_errors_are_one_line(capsys, flags, fragment):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
+SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
+
+_timestamps = st.one_of(
+    st.sampled_from(["2013-01-01", "2013-1-7", "9999-12-31", "0001-01-01", "nope", ""]),
+    st.datetimes(
+        timezones=st.sampled_from(
+            [None, timezone.utc, timezone(timedelta(hours=14)), timezone(timedelta(hours=-12))]
+        )
+    ).map(datetime.isoformat),
+    st.text(max_size=30),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_records = st.fixed_dictionaries(
+    {
+        "id": st.text(max_size=8) | _json_values,
+        # a line on a sample channel far from 2013 would add millions of gap windows
+        "channel": st.text(max_size=8).filter(lambda c: c not in {"cnn", "e", "toon"})
+        | _json_values,
+        "timestamp": _timestamps | _json_values,
+    },
+    optional={
+        "genre": st.sampled_from(["newscast", "reality", ""]) | _json_values,
+        "text": st.text(max_size=60) | _json_values,
+        "term_counts": st.dictionaries(st.text(max_size=6), st.integers(-2, 5)) | _json_values,
+    },
+).map(json.dumps)
+
+
+@st.composite
+def cli_cases(draw):
+    """A subcommand, drawn flag values with known-good replacements, any
+    other flags, and one corpus line to append to ``sample_data/``."""
+    command = draw(st.sampled_from(["score", "synth", "evaluate"]))
+    if command == "score":
+        window = st.sampled_from(["1d", "1w", "0d", "9999999999d", "99999999d", "1x", ""])
+        window |= st.from_regex(r"[0-9]{1,12}[dwDW]", fullmatch=True) | st.text(max_size=12)
+        drawn = {"--window": draw(window), "--origin": draw(_timestamps)}
+        good, other = {"--window": "1w", "--origin": "2013-01-01"}, []
+    elif command == "synth":
+        drawn, good, other = {"--start": draw(_timestamps)}, {"--start": "2013-01-01"}, []
+    else:
+        count = st.integers(-2, 14).map(str) | st.text(max_size=4)
+        alpha = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", "abc"])
+        drawn = {
+            "--folds": draw(count),
+            "--alpha": draw(alpha | st.floats().map(repr) | st.text(max_size=6)),
+            "--min-genre-support": draw(count),
+        }
+        good = {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"}
+        other = draw(st.sampled_from([[], ["--rep=meta"], ["--nb=gaussian"]]))
+    return command, drawn, good, other, draw(_records | st.text(max_size=80))
+
+
+def _run_sample(command, flags, line):
+    """``main`` on sample_data with one line appended to the corpus: (exit, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_text(
+            (SAMPLE_DATA / "corpus.jsonl").read_text(encoding="utf-8") + line + "\n",
+            encoding="utf-8",
+        )
+        argv = [command, "--lexicon", str(SAMPLE_DATA / "lexicon.csv"), "--out", f"{tmp}/out"]
+        if command == "synth":
+            argv += ["--profiles", str(SAMPLE_DATA / "profiles.json")]
+        else:
+            argv += ["--corpus", str(corpus)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv + flags)
+            except SystemExit as exc:  # argparse flag errors
+                code = exc.code
+    return code, stderr.getvalue()
+
+
+@settings(deadline=None)
+@given(cli_cases())
+@example(("synth", {"--start": "9999-12-31"}, {"--start": "2013-01-01"}, [], ""))
+@example(("synth", {"--start": "nope"}, {"--start": "2013-01-01"}, [], ""))
+@example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], ""))
+def test_cli_boundary_ends_in_exit_0_or_one_error_line(case):
+    """Every case ends in exit 0, or in exit 2 with exactly one stderr line.
+
+    When the same case with known-good values for the drawn flags succeeds,
+    the drawn values caused the error, and its line names one of them.
+    """
+    command, drawn, good, other, line = case
+    code, err = _run_sample(command, [f"{k}={v}" for k, v in drawn.items()] + other, line)
+    if code == 0:
+        assert err == ""
+        return
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    if _run_sample(command, [f"{k}={v}" for k, v in good.items()] + other, line)[0] == 0:
+        assert any(flag in err for flag in drawn), err
