@@ -53,13 +53,10 @@ from .evaluation import (
 )
 from .features import (
     FEATURE_NAMES,
-    DimensionStats,
-    MetaFeatureVector,
     VsmVector,
     extract_meta,
     extract_vsm,
     features_to_csv,
-    fuse,
 )
 from .lexicon import (
     AffectEntry,

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -59,16 +61,10 @@ class Posterior:
     def probability(self, label: str) -> float:
         return self.probabilities[self.labels.index(label)]
 
-    def items(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self.labels, self.probabilities))
-
 
 def _log_priors(labels: Sequence[str], class_labels: tuple[str, ...]) -> tuple[float, ...]:
-    total = len(labels)
-    return tuple(
-        math.log(sum(1 for value in labels if value == label) / total)
-        for label in class_labels
-    )
+    support = Counter(labels)
+    return tuple(math.log(support[label] / len(labels)) for label in class_labels)
 
 
 def _normalize_log_scores(
@@ -238,7 +234,8 @@ def train_gaussian(
         _, variance = _moments(values, len(instances) - len(values) if counts else 0)
         global_max_variance = max(global_max_variance, variance or 0.0)
     variance_floor = (
-        VARIANCE_FLOOR_SCALE * global_max_variance
+        # at least the smallest normal float, so log(2*pi*variance) is finite
+        max(VARIANCE_FLOOR_SCALE * global_max_variance, sys.float_info.min)
         if global_max_variance > 0
         else VARIANCE_FLOOR_SCALE
     )
@@ -270,8 +267,9 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
     """Posterior over classes for one instance.
 
     Missing entries and (class, feature) pairs without training data are
-    skipped; an instance with no usable feature falls back to the priors.
-    A model trained on term counts takes a term-count mapping and ignores
+    skipped. A class whose log-likelihood overflows gets probability 0; an
+    instance with no usable feature, or no class left, gets the priors. A
+    model trained on term counts takes a term-count mapping and ignores
     terms outside its vocabulary.
     """
     counts = model.vocabulary is not None
@@ -292,15 +290,20 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
         log_norms = model.log_norms[index]
         absent_terms = model.absent_terms[index]
         terms = list(model.absent_partials[index])
-        for feature, value in present:
-            mean = means[feature]
-            if mean is None:
-                continue
-            terms.append(-absent_terms[feature])
-            terms.append(
-                -0.5 * (log_norms[feature] + (value - mean) ** 2 / variances[feature])
-            )
-        log_scores.append(model.log_priors[index] + math.fsum(terms))
+        try:
+            for feature, value in present:
+                mean = means[feature]
+                if mean is None:
+                    continue
+                terms.append(-absent_terms[feature])
+                terms.append(
+                    -0.5 * (log_norms[feature] + (value - mean) ** 2 / variances[feature])
+                )
+            log_scores.append(model.log_priors[index] + math.fsum(terms))
+        except OverflowError:  # a square or the sum ran past the float range
+            log_scores.append(-math.inf)
+    if max(log_scores) == -math.inf:
+        log_scores = list(model.log_priors)
     return _normalize_log_scores(model.class_labels, log_scores)
 
 
@@ -321,10 +324,14 @@ class MultinomialNbModel:
         )
 
 
+class AlphaError(ValueError):
+    """A smoothing weight the multinomial model cannot use."""
+
+
 def check_alpha(alpha: float) -> None:
     """Reject a smoothing weight that is not a positive finite number."""
     if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a positive finite number, got {alpha}")
+        raise AlphaError(f"alpha must be a positive finite number, got {alpha}")
 
 
 def train_multinomial(
@@ -335,7 +342,8 @@ def train_multinomial(
     """Fit smoothed term distributions per class.
 
     ``P(term | class) = (count + alpha) / (class total + alpha * |V|)`` with
-    the vocabulary V taken from the training instances only.
+    the vocabulary V taken from the training instances only. Raises
+    :class:`AlphaError` when that denominator is not a finite float.
     """
     if len(instances) != len(labels):
         raise ValueError("instances and labels have different lengths")
@@ -357,8 +365,10 @@ def train_multinomial(
 
     log_term_probs = []
     for counts in class_counts:
-        class_total = sum(counts.values())
-        denominator = math.log(class_total + alpha * len(vocabulary))
+        smoothed_total = sum(counts.values()) + alpha * len(vocabulary)
+        if math.isinf(smoothed_total):
+            raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
+        denominator = math.log(smoothed_total)
         log_term_probs.append(
             tuple(
                 math.log(counts.get(term, 0) + alpha) - denominator

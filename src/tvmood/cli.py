@@ -22,16 +22,16 @@ from datetime import datetime, timedelta, timezone
 from functools import partial
 from typing import Callable, NoReturn
 
-from . import affect, evaluation, features, synth
+from . import affect, classify, evaluation, features, synth
 from .corpus import (
     Corpus,
-    CorpusError,
     corpus_to_jsonl,
+    filter_min_genre_support,
     format_timestamp,
     load_corpus_file,
     parse_timestamp,
 )
-from .lexicon import LexiconError, load_lexicon
+from .lexicon import load_lexicon
 
 _WINDOW_RE = re.compile(r"^(\d+)([dw])$")
 
@@ -69,35 +69,45 @@ def default_origin(corpus: Corpus) -> datetime:
     return min(stamps).replace(hour=0, minute=0, second=0, microsecond=0)
 
 
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
-
-
 def _write_all(outputs: dict[str, str]) -> None:
     """Write every ``path -> content`` or, on failure, none of them.
 
-    Each content goes to a temporary file beside its target. The temporaries
+    Each content goes to a temporary file beside its target; the temporaries
     replace the targets only after all are written, and are removed on
-    failure. A target that is a directory is refused first, because replacing
-    it would fail only after the targets before it had been replaced.
+    failure. A FIFO or device such as ``/dev/stdout`` is not replaced but
+    written in place, once its content is encoded and the temporaries are
+    written. A directory target is refused before anything is written.
     """
     for path in outputs:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    temps: list[str] = []
+    direct = {
+        path: content.encode("utf-8")
+        for path, content in outputs.items()
+        if os.path.exists(path) and not os.path.isfile(path)
+    }
+    temps: dict[str, str] = {}  # target -> its temporary
     try:
         for path, content in outputs.items():
-            directory, name = os.path.split(path)
+            if path in direct:
+                continue
+            target = os.path.realpath(path)  # replace a symlink's target, not the link
+            directory, name = os.path.split(target)
             temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-            handle = open(temp, "x", encoding="utf-8", newline="")
-            temps.append(temp)
+            try:
+                handle = open(temp, "x", encoding="utf-8", newline="")
+            except OSError as exc:  # name the target, not its temporary
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            temps[target] = temp
             with handle:
                 handle.write(content)
-        for temp, path in zip(temps, outputs):
+        for path, data in direct.items():
+            with open(path, "wb") as handle:
+                handle.write(data)
+        for path, temp in temps.items():
             os.replace(temp, path)
     finally:  # after a failure; once replaced, a temporary no longer exists
-        for temp in temps:
+        for temp in temps.values():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
 
@@ -130,7 +140,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             ]
         except ValueError as exc:
             raise ValueError(f"--window {args.window!r}: {exc}") from None
-        _write_text(args.out, affect.series_to_csv(series))
+        _write_all({args.out: affect.series_to_csv(series)})
         points = sum(len(s.points) for s in series)
         print(f"wrote {points} series points to {args.out}")
         return 0
@@ -172,7 +182,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if rows == 0:
         print("error: no document or channel matched the lexicon", file=sys.stderr)
         return 2
-    _write_text(args.out, buffer.getvalue())
+    _write_all({args.out: buffer.getvalue()})
     print(f"wrote {rows} rows ({len(skipped)} skipped) to {args.out}")
     return 0
 
@@ -180,7 +190,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
     corpus = load_corpus_file(args.corpus, args.format)
-    _write_text(args.out, features.features_to_csv(corpus, lexicon))
+    _write_all({args.out: features.features_to_csv(corpus, lexicon)})
     print(f"wrote {len(corpus)} feature rows to {args.out}")
     return 0
 
@@ -191,7 +201,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raw = json.load(handle)
     if not isinstance(raw, list):
         raise ValueError("profiles file must hold a JSON array")
-    profiles = [_read_profile(index, item) for index, item in enumerate(raw)]
+    profiles = [synth.profile_from_json(index, item) for index, item in enumerate(raw)]
     start = (
         synth.DEFAULT_START
         if args.start is None
@@ -204,61 +214,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"--start {format_timestamp(start)}: the document timestamps run past "
             f"the datetime range"
         ) from None
-    _write_text(args.out, corpus_to_jsonl(corpus))
+    _write_all({args.out: corpus_to_jsonl(corpus)})
     print(f"wrote {len(corpus)} documents to {args.out}")
     return 0
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _list_of(length: int, check: Callable[[object], bool]) -> Callable[[object], bool]:
-    return lambda v: isinstance(v, list) and len(v) == length and all(map(check, v))
-
-
-# GenreProfile field -> (check of its JSON value, what the value must be)
-_PROFILE_FIELDS = {
-    "label": (lambda v: isinstance(v, str), "a string"),
-    "document_count": (_is_int, "an integer"),
-    "bias": (_is_number, "a number"),
-    "target": (_list_of(3, _is_number), "a list of three numbers"),
-    "token_range": (_list_of(2, _is_int), "a list of two integers"),
-    "channel": (lambda v: v is None or isinstance(v, str), "a string or null"),
-}
-
-
-def _read_profile(index: int, item: object) -> synth.GenreProfile:
-    """Build one genre profile from its JSON item; errors name index and field."""
-    if not isinstance(item, dict):
-        raise ValueError(f"profile {index}: not a JSON object")
-    item = {"bias": 1.0, "token_range": [30, 80], "channel": None, **item}
-    for key, (check, what) in _PROFILE_FIELDS.items():
-        if key not in item:
-            raise ValueError(f"profile {index}: missing required field {key!r}")
-        if not check(item[key]):
-            raise ValueError(f"profile {index}: field {key!r} must be {what}")
-    fields = {key: item[key] for key in _PROFILE_FIELDS}
-    fields.update(target=tuple(item["target"]), token_range=tuple(item["token_range"]))
-    try:
-        return synth.GenreProfile(**fields)
-    except ValueError as exc:
-        raise ValueError(f"profile {index}: {exc}") from None
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .corpus import filter_min_genre_support
-
     kind = args.nb or evaluation.DEFAULT_NB[args.rep]
     evaluation.check_representation(args.rep, kind)
-    try:
-        config = evaluation.ClassifierConfig(kind=kind, alpha=args.alpha)
-    except ValueError as exc:  # the kind is checked, so alpha is at fault
-        raise ValueError(f"--alpha: {exc}") from None
+    config = evaluation.ClassifierConfig(kind=kind, alpha=args.alpha)
     lexicon = load_lexicon(args.lexicon)
     corpus = load_corpus_file(args.corpus, args.format)
     corpus = filter_min_genre_support(corpus, args.min_genre_support)
@@ -423,10 +387,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (LexiconError, CorpusError, affect.NoSignalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except classify.AlphaError as exc:  # only evaluate's --alpha sets the weight
+        print(f"error: --alpha: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # bad input data, flag or file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

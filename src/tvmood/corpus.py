@@ -62,16 +62,26 @@ def format_timestamp(moment: datetime) -> str:
     return moment.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# The largest term count accepted: every count up to it is exact as a float.
+MAX_COUNT = 2**53
+
+
 def _check_counts(doc_id: str, term_counts: dict[str, int]) -> None:
     counts = term_counts.values()
-    if set(map(type, counts)) <= {int} and min(counts, default=1) >= 1:
+    if set(map(type, counts)) <= {int} and (
+        min(counts, default=1) >= 1 and max(counts, default=1) <= MAX_COUNT
+    ):
         return  # the common case, checked in C; the loop below names a bad term
     for term, count in term_counts.items():
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ValueError(
-                f"document {doc_id!r}: term {term!r} has count {count!r}, "
-                f"which is not a positive integer"
-            )
+            problem = "not a positive integer"
+        elif count > MAX_COUNT:
+            problem = "more than 2**53"
+        else:
+            continue
+        raise ValueError(
+            f"document {doc_id!r}: term {term!r} has count {count!r}, which is {problem}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,9 +166,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
 
     def channels(self) -> list[str]:
         """Distinct channel names in sorted order."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -140,19 +141,15 @@ def auc_one_vs_rest(scores: Sequence[float], is_positive: Sequence[bool]) -> flo
     if positives == 0 or negatives == 0:
         raise ValueError("AUC is undefined without both positives and negatives")
 
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
+    order = sorted(range(len(scores)), key=scores.__getitem__)
     ranks = [0.0] * len(scores)
     cursor = 0
-    while cursor < len(order):
-        tie_end = cursor
-        while (
-            tie_end + 1 < len(order)
-            and scores[order[tie_end + 1]] == scores[order[cursor]]
-        ):
-            tie_end += 1
+    for _, tied in itertools.groupby(order, key=scores.__getitem__):
+        tied = list(tied)
+        tie_end = cursor + len(tied) - 1
         midrank = (cursor + tie_end) / 2.0 + 1.0
-        for position in range(cursor, tie_end + 1):
-            ranks[order[position]] = midrank
+        for index in tied:
+            ranks[index] = midrank
         cursor = tie_end + 1
 
     positive_rank_sum = math.fsum(
@@ -255,7 +252,7 @@ def run_cv(
     # Per-document representations carry no fitted parameters, so they can
     # be extracted once up front without leaking across folds.
     if representation == "meta":
-        rows = [features.fuse(features.extract_meta(doc, lexicon)) for doc in docs]
+        rows = [features.extract_meta(doc, lexicon) for doc in docs]
     else:
         rows = [features.extract_vsm(doc, lexicon) for doc in docs]
 
@@ -263,18 +260,16 @@ def run_cv(
     for fold in range(k):
         train_idx = [i for i in range(len(docs)) if fold_of[i] != fold]
         test_idx = [i for i in range(len(docs)) if fold_of[i] == fold]
+        train_rows = [rows[i] for i in train_idx]
         train_labels = [labels[i] for i in train_idx]
-
         if config.kind == "multinomial":
-            model = classify.train_multinomial(
-                [rows[i] for i in train_idx], train_labels, config.alpha
-            )
-            for i in test_idx:
-                posteriors[i] = classify.predict_multinomial(model, rows[i])
+            model = classify.train_multinomial(train_rows, train_labels, config.alpha)
+            predict = classify.predict_multinomial
         else:
-            model = classify.train_gaussian([rows[i] for i in train_idx], train_labels)
-            for i in test_idx:
-                posteriors[i] = classify.predict_gaussian(model, rows[i])
+            model = classify.train_gaussian(train_rows, train_labels)
+            predict = classify.predict_gaussian
+        for i in test_idx:
+            posteriors[i] = predict(model, rows[i])
 
     predicted = [posterior.predicted_label for posterior in posteriors]
     matrix, tp_rates, fp_rates = confusion_and_rates(labels, predicted, class_order)

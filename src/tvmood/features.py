@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Optional
 
 from .affect import DIMENSIONS, match_stats
@@ -51,34 +50,6 @@ FEATURE_NAMES = (
 VsmVector = dict[str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class DimensionStats:
-    """Weighted summary statistics of one affect dimension."""
-
-    min: float
-    max: float
-    mean: float
-    sd: float
-    median: float
-
-
-@dataclass(frozen=True, slots=True)
-class MetaFeatureVector:
-    """The nineteen-feature document summary.
-
-    The three affect slots are None when the document shares no term with
-    the lexicon.
-    """
-
-    valence: Optional[DimensionStats]
-    arousal: Optional[DimensionStats]
-    dominance: Optional[DimensionStats]
-    num_words: int
-    num_unique_words: int
-    num_unique_anew_words: int
-    max_word_frequency: int
-
-
 def _weighted_median(values: list[float], counts: list[int], total: int) -> float:
     """Weighted median: the element at 1-based position ceil(total/2) of the
     expanded multiset, i.e. the lower-middle element for even totals."""
@@ -91,27 +62,26 @@ def _weighted_median(values: list[float], counts: list[int], total: int) -> floa
     return value
 
 
-def extract_meta(doc: Document, lexicon: AffectLexicon) -> MetaFeatureVector:
-    """Build the summary-statistics representation of one document."""
+def extract_meta(doc: Document, lexicon: AffectLexicon) -> list[Optional[float]]:
+    """The document's 19-slot summary row, in ``FEATURE_NAMES`` order.
+
+    Min, max, mean, sd and median of valence, then arousal, then dominance;
+    these fifteen slots are None when the document shares no term with the
+    lexicon, so classifiers can skip them. Then the four stylistic counts,
+    as floats.
+    """
     stats = match_stats(doc.term_counts, lexicon)
-    dims: list[Optional[DimensionStats]] = [None, None, None]
+    row: list[Optional[float]] = [None] * 15
     if stats is not None:
-        total = stats.score.matched_token_total
+        row, total = [], stats.score.matched_token_total
         for d, dim in enumerate(DIMENSIONS):
-            dims[d] = DimensionStats(
-                stats.low[d],
-                stats.high[d],
-                getattr(stats.score, dim),
-                getattr(stats.spread, dim),
-                _weighted_median(stats.values[d], stats.counts, total),
-            )
-    return MetaFeatureVector(
-        *dims,
-        num_words=doc.total_tokens,
-        num_unique_words=len(doc.term_counts),
-        num_unique_anew_words=0 if stats is None else len(stats.counts),
-        max_word_frequency=max(doc.term_counts.values(), default=0),
-    )
+            mean, sd = getattr(stats.score, dim), getattr(stats.spread, dim)
+            median = _weighted_median(stats.values[d], stats.counts, total)
+            row += (stats.low[d], stats.high[d], mean, sd, median)
+    counts = doc.term_counts.values()
+    matched = 0 if stats is None else len(stats.counts)
+    stylistic = (doc.total_tokens, len(counts), matched, max(counts, default=0))
+    return row + [float(n) for n in stylistic]
 
 
 def extract_vsm(doc: Document, lexicon: AffectLexicon) -> VsmVector:
@@ -119,30 +89,6 @@ def extract_vsm(doc: Document, lexicon: AffectLexicon) -> VsmVector:
     return {
         term: count for term, count in doc.term_counts.items() if term in lexicon
     }
-
-
-def fuse(meta: MetaFeatureVector) -> list[Optional[float]]:
-    """Flatten a summary vector into the canonical 19-slot dense layout.
-
-    Order: valence (min, max, mean, sd, median), then arousal, then
-    dominance, then the four stylistic counts. Missing affect statistics
-    stay None so classifiers can skip them.
-    """
-    dense: list[Optional[float]] = []
-    for stats in (meta.valence, meta.arousal, meta.dominance):
-        if stats is None:
-            dense.extend([None] * 5)
-        else:
-            dense.extend([stats.min, stats.max, stats.mean, stats.sd, stats.median])
-    dense.extend(
-        [
-            float(meta.num_words),
-            float(meta.num_unique_words),
-            float(meta.num_unique_anew_words),
-            float(meta.max_word_frequency),
-        ]
-    )
-    return dense
 
 
 def features_to_csv(corpus: Corpus, lexicon: AffectLexicon) -> str:
@@ -155,14 +101,8 @@ def features_to_csv(corpus: Corpus, lexicon: AffectLexicon) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("id", "genre") + FEATURE_NAMES)
     for doc in corpus.documents:
-        dense = fuse(extract_meta(doc, lexicon))
-        row = [doc.id, doc.genre if doc.genre is not None else ""]
-        for index, value in enumerate(dense):
-            if value is None:
-                row.append("")
-            elif index >= 15:
-                row.append(str(int(value)))
-            else:
-                row.append(repr(value))
-        writer.writerow(row)
+        row = extract_meta(doc, lexicon)
+        statistics = ["" if value is None else repr(value) for value in row[:15]]
+        counts = [str(int(value)) for value in row[15:]]
+        writer.writerow([doc.id, doc.genre or "", *statistics, *counts])
     return buffer.getvalue()

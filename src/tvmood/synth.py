@@ -56,6 +56,43 @@ class GenreProfile:
             raise ValueError(f"token_range {self.token_range!r} is invalid")
 
 
+# GenreProfile field -> (JSON types of the value or its items, list length, what it must be)
+_JSON_FIELDS = {
+    "label": ((str,), None, "a string"),
+    "document_count": ((int,), None, "an integer"),
+    "bias": ((int, float), None, "a number"),
+    "target": ((int, float), 3, "a list of three numbers"),
+    "token_range": ((int,), 2, "a list of two integers"),
+    "channel": ((str, type(None)), None, "a string or null"),
+}
+
+
+def profile_from_json(index: int, item: object) -> GenreProfile:
+    """Build a profile from item ``index`` of a JSON profiles array.
+
+    ``bias``, ``token_range`` and ``channel`` default to 1.0, [30, 80] and
+    null. Every error names the index, and a bad value also its field.
+    """
+    if not isinstance(item, dict):
+        raise ValueError(f"profile {index}: not a JSON object")
+    item = {"bias": 1.0, "token_range": [30, 80], "channel": None, **item}
+    fields = {}
+    for key, (kinds, length, what) in _JSON_FIELDS.items():
+        if key not in item:
+            raise ValueError(f"profile {index}: missing required field {key!r}")
+        value = item[key]
+        values = value if length and isinstance(value, list) else [value]
+        if len(values) != (length or 1) or not all(
+            isinstance(v, kinds) and not isinstance(v, bool) for v in values
+        ):
+            raise ValueError(f"profile {index}: field {key!r} must be {what}")
+        fields[key] = tuple(value) if length else value
+    try:
+        return GenreProfile(**fields)
+    except ValueError as exc:
+        raise ValueError(f"profile {index}: {exc}") from None
+
+
 def generate(
     profiles: Sequence[GenreProfile],
     lexicon: AffectLexicon,

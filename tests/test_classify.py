@@ -316,7 +316,7 @@ def test_multinomial_errors():
         train_multinomial([{"a": 1}, {"b": 1}], ["x", "x"])
     with pytest.raises(ValueError, match="vocabulary"):
         train_multinomial([{}, {}], ["x", "y"])
-    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e308):  # 1e308 * |V| overflows
         with pytest.raises(ValueError, match="alpha"):
             train_multinomial([{"a": 1}, {"b": 1}], ["x", "y"], alpha=alpha)
 
@@ -353,6 +353,37 @@ def test_posteriors_sum_to_one_and_stay_finite():
         posterior = predict_gaussian(model, [rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)])
         assert math.fsum(posterior.probabilities) == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= p <= 1.0 and math.isfinite(p) for p in posterior.probabilities)
+
+
+def _assert_distribution(posterior):
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in posterior.probabilities)
+    assert math.fsum(posterior.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gaussian_variance_floor_stays_positive_for_tiny_variances():
+    # the largest variance is about 2e-321, so 1e-9 times it underflows to 0
+    model = train_gaussian([[0.0], [1e-160], [0.0], [0.0]], ["a", "a", "b", "b"])
+    assert model.variance_floor > 0
+    assert all(v >= model.variance_floor for row in model.variances for v in row)
+    for query in ([0.0], [1e-160], [1.0], [1e300]):
+        _assert_distribution(predict_gaussian(model, query))
+
+
+def test_gaussian_overflowing_terms_fall_back_to_priors():
+    labels = ["a", "a", "b", "b", "b"]
+    model = train_gaussian([[0.0], [1.0], [2.0], [3.0], [4.0]], labels)
+    posterior = predict_gaussian(model, [1e300])  # (value - mean) ** 2 overflows
+    _assert_distribution(posterior)
+    assert posterior.probabilities == pytest.approx((0.4, 0.6), abs=1e-12)
+    # every term is finite, but their sum runs past the float range
+    wide = train_gaussian([[float(v)] * 4 for v in range(5)], labels)
+    posterior = predict_gaussian(wide, [1e154] * 4)
+    _assert_distribution(posterior)
+    assert posterior.probabilities == pytest.approx((0.4, 0.6), abs=1e-12)
+    # a class past the range gets probability 0 while another stays finite
+    posterior = predict_gaussian(model, [-1e154])
+    _assert_distribution(posterior)
+    assert posterior.probabilities == (0.0, 1.0)
 
 
 def test_prediction_is_deterministic():

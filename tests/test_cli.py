@@ -5,8 +5,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
+import stat
 import tempfile
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvmood.cli import _write_all, main, parse_window
-from tvmood.corpus import Corpus, corpus_to_jsonl
+from tvmood.corpus import Corpus, corpus_to_jsonl, load_corpus_file
 from tvmood.lexicon import serialize_lexicon
 from tvmood.synth import GenreProfile, generate
 
@@ -340,6 +343,39 @@ def test_evaluate_rejects_non_finite_alpha(tmp_path, capsys, lexicon_path, corpu
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["features"], ["score", "--per-document"]], ids=["features", "per-document"]
+)
+def test_unencodable_output_keeps_the_old_file(tmp_path, capsys, lexicon_path, command):
+    corpus = tmp_path / "corpus.jsonl"
+    lone_surrogate = make_doc("x\ud800", {"good": 1}, timestamp=T0)  # JSON escapes it
+    corpus.write_text(corpus_to_jsonl(Corpus((lone_surrogate,))), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old bytes\n")
+    argv = [*command, "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "surrogates not allowed" in err and err.count("\n") == 1
+    assert out.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lexicon.csv", "out.csv"]
+
+
+def test_write_all_writes_a_fifo_in_place(tmp_path):
+    fifo, regular = tmp_path / "fifo", tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        _write_all({str(fifo): "through the pipe \u00e9\n", str(regular): "file\n"})
+    finally:
+        reader.join(timeout=10)
+    assert received == ["through the pipe \u00e9\n".encode("utf-8")]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)  # written, not replaced
+    assert regular.read_text(encoding="utf-8") == "file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "out.csv"]
+
+
 def test_evaluate_failed_write_leaves_no_report(tmp_path, capsys, lexicon_path, corpus_path):
     (tmp_path / "r.csv").mkdir()
     code = main(
@@ -484,7 +520,10 @@ _records = st.fixed_dictionaries(
     optional={
         "genre": st.sampled_from(["newscast", "reality", ""]) | _json_values,
         "text": st.text(max_size=60) | _json_values,
-        "term_counts": st.dictionaries(st.text(max_size=6), st.integers(-2, 5)) | _json_values,
+        "term_counts": st.dictionaries(
+            st.text(max_size=6), st.integers(-2, 5) | st.sampled_from([2**53, 2**53 + 1, 10**400])
+        )
+        | _json_values,
     },
 ).map(json.dumps)
 
@@ -492,13 +531,17 @@ _records = st.fixed_dictionaries(
 @st.composite
 def cli_cases(draw):
     """A subcommand, drawn flag values with known-good replacements, any
-    other flags, and one corpus line to append to ``sample_data/``."""
+    other flags, and one corpus line to append to ``sample_data/``.
+
+    With ``--format=counts`` among the other flags, the sample corpus is
+    read as term counts."""
     command = draw(st.sampled_from(["score", "synth", "evaluate"]))
+    corpus_format = draw(st.sampled_from([[], ["--format=counts"]]))
     if command == "score":
         window = st.sampled_from(["1d", "1w", "0d", "9999999999d", "99999999d", "1x", ""])
         window |= st.from_regex(r"[0-9]{1,12}[dwDW]", fullmatch=True) | st.text(max_size=12)
         drawn = {"--window": draw(window), "--origin": draw(_timestamps)}
-        good, other = {"--window": "1w", "--origin": "2013-01-01"}, []
+        good, other = {"--window": "1w", "--origin": "2013-01-01"}, corpus_format
     elif command == "synth":
         drawn, good, other = {"--start": draw(_timestamps)}, {"--start": "2013-01-01"}, []
     else:
@@ -510,7 +553,7 @@ def cli_cases(draw):
             "--min-genre-support": draw(count),
         }
         good = {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"}
-        other = draw(st.sampled_from([[], ["--rep=meta"], ["--nb=gaussian"]]))
+        other = draw(st.sampled_from([[], ["--rep=meta"], ["--nb=gaussian"]])) + corpus_format
     return command, drawn, good, other, draw(_records | st.text(max_size=80))
 
 
@@ -518,10 +561,12 @@ def _run_sample(command, flags, line):
     """``main`` on sample_data with one line appended to the corpus: (exit, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.jsonl"
-        corpus.write_text(
-            (SAMPLE_DATA / "corpus.jsonl").read_text(encoding="utf-8") + line + "\n",
-            encoding="utf-8",
-        )
+        sample = SAMPLE_DATA / "corpus.jsonl"
+        if "--format=counts" in flags:
+            sample_lines = corpus_to_jsonl(load_corpus_file(str(sample), "text"))
+        else:
+            sample_lines = sample.read_text(encoding="utf-8")
+        corpus.write_text(sample_lines + line + "\n", encoding="utf-8")
         argv = [command, "--lexicon", str(SAMPLE_DATA / "lexicon.csv"), "--out", f"{tmp}/out"]
         if command == "synth":
             argv += ["--profiles", str(SAMPLE_DATA / "profiles.json")]
@@ -541,6 +586,25 @@ def _run_sample(command, flags, line):
 @example(("synth", {"--start": "9999-12-31"}, {"--start": "2013-01-01"}, [], ""))
 @example(("synth", {"--start": "nope"}, {"--start": "2013-01-01"}, [], ""))
 @example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], ""))
+@example(
+    (
+        "evaluate",
+        {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"},
+        {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"},
+        ["--format=counts"],
+        json.dumps({"id": "big", "channel": "x", "timestamp": "2013-01-01",
+                    "genre": "newscast", "term_counts": {"fire": 10**400}}),
+    )
+)
+@example(
+    (
+        "evaluate",
+        {"--folds": "2", "--alpha": "1e308", "--min-genre-support": "1"},
+        {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"},
+        [],
+        "",
+    )
+)
 def test_cli_boundary_ends_in_exit_0_or_one_error_line(case):
     """Every case ends in exit 0, or in exit 2 with exactly one stderr line.
 

@@ -165,6 +165,18 @@ def test_load_counts_mode_rejects_non_positive_counts():
             load_corpus(line, mode="counts")
 
 
+def test_counts_above_2_to_the_53_are_rejected_naming_line_and_term():
+    doc = load_corpus(record("a", term_counts={"fire": 2**53}), mode="counts").documents[0]
+    assert doc.term_counts == {"fire": 2**53} and float(doc.total_tokens) == 2**53
+    for bad in (2**53 + 1, 10**400):
+        line = record("a", term_counts={"calm": 1, "fire": bad})
+        with pytest.raises(CorpusError) as excinfo:
+            load_corpus(line, mode="counts")
+        assert str(excinfo.value) == (
+            f"line 1: document 'a': term 'fire' has count {bad!r}, which is more than 2**53"
+        )
+
+
 class _Count(int):
     """An int subclass other than bool: a valid count."""
 

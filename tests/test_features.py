@@ -9,16 +9,18 @@ import pytest
 
 from tvmood.affect import NoSignalError, score_counts
 from tvmood.corpus import Corpus
-from tvmood.features import (
-    FEATURE_NAMES,
-    extract_meta,
-    extract_vsm,
-    features_to_csv,
-    fuse,
-)
+from tvmood.features import FEATURE_NAMES, extract_meta, extract_vsm, features_to_csv
 
 from conftest import make_doc, make_lexicon, random_counts, random_lexicon
 from oracles import expansion_stats
+
+DIMENSIONS = ("valence", "arousal", "dominance")
+
+
+def dimension(row, dim):
+    """The (min, max, mean, sd, median) slots of one affect dimension."""
+    start = 5 * DIMENSIONS.index(dim)
+    return row[start : start + 5]
 
 
 def test_extract_meta_hand_case():
@@ -26,35 +28,30 @@ def test_extract_meta_hand_case():
         {"fun": (0.8, 0.6, 0.7), "dark": (0.2, 0.4, 0.3)}
     )
     doc = make_doc("d", {"fun": 2, "dark": 1, "xyzzy": 1})
-    meta = extract_meta(doc, lexicon)
-    assert meta.valence.min == pytest.approx(0.2, abs=1e-15)
-    assert meta.valence.max == pytest.approx(0.8, abs=1e-15)
-    assert meta.valence.mean == pytest.approx(0.6, abs=1e-15)
-    assert meta.valence.median == pytest.approx(0.8, abs=1e-15)
-    assert meta.valence.sd == pytest.approx(math.sqrt(0.24 / 3), abs=1e-12)
-    assert meta.arousal.mean == pytest.approx((2 * 0.6 + 0.4) / 3, abs=1e-12)
-    assert meta.num_words == 4
-    assert meta.num_unique_words == 3
-    assert meta.num_unique_anew_words == 2
-    assert meta.max_word_frequency == 2
+    row = extract_meta(doc, lexicon)
+    assert row[0] == pytest.approx(0.2, abs=1e-15)  # valence min
+    assert row[1] == pytest.approx(0.8, abs=1e-15)  # valence max
+    assert row[2] == pytest.approx(0.6, abs=1e-15)  # valence mean
+    assert row[4] == pytest.approx(0.8, abs=1e-15)  # valence median
+    assert row[3] == pytest.approx(math.sqrt(0.24 / 3), abs=1e-12)  # valence sd
+    assert row[7] == pytest.approx((2 * 0.6 + 0.4) / 3, abs=1e-12)  # arousal mean
+    assert row[15:] == [4.0, 3.0, 2.0, 2.0]
 
 
 def test_extract_meta_singleton():
     lexicon = make_lexicon({"w": (0.5, 0.5, 0.5)})
-    meta = extract_meta(make_doc("d", {"w": 1}), lexicon)
-    for stats in (meta.valence, meta.arousal, meta.dominance):
-        assert stats.min == stats.max == stats.mean == stats.median == 0.5
-        assert stats.sd == 0.0
+    row = extract_meta(make_doc("d", {"w": 1}), lexicon)
+    for dim in DIMENSIONS:
+        low, high, mean, sd, median = dimension(row, dim)
+        assert low == high == mean == median == 0.5
+        assert sd == 0.0
 
 
 def test_extract_meta_no_matches_uses_sentinel():
     lexicon = make_lexicon({"w": (0.5, 0.5, 0.5)})
-    meta = extract_meta(make_doc("d", {"xyzzy": 3}), lexicon)
-    assert meta.valence is None and meta.arousal is None and meta.dominance is None
-    assert meta.num_words == 3
-    assert meta.num_unique_words == 1
-    assert meta.num_unique_anew_words == 0
-    assert meta.max_word_frequency == 3
+    row = extract_meta(make_doc("d", {"xyzzy": 3}), lexicon)
+    assert row[:15] == [None] * 15
+    assert row[15:] == [3.0, 1.0, 0.0, 3.0]
 
 
 def test_extract_meta_matches_expansion_oracle():
@@ -63,18 +60,18 @@ def test_extract_meta_matches_expansion_oracle():
     vocabulary = lexicon.words() + ["miss1", "miss2"]
     for trial in range(200):
         counts = random_counts(rng, vocabulary, max_terms=9)
-        meta = extract_meta(make_doc(f"d{trial}", counts), lexicon)
-        for dim in ("valence", "arousal", "dominance"):
+        row = extract_meta(make_doc(f"d{trial}", counts), lexicon)
+        for dim in DIMENSIONS:
             expected = expansion_stats(counts, lexicon, dim)
-            stats = getattr(meta, dim)
+            low, high, mean, sd, median = dimension(row, dim)
             if expected is None:
-                assert stats is None
+                assert low is high is mean is sd is median is None
                 continue
-            assert stats.min == pytest.approx(expected["min"], abs=1e-12)
-            assert stats.max == pytest.approx(expected["max"], abs=1e-12)
-            assert stats.mean == pytest.approx(expected["mean"], abs=1e-12)
-            assert stats.sd == pytest.approx(expected["sd"], abs=1e-12)
-            assert stats.median == expected["median"]
+            assert low == pytest.approx(expected["min"], abs=1e-12)
+            assert high == pytest.approx(expected["max"], abs=1e-12)
+            assert mean == pytest.approx(expected["mean"], abs=1e-12)
+            assert sd == pytest.approx(expected["sd"], abs=1e-12)
+            assert median == expected["median"]
 
 
 def test_extract_meta_mean_agrees_with_score_counts():
@@ -83,16 +80,16 @@ def test_extract_meta_mean_agrees_with_score_counts():
     vocabulary = lexicon.words() + ["missx"]
     for trial in range(100):
         counts = random_counts(rng, vocabulary)
-        meta = extract_meta(make_doc(f"d{trial}", counts), lexicon)
+        row = extract_meta(make_doc(f"d{trial}", counts), lexicon)
         try:
             score, _ = score_counts(counts, lexicon)
         except NoSignalError:
-            assert meta.valence is None
+            assert row[2] is None
             continue
-        assert meta.valence.mean == score.valence
-        assert meta.arousal.mean == score.arousal
-        assert meta.dominance.mean == score.dominance
-        assert meta.num_unique_anew_words == score.matched_distinct_terms
+        assert row[2] == score.valence
+        assert row[7] == score.arousal
+        assert row[12] == score.dominance
+        assert row[17] == score.matched_distinct_terms
 
 
 def test_extract_meta_invariants_hold():
@@ -101,12 +98,14 @@ def test_extract_meta_invariants_hold():
     for trial in range(100):
         counts = random_counts(rng, lexicon.words())
         doc = make_doc(f"d{trial}", counts)
-        meta = extract_meta(doc, lexicon)
-        for stats in (meta.valence, meta.arousal, meta.dominance):
-            assert stats.min <= stats.median <= stats.max
-            assert stats.min <= stats.mean <= stats.max
-        assert meta.num_unique_anew_words <= meta.num_unique_words <= meta.num_words
-        assert meta.max_word_frequency <= meta.num_words
+        row = extract_meta(doc, lexicon)
+        for dim in DIMENSIONS:
+            low, high, mean, _, median = dimension(row, dim)
+            assert low <= median <= high
+            assert low <= mean <= high
+        num_words, num_unique_words, num_unique_anew_words, max_word_frequency = row[15:]
+        assert num_unique_anew_words <= num_unique_words <= num_words
+        assert max_word_frequency <= num_words
 
 
 def test_extract_vsm_restricts_to_lexicon(small_lexicon):
@@ -130,25 +129,25 @@ def test_extract_vsm_total_bounded_by_document_total(small_lexicon):
         assert all(term in small_lexicon for term in vector)
 
 
-def test_fuse_singleton_layout():
+def test_extract_meta_singleton_layout():
     lexicon = make_lexicon({"w": (0.5, 0.5, 0.5)})
-    dense = fuse(extract_meta(make_doc("d", {"w": 1}), lexicon))
-    assert dense == [0.5, 0.5, 0.5, 0.0, 0.5] * 3 + [1.0, 1.0, 1.0, 1.0]
-    assert len(dense) == len(FEATURE_NAMES) == 19
+    row = extract_meta(make_doc("d", {"w": 1}), lexicon)
+    assert row == [0.5, 0.5, 0.5, 0.0, 0.5] * 3 + [1.0, 1.0, 1.0, 1.0]
+    assert len(row) == len(FEATURE_NAMES) == 19
 
 
-def test_fuse_is_deterministic_and_order_independent():
+def test_extract_meta_is_deterministic_and_order_independent():
     lexicon = make_lexicon({"a": (0.3, 0.4, 0.5), "b": (0.7, 0.6, 0.5)})
     forward = make_doc("d", {"a": 2, "b": 3})
     backward = make_doc("d", {"b": 3, "a": 2})
-    assert fuse(extract_meta(forward, lexicon)) == fuse(extract_meta(backward, lexicon))
+    assert extract_meta(forward, lexicon) == extract_meta(backward, lexicon)
 
 
-def test_fuse_keeps_missing_slots():
+def test_extract_meta_keeps_missing_slots():
     lexicon = make_lexicon({"w": (0.5, 0.5, 0.5)})
-    dense = fuse(extract_meta(make_doc("d", {"xyzzy": 3}), lexicon))
-    assert dense[:15] == [None] * 15
-    assert dense[15:] == [3.0, 1.0, 0.0, 3.0]
+    row = extract_meta(make_doc("d", {"xyzzy": 3}), lexicon)
+    assert row[:15] == [None] * 15
+    assert row[15:] == [3.0, 1.0, 0.0, 3.0]
 
 
 def test_features_csv_layout(small_lexicon):
