@@ -59,10 +59,8 @@ from .features import (
     features_to_csv,
 )
 from .lexicon import (
-    AffectEntry,
     AffectLexicon,
     LexiconError,
-    RatingStat,
     load_lexicon,
     normalize_rating,
     normalize_sd,

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Mapping, Optional
@@ -96,7 +96,7 @@ class MatchStats:
     """
 
     counts: list[int]
-    values: tuple[list[float], list[float], list[float]]
+    values: tuple[tuple[float, ...], ...]
     low: tuple[float, ...]
     high: tuple[float, ...]
     score: AffectScore
@@ -108,23 +108,18 @@ def match_stats(
 ) -> Optional[MatchStats]:
     """Frequency-weighted statistics of the terms a map shares with the lexicon.
 
-    One lookup pass collects the matched counts and values; each dimension's
-    mean is sum(count * value) / sum(count) and its spread the weighted
-    population sd, both summed exactly with ``math.fsum``. Returns None when
-    no term matches.
+    Terms must be lowercase, as a :class:`~tvmood.corpus.Document` keeps
+    them: one membership pass over the lexicon's table finds the matches.
+    Each dimension's mean is sum(count * value) / sum(count) and its spread
+    the weighted population sd, both summed exactly with ``math.fsum``.
+    Returns None when no term matches.
     """
-    counts: list[int] = []
-    values: tuple[list[float], list[float], list[float]] = ([], [], [])
-    valence, arousal, dominance = values
-    for term, count in term_counts.items():
-        entry = lexicon.lookup(term)
-        if entry is not None:
-            counts.append(count)
-            valence.append(entry.valence.mean)
-            arousal.append(entry.arousal.mean)
-            dominance.append(entry.dominance.mean)
-    if not counts:
+    table = lexicon.table
+    matched = [term for term in term_counts if term in table]
+    if not matched:
         return None
+    counts = list(map(term_counts.__getitem__, matched))
+    values = tuple(zip(*map(table.__getitem__, matched)))
     total = sum(counts)
     low = tuple(map(min, values))
     high = tuple(map(max, values))
@@ -140,6 +135,14 @@ def match_stats(
         sds.append(math.sqrt(variance) if variance > 0 else 0.0)
     score = AffectScore(*means, len(counts), total)
     return MatchStats(counts, values, low, high, score, AffectSpread(*sds))
+
+
+def _pool_matched(into: dict[str, int], counts: Mapping[str, int], lexicon: AffectLexicon) -> None:
+    """Add the counts of the lexicon's terms to ``into``; no other term can match."""
+    table = lexicon.table
+    for term, count in counts.items():
+        if term in table:
+            into[term] = into.get(term, 0) + count
 
 
 def score_counts(
@@ -168,9 +171,9 @@ def score_channel(
     docs = corpus.by_channel(channel)
     if not docs:
         raise NoSignalError(f"no documents for channel {channel!r}")
-    pooled: Counter[str] = Counter()
+    pooled: dict[str, int] = {}
     for doc in docs:
-        pooled.update(doc.term_counts)
+        _pool_matched(pooled, doc.term_counts, lexicon)
     stats = match_stats(pooled, lexicon)
     if stats is None:
         raise NoSignalError(f"channel {channel!r} has no terms matching the lexicon")
@@ -194,14 +197,14 @@ def score_windows(
     """
     if window_length <= timedelta(0):
         raise ValueError("window_length must be positive")
-    buckets: dict[int, Counter[str]] = defaultdict(Counter)
+    buckets: dict[int, dict[str, int]] = defaultdict(dict)
     for doc in corpus.by_channel(channel):
         if doc.timestamp is None:
             raise ValueError(
                 f"document {doc.id!r} has no timestamp; windowed scoring "
                 f"requires one"
             )
-        buckets[(doc.timestamp - origin) // window_length].update(doc.term_counts)
+        _pool_matched(buckets[(doc.timestamp - origin) // window_length], doc.term_counts, lexicon)
     if not buckets:
         return AffectSeries(channel, window_length, ())
 

@@ -86,22 +86,31 @@ def _split(value: float) -> tuple[float, float]:
     return hi, value - hi
 
 
-def _moments(values: list[float], zeros: int) -> tuple[Optional[float], Optional[float]]:
+def _moments(
+    values: list[float], zeros: int, feature: str | int
+) -> tuple[Optional[float], Optional[float]]:
     """Population mean and variance of ``values`` plus ``zeros`` implicit zeros.
 
     ``(None, None)`` when there is nothing at all. Bit-identical to the
     two-pass moments of the padded list: both fsums see the same exact sum,
-    since the zeros' equal squares enter as two exact products.
+    since the zeros' equal squares enter as two exact products. Raises
+    ValueError naming ``feature`` when the variance is not a finite float.
     """
     if not values:
         return (0.0, 0.0) if zeros else (None, None)
     n = len(values) + zeros
-    mean = math.fsum(values) / n
-    squares = [(value - mean) ** 2 for value in values]
-    if zeros:
-        hi, lo = _split((0.0 - mean) ** 2)
-        squares += (zeros * hi, zeros * lo)
-    return mean, math.fsum(squares) / n
+    try:
+        mean = math.fsum(values) / n
+        squares = [(value - mean) ** 2 for value in values]
+        if zeros:
+            hi, lo = _split((0.0 - mean) ** 2)
+            squares += (zeros * hi, zeros * lo)
+        variance = math.fsum(squares) / n
+        if math.isfinite(variance):
+            return mean, variance
+    except OverflowError:  # a square or a sum ran past the float range
+        pass
+    raise ValueError(f"feature {feature!r}: the variance of its values is not finite")
 
 
 def _exact_partials(values: list[float]) -> tuple[float, ...]:
@@ -229,9 +238,9 @@ def train_gaussian(
     per_feature = [present.get(feature, unseen) for feature in features]
 
     global_max_variance = 0.0
-    for per_class in per_feature:
+    for feature, per_class in zip(features, per_feature):
         values = [value for class_values in per_class for value in class_values]
-        _, variance = _moments(values, len(instances) - len(values) if counts else 0)
+        _, variance = _moments(values, len(instances) - len(values) if counts else 0, feature)
         global_max_variance = max(global_max_variance, variance or 0.0)
     variance_floor = (
         # at least the smallest normal float, so log(2*pi*variance) is finite
@@ -244,8 +253,8 @@ def train_gaussian(
     variances = []
     for index, size in enumerate(class_sizes):
         moments = [
-            _moments(per_class[index], size - len(per_class[index]) if counts else 0)
-            for per_class in per_feature
+            _moments(per_class[index], size - len(per_class[index]) if counts else 0, feature)
+            for feature, per_class in zip(features, per_feature)
         ]
         means.append(tuple(mean for mean, _ in moments))
         variances.append(

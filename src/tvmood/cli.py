@@ -114,11 +114,9 @@ def _write_all(outputs: dict[str, str]) -> None:
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
-    ranges = []
-    for dim in affect.DIMENSIONS:
-        means = [getattr(entry, dim).mean for entry in lexicon.entries.values()]
-        ranges.append(f"{dim} [{min(means):.4f}, {max(means):.4f}]")
-    print(f"{lexicon.size} entries; " + "; ".join(ranges))
+    columns = zip(affect.DIMENSIONS, zip(*lexicon.table.values()))
+    ranges = [f"{dim} [{min(means):.4f}, {max(means):.4f}]" for dim, means in columns]
+    print(f"{len(lexicon)} entries; " + "; ".join(ranges))
     return 0
 
 

@@ -88,9 +88,9 @@ def _check_counts(doc_id: str, term_counts: dict[str, int]) -> None:
 class Document:
     """One transcript item with per-term counts.
 
-    Immutable after construction. ``timestamp`` may be None for documents
-    built programmatically; time-windowed operations reject such documents,
-    everything else accepts them.
+    Immutable after construction; terms are lowercase. ``timestamp`` may be
+    None for documents built programmatically; time-windowed operations
+    reject such documents, everything else accepts them.
     """
 
     id: str
@@ -104,6 +104,9 @@ class Document:
         if not self.id:
             raise ValueError("document id is empty")
         _check_counts(self.id, self.term_counts)
+        if (joined := "".join(self.term_counts)) != joined.lower():  # one pass in C
+            term = next(t for t in self.term_counts if t != t.lower())
+            raise ValueError(f"document {self.id!r}: term {term!r} is not lowercase")
         if self.total_tokens != sum(self.term_counts.values()):
             raise ValueError(
                 f"document {self.id!r}: total_tokens {self.total_tokens} does "
@@ -138,10 +141,11 @@ class Document:
     ) -> "Document":
         """Build from a pre-counted map; tokens are lowercased and merged."""
         _check_counts(id, term_counts)  # before merging can hide a bad count
-        merged: dict[str, int] = {}
-        for term, count in term_counts.items():
-            lowered = term.lower()
-            merged[lowered] = merged.get(lowered, 0) + count
+        merged = dict(term_counts)
+        if (joined := "".join(term_counts)) != joined.lower():  # else nothing merges
+            merged = {}
+            for term, count in term_counts.items():
+                merged[term.lower()] = merged.get(term.lower(), 0) + count
         return cls(id, channel, merged, sum(merged.values()), genre, timestamp)
 
 
@@ -199,8 +203,9 @@ def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # also too many digits or nesting levels
+            problem = getattr(exc, "msg", exc)  # a JSONDecodeError's message has no position
+            raise CorpusError(f"line {line_no}: invalid JSON ({problem})") from None
         if not isinstance(record, dict):
             raise CorpusError(f"line {line_no}: record is not a JSON object")
 

@@ -50,7 +50,7 @@ FEATURE_NAMES = (
 VsmVector = dict[str, int]
 
 
-def _weighted_median(values: list[float], counts: list[int], total: int) -> float:
+def _weighted_median(values: tuple[float, ...], counts: list[int], total: int) -> float:
     """Weighted median: the element at 1-based position ceil(total/2) of the
     expanded multiset, i.e. the lower-middle element for even totals."""
     target = (total + 1) // 2
@@ -86,9 +86,8 @@ def extract_meta(doc: Document, lexicon: AffectLexicon) -> list[Optional[float]]
 
 def extract_vsm(doc: Document, lexicon: AffectLexicon) -> VsmVector:
     """Restrict the document's term counts to the lexicon vocabulary."""
-    return {
-        term: count for term, count in doc.term_counts.items() if term in lexicon
-    }
+    table = lexicon.table
+    return {term: count for term, count in doc.term_counts.items() if term in table}
 
 
 def features_to_csv(corpus: Corpus, lexicon: AffectLexicon) -> str:

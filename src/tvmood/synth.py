@@ -115,16 +115,12 @@ def generate(
     shared_pool = lexicon.words()
     pools = []
     for profile in profiles:
-        target_valence = profile.target[0]
-        pool = [
-            word
-            for word in shared_pool
-            if abs(lexicon.entries[word].valence.mean - target_valence) <= VALENCE_BAND
-        ]
+        target = profile.target[0]  # valence
+        pool = [w for w in shared_pool if abs(lexicon.table[w][0] - target) <= VALENCE_BAND]
         if not pool:
             raise ValueError(
                 f"profile {profile.label!r}: no lexicon word has valence within "
-                f"±{VALENCE_BAND} of target {target_valence}"
+                f"±{VALENCE_BAND} of target {target}"
             )
         pools.append(pool)
 

@@ -8,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from tvmood.corpus import Corpus, Document
-from tvmood.lexicon import AffectEntry, AffectLexicon, RatingStat
+from tvmood.lexicon import AffectLexicon
 
 UTC = timezone.utc
 T0 = datetime(2013, 1, 7, tzinfo=UTC)
@@ -16,15 +16,7 @@ T0 = datetime(2013, 1, 7, tzinfo=UTC)
 
 def make_lexicon(words: dict[str, tuple[float, float, float]], sd: float = 0.05) -> AffectLexicon:
     """Lexicon from normalized (valence, arousal, dominance) means."""
-    entries = {}
-    for word, (v, a, d) in words.items():
-        entries[word] = AffectEntry(
-            word,
-            RatingStat(v, sd),
-            RatingStat(a, sd),
-            RatingStat(d, sd),
-        )
-    return AffectLexicon(entries)
+    return AffectLexicon(dict(words), {word: (sd, sd, sd) for word in words})
 
 
 def random_lexicon(rng: random.Random, size: int = 60) -> AffectLexicon:

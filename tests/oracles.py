@@ -8,18 +8,25 @@ arbitrary precision (mpmath) for Gaussian Naive Bayes, exact rationals
 integration for AUC. The dense-row Gaussian Naive Bayes reference
 (per-class rescans, two-pass moments) is the bit-exact reference for
 ``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows.
+The row-by-row lexicon parser and the per-term lookup loop are the
+references for ``lexicon.parse_lexicon`` (same table or same error
+message) and ``affect.match_stats`` (bit-identical statistics).
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import operator
 import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
+from tvmood.affect import AffectScore, AffectSpread, MatchStats
 from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel
+from tvmood.lexicon import LEXICON_HEADER, LexiconError
 
 mpmath.mp.dps = 60
 
@@ -41,9 +48,9 @@ def expansion_stats(counts, lexicon, dim):
     """Replicate each matched term by its count; plain statistics on the list."""
     values = []
     for term, count in counts.items():
-        entry = lexicon.lookup(term)
-        if entry is not None:
-            values.extend([getattr(entry, dim).mean] * count)
+        means = lexicon.lookup(term)
+        if means is not None:
+            values.extend([means[("valence", "arousal", "dominance").index(dim)]] * count)
     if not values:
         return None
     values.sort()
@@ -218,3 +225,96 @@ def trapezoid_auc(scores, is_positive):
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def _rating(raw):
+    if not 1.0 <= raw <= 9.0:
+        raise LexiconError(f"rating {raw!r} is outside the [1, 9] scale")
+    return (raw - 1.0) / 8.0
+
+
+def _sd(raw_sd):
+    if not 0.0 <= raw_sd < math.inf:
+        raise LexiconError(f"standard deviation {raw_sd!r} is not finite and non-negative")
+    return raw_sd / 8.0
+
+
+def parse_lexicon_rows(text):
+    """The row-by-row lexicon parser: ``(table, sds)`` or a LexiconError.
+
+    Each row is checked in column order (valence mean, valence sd, ...,
+    dominance sd), then its word, then its uniqueness, so the first bad row
+    names its line and its first bad field.
+    """
+    reader = csv.reader(text.splitlines())
+    header = next(reader, None)
+    if header is None:
+        raise LexiconError("empty lexicon file: missing header line")
+    if tuple(col.strip().lower() for col in header) != LEXICON_HEADER:
+        raise LexiconError(
+            f"unexpected header {','.join(header)!r}; "
+            f"expected {','.join(LEXICON_HEADER)!r}"
+        )
+    table, sds, first_line = {}, {}, {}
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 7:
+            raise LexiconError(f"line {line_no}: expected 7 columns, found {len(row)}")
+        word = row[0].strip().lower()
+        raw = []
+        for column, cell in zip(LEXICON_HEADER[1:], row[1:]):
+            try:
+                raw.append(float(cell))
+            except ValueError:
+                raise LexiconError(
+                    f"line {line_no}: non-numeric {column} value {cell!r}"
+                ) from None
+        try:
+            values = []
+            for index, value in enumerate(raw):
+                values.append(_sd(value) if index % 2 else _rating(value))
+            if not word:
+                raise ValueError("word is empty")
+            if any(ch.isspace() for ch in word):
+                raise ValueError(f"word {word!r} contains whitespace")
+        except ValueError as exc:
+            raise LexiconError(f"line {line_no}: {exc}") from None
+        if word in table:
+            raise LexiconError(
+                f"duplicate word {word!r} at lines {first_line[word]} and {line_no}"
+            )
+        table[word] = tuple(values[0::2])
+        sds[word] = tuple(values[1::2])
+        first_line[word] = line_no
+    if not table:
+        raise LexiconError("lexicon contains no entries")
+    return table, sds
+
+
+def match_stats_lookup(term_counts, lexicon):
+    """``affect.match_stats`` as one case-folding lookup per term, in map order."""
+    counts = []
+    values = ([], [], [])
+    for term, count in term_counts.items():
+        means = lexicon.lookup(term)
+        if means is not None:
+            counts.append(count)
+            for column, mean in zip(values, means):
+                column.append(mean)
+    if not counts:
+        return None
+    total = sum(counts)
+    low = tuple(map(min, values))
+    high = tuple(map(max, values))
+    means = []
+    sds = []
+    for column, lo, hi in zip(values, low, high):
+        mean = math.fsum(map(operator.mul, counts, column)) / total
+        mean = min(max(mean, lo), hi)
+        squares = (count * (value - mean) ** 2 for count, value in zip(counts, column))
+        variance = math.fsum(squares) / total
+        means.append(mean)
+        sds.append(math.sqrt(variance) if variance > 0 else 0.0)
+    score = AffectScore(*means, len(counts), total)
+    return MatchStats(counts, values, low, high, score, AffectSpread(*sds))

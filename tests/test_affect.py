@@ -7,10 +7,13 @@ from collections import Counter
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmood.affect import (
     SERIES_CSV_HEADER,
     NoSignalError,
+    match_stats,
     score_channel,
     score_counts,
     score_windows,
@@ -19,7 +22,7 @@ from tvmood.affect import (
 from tvmood.corpus import Corpus
 
 from conftest import T0, make_doc, make_lexicon, random_counts, random_lexicon, weekly_docs
-from oracles import expansion_stats
+from oracles import expansion_stats, match_stats_lookup
 
 WEEK = timedelta(weeks=1)
 
@@ -61,8 +64,8 @@ def test_score_stays_within_matched_value_range():
     for _ in range(200):
         counts = random_counts(rng, vocabulary)
         score, _ = score_counts(counts, lexicon)
-        for dim in ("valence", "arousal", "dominance"):
-            values = [getattr(lexicon.lookup(t), dim).mean for t in counts]
+        for d, dim in enumerate(("valence", "arousal", "dominance")):
+            values = [lexicon.lookup(t)[d] for t in counts]
             assert min(values) - 1e-12 <= getattr(score, dim) <= max(values) + 1e-12
 
 
@@ -231,3 +234,27 @@ def test_score_is_order_independent(small_lexicon):
     forward = {"good": 3, "bad": 1, "fire": 2}
     backward = dict(reversed(list(forward.items())))
     assert score_counts(forward, small_lexicon) == score_counts(backward, small_lexicon)
+
+
+_terms = st.text(alphabet="abcdef", min_size=1, max_size=3)
+_means = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.1, 0.7, 5e-324])
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(_terms, st.tuples(_means, _means, _means), max_size=30),
+    st.dictionaries(_terms, st.integers(1, 9) | st.integers(1, 2**53), max_size=40),
+)
+def test_match_stats_equals_lookup_loop_bit_for_bit(means, counts):
+    """Matching against the table finds the reference's matches, in map
+    order, and the same statistics, compared through ``repr``."""
+    lexicon = make_lexicon(means)
+    expected = match_stats_lookup(counts, lexicon)
+    stats = match_stats(counts, lexicon)
+    if expected is None:
+        assert stats is None
+        return
+    assert repr((stats.score, stats.spread)) == repr((expected.score, expected.spread))
+    assert repr((stats.low, stats.high)) == repr((expected.low, expected.high))
+    assert repr(stats.counts) == repr(expected.counts)
+    assert repr([list(column) for column in stats.values]) == repr(list(expected.values))

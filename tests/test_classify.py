@@ -386,6 +386,17 @@ def test_gaussian_overflowing_terms_fall_back_to_priors():
     assert posterior.probabilities == (0.0, 1.0)
 
 
+def test_gaussian_overflowing_training_values_name_the_feature():
+    labels = ["a", "a", "b", "b"]
+    # a square, a sum of squares, or a value itself that is not finite
+    for first, second in ((1e300, 0.0), (1e154, -1e154), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match=r"^feature 0: ") as excinfo:
+            train_gaussian([[first], [second], [1.0], [2.0]], labels)
+        assert "not finite" in str(excinfo.value)
+    with pytest.raises(ValueError, match=r"^feature 1: "):
+        train_gaussian([[0.0, 1e300], [1.0, 0.0], [2.0, 1.0], [3.0, 2.0]], labels)
+
+
 def test_prediction_is_deterministic():
     model = train_gaussian([[0.0], [2.0], [4.0], [6.0]], ["A", "A", "B", "B"])
     first = predict_gaussian(model, [2.5])

@@ -422,6 +422,21 @@ def test_evaluate_empty_after_filter(tmp_path, capsys, lexicon_path, corpus_path
     assert "support" in capsys.readouterr().err
 
 
+def test_over_long_count_is_one_line_error_naming_its_line(tmp_path, capsys, lexicon_path, corpus_path):
+    # json.loads refuses an integer of more than 4,300 digits with a plain ValueError
+    big = ('{"id":"big","channel":"cnn","timestamp":"2013-01-07T00:00:00Z",'
+           '"term_counts":{"fire":' + "9" * 5000 + "}}")
+    lines = Path(corpus_path).read_text(encoding="utf-8").splitlines()
+    corpus = tmp_path / "big.jsonl"
+    corpus.write_text("\n".join([lines[0], big, *lines[1:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "features.csv"
+    argv = ["features", "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: invalid JSON (") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_lexicon_validate_rejects_non_finite_sd(tmp_path, capsys):
     path = tmp_path / "nan.csv"
     path.write_text(LEXICON_TEXT.splitlines()[0] + "\njoy,5,nan,5,inf,5,1\n", encoding="utf-8")
@@ -528,10 +543,28 @@ _records = st.fixed_dictionaries(
 ).map(json.dumps)
 
 
+_SAMPLE_LEXICON = (SAMPLE_DATA / "lexicon.csv").read_text(encoding="utf-8").splitlines()
+_lexicon_cells = st.sampled_from(["5", "-1", "0", "nan", "inf", "1e400", "x", "", " joy ", "JOY"])
+_lexicon_lines = st.lists(_lexicon_cells | st.text(max_size=5), min_size=5, max_size=9).map(",".join)
+
+
+@st.composite
+def _lexicon_bytes(draw):
+    """The sample lexicon with one drawn line put in or put in place of one
+    of its lines, or arbitrary bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=80))
+    lines = list(_SAMPLE_LEXICON)
+    index = draw(st.integers(0, len(lines)))
+    lines[index:index + draw(st.integers(0, 1))] = [draw(_lexicon_lines | st.text(max_size=20))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 @st.composite
 def cli_cases(draw):
     """A subcommand, drawn flag values with known-good replacements, any
-    other flags, and one corpus line to append to ``sample_data/``.
+    other flags, one corpus line to append to ``sample_data/``, and None
+    for the sample lexicon or the bytes of a drawn one.
 
     With ``--format=counts`` among the other flags, the sample corpus is
     read as term counts."""
@@ -554,12 +587,18 @@ def cli_cases(draw):
         }
         good = {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"}
         other = draw(st.sampled_from([[], ["--rep=meta"], ["--nb=gaussian"]])) + corpus_format
-    return command, drawn, good, other, draw(_records | st.text(max_size=80))
+    lexicon = draw(st.none() | _lexicon_bytes())
+    return command, drawn, good, other, draw(_records | st.text(max_size=80)), lexicon
 
 
-def _run_sample(command, flags, line):
-    """``main`` on sample_data with one line appended to the corpus: (exit, stderr)."""
+def _run_sample(command, flags, line, lexicon=None):
+    """``main`` on sample_data with one line appended to the corpus, and on
+    the ``lexicon`` bytes when given: (exit, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
+        lexicon_path = SAMPLE_DATA / "lexicon.csv"
+        if lexicon is not None:
+            lexicon_path = Path(tmp) / "lexicon.csv"
+            lexicon_path.write_bytes(lexicon)
         corpus = Path(tmp) / "corpus.jsonl"
         sample = SAMPLE_DATA / "corpus.jsonl"
         if "--format=counts" in flags:
@@ -567,7 +606,7 @@ def _run_sample(command, flags, line):
         else:
             sample_lines = sample.read_text(encoding="utf-8")
         corpus.write_text(sample_lines + line + "\n", encoding="utf-8")
-        argv = [command, "--lexicon", str(SAMPLE_DATA / "lexicon.csv"), "--out", f"{tmp}/out"]
+        argv = [command, "--lexicon", str(lexicon_path), "--out", f"{tmp}/out"]
         if command == "synth":
             argv += ["--profiles", str(SAMPLE_DATA / "profiles.json")]
         else:
@@ -583,9 +622,14 @@ def _run_sample(command, flags, line):
 
 @settings(deadline=None)
 @given(cli_cases())
-@example(("synth", {"--start": "9999-12-31"}, {"--start": "2013-01-01"}, [], ""))
-@example(("synth", {"--start": "nope"}, {"--start": "2013-01-01"}, [], ""))
-@example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], ""))
+@example(("synth", {"--start": "9999-12-31"}, {"--start": "2013-01-01"}, [], "", None))
+@example(("synth", {"--start": "nope"}, {"--start": "2013-01-01"}, [], "", None))
+@example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], "", None))
+@example(("score", {"--window": "1w"}, {"--window": "1w"}, [], "", b"\xff"))
+@example(  # a field over the csv module's size limit
+    ("score", {"--window": "1w"}, {"--window": "1w"}, [], "",
+     (_SAMPLE_LEXICON[0] + "\n" + "a" * 140000 + ",5,1,5,1,5,1\n").encode("utf-8"))
+)
 @example(
     (
         "evaluate",
@@ -594,6 +638,7 @@ def _run_sample(command, flags, line):
         ["--format=counts"],
         json.dumps({"id": "big", "channel": "x", "timestamp": "2013-01-01",
                     "genre": "newscast", "term_counts": {"fire": 10**400}}),
+        None,
     )
 )
 @example(
@@ -603,6 +648,7 @@ def _run_sample(command, flags, line):
         {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"},
         [],
         "",
+        None,
     )
 )
 def test_cli_boundary_ends_in_exit_0_or_one_error_line(case):
@@ -611,11 +657,13 @@ def test_cli_boundary_ends_in_exit_0_or_one_error_line(case):
     When the same case with known-good values for the drawn flags succeeds,
     the drawn values caused the error, and its line names one of them.
     """
-    command, drawn, good, other, line = case
-    code, err = _run_sample(command, [f"{k}={v}" for k, v in drawn.items()] + other, line)
+    command, drawn, good, other, line, lexicon = case
+    flags = [f"{k}={v}" for k, v in drawn.items()] + other
+    code, err = _run_sample(command, flags, line, lexicon)
     if code == 0:
         assert err == ""
         return
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
-    if _run_sample(command, [f"{k}={v}" for k, v in good.items()] + other, line)[0] == 0:
+    good_flags = [f"{k}={v}" for k, v in good.items()] + other
+    if _run_sample(command, good_flags, line, lexicon)[0] == 0:
         assert any(flag in err for flag in drawn), err

@@ -235,12 +235,19 @@ def test_document_validation():
         Document("a", "cnn", {"x": 1}, 1, timestamp=datetime(2013, 1, 7))
     with pytest.raises(ValueError, match="id"):
         Document("", "cnn", {"x": 1}, 1)
+    with pytest.raises(ValueError, match=r"^document 'a': term 'Fire' is not lowercase$"):
+        Document("a", "cnn", {"calm": 1, "Fire": 2, "WIN": 1}, 4)
 
 
 def test_document_from_counts_merges_case():
     doc = Document.from_counts("a", "cnn", {"Fire": 2, "fire": 1})
     assert doc.term_counts == {"fire": 3}
     assert doc.total_tokens == 3
+    # lowercase counts are kept as given, in a copy of the map
+    counts = {"fire": 2, "calm": 1}
+    doc = Document.from_counts("b", "cnn", counts)
+    assert list(doc.term_counts.items()) == [("fire", 2), ("calm", 1)]
+    assert doc.term_counts is not counts and doc.total_tokens == 3
 
 
 def test_corpus_rejects_duplicate_ids():

@@ -4,12 +4,18 @@
 Each case runs the CLI on fixed inputs and compares the files it writes
 byte for byte with the files in ``tests/golden/``. Refactors and
 performance changes must keep these bytes; a change that means to alter
-them replaces the golden files and says why.
+them replaces the golden files and says why. The sample cases also run
+in fresh interpreters under two fixed ``PYTHONHASHSEED``s: tests run in
+one process under one hash seed, so they could not see an output that
+follows the iteration order of a set of strings.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +137,33 @@ def test_csv_output_bytes(tmp_path, corpus, command):
 def test_synth_output_bytes(tmp_path, corpus):
     golden = GOLDEN / f"synth_{corpus}.jsonl"
     assert synth_output(tmp_path, corpus) == golden.read_bytes()
+
+
+def _run_cli_under_hash_seed(seed: str, argv: list[str]) -> None:
+    """Run the CLI in a fresh interpreter whose string hashes use ``seed``."""
+    env = {**os.environ, "PYTHONHASHSEED": seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tvmood.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_csv_output_bytes_do_not_depend_on_hash_seed(tmp_path, command, seed):
+    """No output may follow the hash order of a set of terms."""
+    out = tmp_path / "out.csv"
+    _run_cli_under_hash_seed(seed, [*CSV_COMMANDS[command], *sample_inputs(tmp_path), "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / f"{command}_sample.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("nb", ["gaussian", "multinomial"])
+def test_vsm_report_bytes_do_not_depend_on_hash_seed(tmp_path, nb, seed):
+    out = tmp_path / "report"
+    argv = ["evaluate", *sample_inputs(tmp_path), *EVALUATE_FLAGS["sample"], "--rep", "vsm"]
+    _run_cli_under_hash_seed(seed, [*argv, "--nb", nb, "--out", str(out)])
+    stem = GOLDEN / f"evaluate_sample_vsm_{nb}"
+    assert (tmp_path / "report.json").read_bytes() == stem.with_suffix(".json").read_bytes()
+    assert (tmp_path / "report.csv").read_bytes() == stem.with_suffix(".csv").read_bytes()

@@ -5,18 +5,19 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvmood.lexicon import (
     AffectLexicon,
     LexiconError,
-    RatingStat,
     normalize_rating,
     normalize_sd,
     parse_lexicon,
     serialize_lexicon,
 )
+
+from oracles import parse_lexicon_rows
 
 HEADER = "word,valence_mean,valence_sd,arousal_mean,arousal_sd,dominance_mean,dominance_sd"
 
@@ -64,30 +65,32 @@ def test_non_finite_sd_is_rejected(raw):
     with pytest.raises(LexiconError):
         normalize_sd(raw)
     with pytest.raises(ValueError):
-        RatingStat(0.5, raw)
+        AffectLexicon({"joy": (0.5, 0.5, 0.5)}, {"joy": (raw, 0.1, 0.1)})
     with pytest.raises(LexiconError, match="line 2"):
         parse_lexicon(lexicon_text(f"joy,5,{raw},5,1,5,1"))
 
 
 def test_parse_single_row_hand_values():
     lexicon = parse_lexicon(lexicon_text("joy,8.21,1.02,5.98,2.54,7.00,1.80"))
-    entry = lexicon.lookup("joy")
-    assert entry is not None
-    assert math.isclose(entry.valence.mean, 0.90125, abs_tol=1e-12)
-    assert math.isclose(entry.valence.sd, 0.1275, abs_tol=1e-12)
-    assert math.isclose(entry.arousal.mean, 0.6225, abs_tol=1e-12)
-    assert math.isclose(entry.arousal.sd, 0.3175, abs_tol=1e-12)
-    assert math.isclose(entry.dominance.mean, 0.75, abs_tol=1e-12)
-    assert math.isclose(entry.dominance.sd, 0.225, abs_tol=1e-12)
+    means = lexicon.lookup("joy")
+    assert means is not None
+    sds = lexicon.sds["joy"]
+    assert math.isclose(means[0], 0.90125, abs_tol=1e-12)
+    assert math.isclose(sds[0], 0.1275, abs_tol=1e-12)
+    assert math.isclose(means[1], 0.6225, abs_tol=1e-12)
+    assert math.isclose(sds[1], 0.3175, abs_tol=1e-12)
+    assert math.isclose(means[2], 0.75, abs_tol=1e-12)
+    assert math.isclose(sds[2], 0.225, abs_tol=1e-12)
     # the maps are exact in binary arithmetic, not just close
-    assert entry.valence.mean == (8.21 - 1.0) / 8.0
-    assert entry.valence.sd == 1.02 / 8.0
+    assert means[0] == (8.21 - 1.0) / 8.0
+    assert sds[0] == 1.02 / 8.0
 
 
 def test_parse_lowercases_words():
     lexicon = parse_lexicon(lexicon_text("JoY,5,1,5,1,5,1"))
     assert lexicon.lookup("joy") is not None
-    assert lexicon.lookup("JOY").word == "joy"
+    assert lexicon.lookup("JOY") == lexicon.lookup("joy")
+    assert list(lexicon.table) == ["joy"]
 
 
 def test_parse_duplicate_word_names_word_and_lines():
@@ -135,13 +138,13 @@ def test_parse_malformed_rows_report_line_number(row, fragment):
 
 def test_parse_accepts_blank_lines():
     lexicon = parse_lexicon(lexicon_text("joy,5,1,5,1,5,1", "", "calm,6,1,6,1,6,1"))
-    assert lexicon.size == 2
+    assert len(lexicon) == 2
 
 
 def test_lookup_miss_and_empty():
     lexicon = parse_lexicon(lexicon_text("joy,5,1,5,1,5,1"))
     assert lexicon.lookup("xyzzy") is None
-    assert AffectLexicon({}).lookup("joy") is None
+    assert AffectLexicon({}, {}).lookup("joy") is None
     assert "JOY" in lexicon and "xyzzy" not in lexicon
 
 
@@ -171,11 +174,65 @@ def test_parsed_entries_satisfy_invariants(table):
         for word, (v, vs, a, as_, d, ds) in table.items()
     ]
     lexicon = parse_lexicon(lexicon_text(*rows))
-    assert lexicon.size == len(table)
-    for word, entry in lexicon.entries.items():
-        assert word == entry.word
-        assert entry.word and not any(c.isspace() for c in entry.word)
-        assert entry.word == entry.word.lower()
-        for stat in (entry.valence, entry.arousal, entry.dominance):
-            assert 0.0 <= stat.mean <= 1.0
-            assert stat.sd >= 0.0
+    assert len(lexicon) == len(table)
+    assert lexicon.sds.keys() == lexicon.table.keys()
+    for word, means in lexicon.table.items():
+        assert word and not any(c.isspace() for c in word)
+        assert word == word.lower()
+        assert all(0.0 <= mean <= 1.0 for mean in means)
+        assert all(sd >= 0.0 for sd in lexicon.sds[word])
+
+
+_good_cells = (
+    st.sampled_from(["joy", "JOY", "calm", " Calm "]) | st.text(alphabet="abcdefgh", min_size=1, max_size=4),
+    st.floats(1.0, 9.0).map(repr) | st.sampled_from(["1", "9", " 3 ", "1.2_5"]),
+    st.floats(0.0, 4.0).map(repr) | st.sampled_from(["0", "-0.0", "1e308"]),
+)
+_bad_cells = (
+    st.sampled_from(["", "  ", "jo y", "x\ty", "x\u00a0y"]),
+    st.sampled_from(["0.999", "9.001", "1e300", "-3", "nan", "inf", "-inf", "abc", ""]),
+    st.sampled_from(["-5e-324", "-0.1", "nan", "inf", "-inf", "x", ""]),
+)
+
+
+@st.composite
+def lexicon_files(draw):
+    """Lexicon CSV text: valid rows, some with one drawn bad cell, some
+    with 6 or 8 columns, and blank lines mixed in."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kinds = [0] + [1, 2] * 3  # word, then mean and sd per dimension
+        row = [draw(_good_cells[kind]) for kind in kinds]
+        if draw(st.integers(0, 3)) == 0:
+            column = draw(st.integers(0, 6))
+            row[column] = draw(_bad_cells[kinds[column]])
+        arity = draw(st.sampled_from([7] * 10 + [6, 8]))
+        lines.append(",".join(row[:arity] + ["1"] * (arity - 7)))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    return lexicon_text(*lines)
+
+
+@settings(max_examples=400)
+@given(lexicon_files())
+@example(lexicon_text("joy,5,1,5,1,5,1", "calm,6,1,6,1,6,1"))
+@example(lexicon_text("joy,5,-5e-324,5,1,5,1"))
+@example(lexicon_text("joy,5,1,nan,1,5,1", "calm,6,-1,6,1,6,1", "JOY,1,1,1,1,1,1"))
+@example(lexicon_text("joy,5,1,5,1,5,1", "", "JOY,5,1,5,1,5"))
+# more rows than one column block: a clean file, a fault and a duplicate in later blocks
+@example(lexicon_text(*[f"w{i},5,1,5,1,5,1" for i in range(300)]))
+@example(lexicon_text(*[f"w{i},5,1,{9.5 if i == 200 else 5},1,5,1" for i in range(300)]))
+@example(lexicon_text(*[f"w{i},5,1,5,1,5,1" for i in range(300)], "W7,5,1,5,1,5,1"))
+def test_parse_matches_row_by_row_reference(text):
+    """The column-at-a-time parser gives the reference's table, or its error."""
+    try:
+        table, sds = parse_lexicon_rows(text)
+    except LexiconError as exc:
+        with pytest.raises(LexiconError) as excinfo:
+            parse_lexicon(text)
+        assert str(excinfo.value) == str(exc)
+        return
+    lexicon = parse_lexicon(text)
+    # repr tells -0.0 from 0.0 and keeps the word order
+    assert repr(lexicon.table) == repr(table)
+    assert repr(lexicon.sds) == repr(sds)

@@ -93,10 +93,7 @@ def test_generate_empty_band_names_profile():
     rng = random.Random(7)
     lexicon = random_lexicon(rng, 30)
     # shift every word's valence into [0, 0.5]; a 0.95 target has no words
-    words = {
-        word: (entry.valence.mean / 2, 0.5, 0.5)
-        for word, entry in lexicon.entries.items()
-    }
+    words = {word: (means[0] / 2, 0.5, 0.5) for word, means in lexicon.table.items()}
     from conftest import make_lexicon
 
     narrow = make_lexicon(words)
@@ -115,7 +112,7 @@ def test_generate_input_validation():
     with pytest.raises(ValueError, match="lexicon"):
         generate(
             [GenreProfile("g", 1, 1.0, (0.5, 0.5, 0.5), (5, 5))],
-            AffectLexicon({}),
+            AffectLexicon({}, {}),
             seed=1,
         )
     with pytest.raises(ValueError):
