@@ -178,6 +178,11 @@ class GaussianNbModel:
             tuple(None if v is None else math.log(2.0 * math.pi * v) for v in row)
             for row in self.variances
         )
+        for label, variances, norms in zip(self.class_labels, self.variances, log_norms):
+            if not math.isfinite(sum(filter(None, norms))):  # each finite log is below 710
+                bad = next(i for i, n in enumerate(norms) if n and not math.isfinite(n))
+                what = f"2*pi*variance is not finite for variance {variances[bad]!r}"
+                raise ValueError(f"class {label!r}, feature {features[bad]!r}: {what}")
         # the expression predict_gaussian evaluates for a zero count
         absent_terms = tuple(
             tuple(

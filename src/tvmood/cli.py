@@ -196,9 +196,12 @@ def cmd_features(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
     with open(args.profiles, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8 or too many nesting levels
+            raise ValueError(f"--profiles {args.profiles}: {exc}") from None
     if not isinstance(raw, list):
-        raise ValueError("profiles file must hold a JSON array")
+        raise ValueError(f"--profiles {args.profiles}: the file must hold a JSON array")
     profiles = [synth.profile_from_json(index, item) for index, item in enumerate(raw)]
     start = (
         synth.DEFAULT_START

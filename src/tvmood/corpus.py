@@ -10,6 +10,7 @@ genre-based operations.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections import Counter
@@ -190,11 +191,8 @@ def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
     """
     if mode not in ("text", "counts"):
         raise ValueError(f"unknown corpus mode {mode!r}; use 'text' or 'counts'")
-    lines: Iterable[str]
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
+    # text splits into lines exactly as load_corpus_file's text-mode file does
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
 
     documents: list[Document] = []
     seen: set[str] = set()

@@ -5,22 +5,23 @@ A lexicon file is a CSV with one header line and seven columns:
     word,valence_mean,valence_sd,arousal_mean,arousal_sd,dominance_mean,dominance_sd
 
 Ratings arrive on the raw [1, 9] scale used by ANEW-style word norms and are
-normalized to [0, 1] at parse time: means via ``(x - 1) / 8``, standard
-deviations via ``x / 8`` (sd is translation-invariant, so only the scale
-factor applies). Words are lowercased at parse time. A parsed lexicon is
-one flat ``table`` from word to (valence, arousal, dominance) means, all
-that scoring reads; ``sds`` keeps the standard deviations for output.
+normalized to [0, 1]: means via ``(x - 1) / 8``, standard deviations via
+``x / 8`` (sd is translation-invariant). ``parse_lexicon`` lowercases words
+and reads the file in one pass of rows; each error names the file line on
+which its row starts. A parsed lexicon is one flat ``table`` from word to
+(valence, arousal, dominance) means, all that scoring reads; ``sds`` keeps
+the standard deviations for output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
-from typing import Iterable, Iterator, Optional, TextIO
+from itertools import chain, cycle
+from typing import Iterable, Optional, TextIO
 
 RAW_MIN = 1.0
 RAW_MAX = 9.0
@@ -110,85 +111,76 @@ class AffectLexicon:
         return sorted(self.table)
 
 
-def _parse_columns(rows: Iterator[list[str]]) -> AffectLexicon:
-    """Parse rows by columns, 128 rows at a time; ValueError on any fault."""
-    table: dict[str, tuple[float, float, float]] = {}
-    sds: dict[str, tuple[float, float, float]] = {}
-    count = 0
-    while block := list(islice(rows, 128)):
-        words, *cells = zip(*block)
-        raw_sds = [list(map(float, column)) for column in cells[1::2]]
-        # a tiny negative sd scales to -0.0, which the lexicon itself accepts
-        if set(map(len, block)) != {7} or min(chain(*raw_sds)) < 0.0:
-            raise ValueError("not seven columns, or a negative sd")
-        words = [word.strip().lower() for word in words]
-        means = [[(float(x) - RAW_MIN) / RAW_SPAN for x in column] for column in cells[0::2]]
-        table.update(zip(words, zip(*means)))
-        sds.update(zip(words, zip(*([x / RAW_SPAN for x in column] for column in raw_sds))))
-        count += len(block)
-    if not table or len(table) != count:
-        raise ValueError("no rows or a duplicate word")
-    return AffectLexicon(table, sds)
-
-
-def _parse_rows(reader: Iterator[list[str]]) -> AffectLexicon:
-    """Parse row by row; the first fault raises a LexiconError naming its line."""
-    table: dict[str, tuple[float, ...]] = {}
-    sds: dict[str, tuple[float, ...]] = {}
-    seen: dict[str, int] = {}  # word -> its line
-    header = next(reader, None)
-    if header is None:
-        raise LexiconError("empty lexicon file: missing header line")
-    if tuple(col.strip().lower() for col in header) != LEXICON_HEADER:
-        expected = ",".join(LEXICON_HEADER)
-        raise LexiconError(f"unexpected header {','.join(header)!r}; expected {expected!r}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+def _check_row(row: list[str], line: int) -> None:
+    """Raise a LexiconError for the first fault of a row, in column order."""
+    try:
         if len(row) != 7:
-            raise LexiconError(f"line {lineno}: expected 7 columns, found {len(row)}")
-        raw: list[float] = []
+            raise ValueError(f"expected 7 columns, found {len(row)}")
         for column, cell in zip(LEXICON_HEADER[1:], row[1:]):
             try:
-                raw.append(float(cell))
+                float(cell)
             except ValueError:
-                raise LexiconError(f"line {lineno}: non-numeric {column} value {cell!r}") from None
-        word = row[0].strip().lower()
-        try:
-            scales = cycle((normalize_rating, normalize_sd))
-            values = [scale(value) for scale, value in zip(scales, raw)]
-            _check_words([word])
-        except ValueError as exc:
-            raise LexiconError(f"line {lineno}: {exc}") from None
-        if word in seen:
-            raise LexiconError(f"duplicate word {word!r} at lines {seen[word]} and {lineno}")
-        seen[word] = lineno
-        table[word], sds[word] = tuple(values[0::2]), tuple(values[1::2])
-    if not table:
-        raise LexiconError("lexicon contains no entries")
-    return AffectLexicon(table, sds)
+                raise ValueError(f"non-numeric {column} value {cell!r}") from None
+        for scale, cell in zip(cycle((normalize_rating, normalize_sd)), row[1:]):
+            scale(float(cell))
+        _check_words([row[0].strip().lower()])
+    except ValueError as exc:
+        raise LexiconError(f"line {line}: {exc}") from None
 
 
 def parse_lexicon(source: str | TextIO | Iterable[str]) -> AffectLexicon:
-    """Parse lexicon CSV content into an :class:`AffectLexicon`.
+    """Parse lexicon CSV text, an open text file, or an iterable of lines.
 
-    ``source`` may be CSV text, an open text file, or an iterable of lines.
-    Raises :class:`LexiconError` on a missing or wrong header, a malformed
-    row (wrong column count, non-numeric or out-of-range rating), a
-    duplicate word, or an empty lexicon. Error messages carry 1-based line
-    numbers. Whole columns are checked at once; only a lexicon that fails
-    is parsed again row by row, to name its first bad line.
+    Text is split into lines as :func:`load_lexicon` splits its file. Raises
+    :class:`LexiconError` on a missing or wrong header, a malformed row
+    (column count, rating or word), a duplicate word, or an empty lexicon;
+    each error names the 1-based file line on which its row starts.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
-    reader = csv.reader(lines)
-    with contextlib.suppress(ValueError, csv.Error):
-        if tuple(col.strip().lower() for col in next(reader, ())) == LEXICON_HEADER:
-            return _parse_columns(filter(None, reader))
-    reader = csv.reader(lines)  # from the top again, to name the first fault's line
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    table: dict[str, tuple[float, float, float]] = {}
+    sds: dict[str, tuple[float, float, float]] = {}
+    starts = array("q")  # each word's line; a list's int objects would raise peak RSS
+    line = 0  # lines read so far
     try:
-        return _parse_rows(reader)
+        header = next(reader, None)
+        if header is None:
+            raise LexiconError("empty lexicon file: missing header line")
+        if tuple(col.strip().lower() for col in header) != LEXICON_HEADER:
+            expected = ",".join(LEXICON_HEADER)
+            raise LexiconError(f"unexpected header {','.join(header)!r}; expected {expected!r}")
+        line = reader.line_num
+        for row in reader:
+            start, line = line + 1, reader.line_num
+            if not row:
+                continue
+            try:
+                word, v, vs, a, as_, d, ds = row
+                v, vs, a, as_, d, ds = (
+                    float(v), float(vs), float(a), float(as_), float(d), float(ds)
+                )
+            except ValueError:  # a wrong column count or a non-numeric cell
+                _check_row(row, start)
+            word = word.strip().lower()
+            # the checks of normalize_rating, normalize_sd and _check_words, inline
+            if not (
+                1.0 <= v <= 9.0 and 1.0 <= a <= 9.0 and 1.0 <= d <= 9.0
+                and 0.0 <= vs < math.inf and 0.0 <= as_ < math.inf and 0.0 <= ds < math.inf
+                and word.split() == [word]
+            ):
+                _check_row(row, start)
+            if word in table:
+                first = starts[list(table).index(word)]
+                raise LexiconError(f"duplicate word {word!r} at lines {first} and {start}")
+            starts.append(start)
+            table[word] = (
+                (v - RAW_MIN) / RAW_SPAN, (a - RAW_MIN) / RAW_SPAN, (d - RAW_MIN) / RAW_SPAN
+            )
+            sds[word] = (vs / RAW_SPAN, as_ / RAW_SPAN, ds / RAW_SPAN)
     except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise LexiconError(f"line {reader.line_num}: {exc}") from None
+        raise LexiconError(f"line {line + 1}: {exc}") from None
+    if not table:
+        raise LexiconError("lexicon contains no entries")
+    return AffectLexicon(table, sds)
 
 
 def serialize_lexicon(lexicon: AffectLexicon) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -395,6 +396,19 @@ def test_gaussian_overflowing_training_values_name_the_feature():
         assert "not finite" in str(excinfo.value)
     with pytest.raises(ValueError, match=r"^feature 1: "):
         train_gaussian([[0.0, 1e300], [1.0, 0.0], [2.0, 1.0], [3.0, 2.0]], labels)
+
+
+def test_gaussian_variance_with_infinite_log_norm_names_class_and_feature():
+    # the variance is finite, about 2.9e307, but 2*pi times it is not
+    labels = ["a", "a", "b", "b"]
+    with pytest.raises(ValueError, match=r"^class 'a', feature 0: 2\*pi\*variance is not finite"):
+        train_gaussian([[5.4e153], [-5.4e153], [1.0], [2.0]], labels)
+    model = train_gaussian([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [3.0, 1.0]], labels)
+    for variance in (1e308, math.inf, math.nan):
+        payload = json.loads(model_to_json(model))
+        payload["variances"][1][1] = variance
+        with pytest.raises(ValueError, match=r"^class 'b', feature 1: .* not finite"):
+            model_from_json(json.dumps(payload))
 
 
 def test_prediction_is_deterministic():

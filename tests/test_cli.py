@@ -467,6 +467,27 @@ def test_synth_rejects_malformed_profile(tmp_path, capsys, lexicon_path, profile
 
 
 @pytest.mark.parametrize(
+    "data,fragment",
+    [
+        (b"[" * 100000, "maximum recursion depth exceeded"),
+        (b"[1, ]", "Expecting value: line 1 column 5 (char 4)"),
+        (b"\xff[]", "'utf-8' codec can't decode byte 0xff"),
+        (b"{}", "the file must hold a JSON array"),
+    ],
+    ids=["deep-nesting", "bad-json", "bad-utf8", "not-array"],
+)
+def test_synth_unreadable_profiles_name_the_flag(tmp_path, capsys, lexicon_path, data, fragment):
+    profiles = tmp_path / "profiles.json"
+    profiles.write_bytes(data)
+    out = tmp_path / "synth.jsonl"
+    argv = ["synth", "--lexicon", lexicon_path, "--profiles", str(profiles), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --profiles {profiles}: {fragment}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "start,fragment",
     [
         ("9999-12-31", "--start 9999-12-31T00:00:00Z: the document timestamps run past"),
@@ -560,11 +581,36 @@ def _lexicon_bytes(draw):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_SAMPLE_PROFILES = json.loads((SAMPLE_DATA / "profiles.json").read_text(encoding="utf-8"))
+# small sizes only: a drawn profile of 10**9 documents is valid and would take hours
+_profile_fields = {
+    "document_count": st.integers(-2, 40) | _json_values.filter(lambda v: type(v) is not int),
+    "token_range": st.lists(st.integers(-2, 90), max_size=3) | st.sampled_from(["30", [30.5, 80]]),
+}
+
+
+@st.composite
+def _profile_bytes(draw):
+    """The sample profiles with one item, or one field of an item, replaced
+    by a drawn JSON value, or arbitrary bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=80))
+    profiles = [dict(item) for item in _SAMPLE_PROFILES]
+    index = draw(st.integers(0, len(profiles) - 1))
+    if draw(st.booleans()):
+        profiles[index] = draw(_json_values)  # too short a key to name document_count
+    else:
+        key = draw(st.sampled_from(sorted(profiles[index])) | st.text(max_size=6))
+        profiles[index][key] = draw(_profile_fields.get(key, _json_values))
+    return json.dumps(profiles).encode("utf-8")
+
+
 @st.composite
 def cli_cases(draw):
     """A subcommand, drawn flag values with known-good replacements, any
-    other flags, one corpus line to append to ``sample_data/``, and None
-    for the sample lexicon or the bytes of a drawn one.
+    other flags, one corpus line to append to ``sample_data/``, None for
+    the sample lexicon or the bytes of a drawn one, and for ``synth`` None
+    for the sample profiles or the bytes of drawn ones.
 
     With ``--format=counts`` among the other flags, the sample corpus is
     read as term counts."""
@@ -588,17 +634,22 @@ def cli_cases(draw):
         good = {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"}
         other = draw(st.sampled_from([[], ["--rep=meta"], ["--nb=gaussian"]])) + corpus_format
     lexicon = draw(st.none() | _lexicon_bytes())
-    return command, drawn, good, other, draw(_records | st.text(max_size=80)), lexicon
+    profiles = draw(st.none() | _profile_bytes()) if command == "synth" else None
+    return command, drawn, good, other, draw(_records | st.text(max_size=80)), lexicon, profiles
 
 
-def _run_sample(command, flags, line, lexicon=None):
+def _run_sample(command, flags, line, lexicon=None, profiles=None):
     """``main`` on sample_data with one line appended to the corpus, and on
-    the ``lexicon`` bytes when given: (exit, stderr)."""
+    the ``lexicon`` and ``profiles`` bytes when given: (exit, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         lexicon_path = SAMPLE_DATA / "lexicon.csv"
         if lexicon is not None:
             lexicon_path = Path(tmp) / "lexicon.csv"
             lexicon_path.write_bytes(lexicon)
+        profiles_path = SAMPLE_DATA / "profiles.json"
+        if profiles is not None:
+            profiles_path = Path(tmp) / "profiles.json"
+            profiles_path.write_bytes(profiles)
         corpus = Path(tmp) / "corpus.jsonl"
         sample = SAMPLE_DATA / "corpus.jsonl"
         if "--format=counts" in flags:
@@ -608,7 +659,7 @@ def _run_sample(command, flags, line, lexicon=None):
         corpus.write_text(sample_lines + line + "\n", encoding="utf-8")
         argv = [command, "--lexicon", str(lexicon_path), "--out", f"{tmp}/out"]
         if command == "synth":
-            argv += ["--profiles", str(SAMPLE_DATA / "profiles.json")]
+            argv += ["--profiles", str(profiles_path)]
         else:
             argv += ["--corpus", str(corpus)]
         stderr = io.StringIO()
@@ -622,13 +673,16 @@ def _run_sample(command, flags, line, lexicon=None):
 
 @settings(deadline=None)
 @given(cli_cases())
-@example(("synth", {"--start": "9999-12-31"}, {"--start": "2013-01-01"}, [], "", None))
-@example(("synth", {"--start": "nope"}, {"--start": "2013-01-01"}, [], "", None))
-@example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], "", None))
-@example(("score", {"--window": "1w"}, {"--window": "1w"}, [], "", b"\xff"))
+@example(("synth", {"--start": "9999-12-31"}, {"--start": "2013-01-01"}, [], "", None, None))
+@example(("synth", {"--start": "nope"}, {"--start": "2013-01-01"}, [], "", None, None))
+@example(  # JSON nested too deeply for the decoder
+    ("synth", {"--start": "2013-01-01"}, {"--start": "2013-01-01"}, [], "", None, b"[" * 100000)
+)
+@example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], "", None, None))
+@example(("score", {"--window": "1w"}, {"--window": "1w"}, [], "", b"\xff", None))
 @example(  # a field over the csv module's size limit
     ("score", {"--window": "1w"}, {"--window": "1w"}, [], "",
-     (_SAMPLE_LEXICON[0] + "\n" + "a" * 140000 + ",5,1,5,1,5,1\n").encode("utf-8"))
+     (_SAMPLE_LEXICON[0] + "\n" + "a" * 140000 + ",5,1,5,1,5,1\n").encode("utf-8"), None)
 )
 @example(
     (
@@ -638,6 +692,7 @@ def _run_sample(command, flags, line, lexicon=None):
         ["--format=counts"],
         json.dumps({"id": "big", "channel": "x", "timestamp": "2013-01-01",
                     "genre": "newscast", "term_counts": {"fire": 10**400}}),
+        None,
         None,
     )
 )
@@ -649,6 +704,7 @@ def _run_sample(command, flags, line, lexicon=None):
         [],
         "",
         None,
+        None,
     )
 )
 def test_cli_boundary_ends_in_exit_0_or_one_error_line(case):
@@ -657,13 +713,13 @@ def test_cli_boundary_ends_in_exit_0_or_one_error_line(case):
     When the same case with known-good values for the drawn flags succeeds,
     the drawn values caused the error, and its line names one of them.
     """
-    command, drawn, good, other, line, lexicon = case
+    command, drawn, good, other, line, lexicon, profiles = case
     flags = [f"{k}={v}" for k, v in drawn.items()] + other
-    code, err = _run_sample(command, flags, line, lexicon)
+    code, err = _run_sample(command, flags, line, lexicon, profiles)
     if code == 0:
         assert err == ""
         return
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
     good_flags = [f"{k}={v}" for k, v in good.items()] + other
-    if _run_sample(command, good_flags, line, lexicon)[0] == 0:
+    if _run_sample(command, good_flags, line, lexicon, profiles)[0] == 0:
         assert any(flag in err for flag in drawn), err

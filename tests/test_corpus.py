@@ -17,6 +17,7 @@ from tvmood.corpus import (
     count_terms,
     filter_min_genre_support,
     load_corpus,
+    load_corpus_file,
     parse_timestamp,
     tokenize,
 )
@@ -224,6 +225,17 @@ def test_load_rejects_unknown_mode():
 def test_load_skips_blank_lines():
     text = record("a", text="x") + "\n\n" + record("b", text="y") + "\n"
     assert len(load_corpus(text, mode="text")) == 2
+
+
+def test_text_and_file_sources_split_lines_alike(tmp_path):
+    # JSON allows a raw U+2028 in a string; str.splitlines() would break the line there
+    first = record("a", text="joy fire").replace("joy fire", "joy\u2028fire")
+    text = first + "\r\n" + record("b", text="calm") + "\r\n"
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    from_file = load_corpus_file(str(path), "text")
+    assert load_corpus(text, "text") == from_file
+    assert [doc.term_counts for doc in from_file.documents] == [{"joy": 1, "fire": 1}, {"calm": 1}]
 
 
 def test_document_validation():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import pytest
@@ -136,6 +137,27 @@ def test_parse_malformed_rows_report_line_number(row, fragment):
     assert fragment in message
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (['"a\nb",5,1,5,1,5,1', "joy,15,1,5,1,5,1"], "line 2: word 'a\\nb' contains whitespace"),
+        (['calm,"5\n",1,5,1,5,1', "joy,15,1,5,1,5,1"], "line 4: rating 15.0 is outside the [1, 9] scale"),
+        (
+            ["joy,5,1,5,1,5,1", '"calm\n",6,1,6,1,6,1', "JOY,7,1,7,1,7,1"],
+            "duplicate word 'joy' at lines 2 and 5",
+        ),
+    ],
+    ids=["quoted-word", "quoted-rating", "duplicate"],
+)
+def test_errors_name_the_file_line_where_a_row_starts(rows, message):
+    """A quoted field may span lines; text and a file read the same way."""
+    text = lexicon_text(*rows)
+    for source in (text, io.StringIO(text, newline="")):
+        with pytest.raises(LexiconError) as excinfo:
+            parse_lexicon(source)
+        assert str(excinfo.value) == message
+
+
 def test_parse_accepts_blank_lines():
     lexicon = parse_lexicon(lexicon_text("joy,5,1,5,1,5,1", "", "calm,6,1,6,1,6,1"))
     assert len(lexicon) == 2
@@ -195,6 +217,15 @@ _bad_cells = (
 )
 
 
+def _parse_outcome(source):
+    """The parsed tables by repr, or the error message."""
+    try:
+        lexicon = parse_lexicon(source)
+    except LexiconError as exc:
+        return str(exc)
+    return repr(lexicon.table), repr(lexicon.sds)
+
+
 @st.composite
 def lexicon_files(draw):
     """Lexicon CSV text: valid rows, some with one drawn bad cell, some
@@ -219,12 +250,13 @@ def lexicon_files(draw):
 @example(lexicon_text("joy,5,-5e-324,5,1,5,1"))
 @example(lexicon_text("joy,5,1,nan,1,5,1", "calm,6,-1,6,1,6,1", "JOY,1,1,1,1,1,1"))
 @example(lexicon_text("joy,5,1,5,1,5,1", "", "JOY,5,1,5,1,5"))
-# more rows than one column block: a clean file, a fault and a duplicate in later blocks
+# many rows: a clean file, and a fault or a duplicate far into the file
 @example(lexicon_text(*[f"w{i},5,1,5,1,5,1" for i in range(300)]))
 @example(lexicon_text(*[f"w{i},5,1,{9.5 if i == 200 else 5},1,5,1" for i in range(300)]))
 @example(lexicon_text(*[f"w{i},5,1,5,1,5,1" for i in range(300)], "W7,5,1,5,1,5,1"))
 def test_parse_matches_row_by_row_reference(text):
-    """The column-at-a-time parser gives the reference's table, or its error."""
+    """The parser gives the reference's table, or its error, also from a file."""
+    assert _parse_outcome(io.StringIO(text, newline="")) == _parse_outcome(text)
     try:
         table, sds = parse_lexicon_rows(text)
     except LexiconError as exc:
