@@ -174,6 +174,12 @@ class GaussianNbModel:
     def __post_init__(self) -> None:
         counts = self.vocabulary is not None
         features = self.vocabulary if counts else range(self.feature_count)
+        for label, variances in zip(self.class_labels, self.variances):
+            # the log needs v > 0; a NaN passes here and fails the finite check below
+            bad = next((i for i, v in enumerate(variances) if v is not None and v <= 0.0), None)
+            if bad is not None:
+                what = f"variance {variances[bad]!r} is not positive"
+                raise ValueError(f"class {label!r}, feature {features[bad]!r}: {what}")
         log_norms = tuple(
             tuple(None if v is None else math.log(2.0 * math.pi * v) for v in row)
             for row in self.variances

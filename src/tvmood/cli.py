@@ -112,8 +112,16 @@ def _write_all(outputs: dict[str, str]) -> None:
                 os.remove(temp)
 
 
+def _read(flag: str, load: Callable, path: str, *args: str):
+    """``load(path, *args)``, with a file that is not UTF-8 named by its flag."""
+    try:
+        return load(path, *args)
+    except UnicodeDecodeError as exc:  # its message names neither file nor flag
+        raise ValueError(f"{flag} {path}: {exc}") from None
+
+
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
-    lexicon = load_lexicon(args.lexicon)
+    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
     columns = zip(affect.DIMENSIONS, zip(*lexicon.table.values()))
     ranges = [f"{dim} [{min(means):.4f}, {max(means):.4f}]" for dim, means in columns]
     print(f"{len(lexicon)} entries; " + "; ".join(ranges))
@@ -121,8 +129,8 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    corpus = load_corpus_file(args.corpus, args.format)
+    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
+    corpus = _read("--corpus", load_corpus_file, args.corpus, args.format)
 
     if args.window is not None:
         window = parse_window(args.window)
@@ -186,15 +194,15 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    corpus = load_corpus_file(args.corpus, args.format)
+    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
+    corpus = _read("--corpus", load_corpus_file, args.corpus, args.format)
     _write_all({args.out: features.features_to_csv(corpus, lexicon)})
     print(f"wrote {len(corpus)} feature rows to {args.out}")
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    lexicon = load_lexicon(args.lexicon)
+    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
     with open(args.profiles, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -224,8 +232,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kind = args.nb or evaluation.DEFAULT_NB[args.rep]
     evaluation.check_representation(args.rep, kind)
     config = evaluation.ClassifierConfig(kind=kind, alpha=args.alpha)
-    lexicon = load_lexicon(args.lexicon)
-    corpus = load_corpus_file(args.corpus, args.format)
+    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
+    corpus = _read("--corpus", load_corpus_file, args.corpus, args.format)
     corpus = filter_min_genre_support(corpus, args.min_genre_support)
     support = Counter(doc.genre for doc in corpus.documents)
     if len(support) < 2:

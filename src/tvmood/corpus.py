@@ -14,11 +14,17 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from typing import Iterable, Optional, TextIO
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'+[^\W_]+)*")
+# ASCII letters, digits and apostrophes map to themselves, every other ASCII
+# character to a space: the characters _TOKEN_RE can take from ASCII text
+_ASCII_SEPARATORS = "".join(
+    c if c.isalnum() or c == "'" else " " for c in map(chr, range(128))
+)
 
 
 class CorpusError(ValueError):
@@ -32,7 +38,13 @@ def tokenize(text: str) -> list[str]:
     underscores and everything else split, so apostrophes never start or end
     a token.
     """
-    return _TOKEN_RE.findall(text.lower())
+    lowered = text.lower()  # may be ASCII when text is not: U+212A lowers to "k"
+    if not lowered.isascii():  # translate leaves its fast path on other text
+        return _TOKEN_RE.findall(lowered)
+    # each piece is letters, digits and apostrophes: _TOKEN_RE's match in it
+    # is the piece without its wrapping apostrophes, unless that is empty
+    pieces = lowered.translate(_ASCII_SEPARATORS).split()
+    return list(filter(None, map(str.strip, pieces, repeat("'"))))
 
 
 def count_terms(tokens: Iterable[str]) -> tuple[dict[str, int], int]:
@@ -100,19 +112,22 @@ class Document:
     total_tokens: int
     genre: Optional[str] = None
     timestamp: Optional[datetime] = None
+    # True only from from_counts, for lowercase keys whose counts it checked
+    _counts_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _counts_checked: bool) -> None:
         if not self.id:
             raise ValueError("document id is empty")
-        _check_counts(self.id, self.term_counts)
-        if (joined := "".join(self.term_counts)) != joined.lower():  # one pass in C
-            term = next(t for t in self.term_counts if t != t.lower())
-            raise ValueError(f"document {self.id!r}: term {term!r} is not lowercase")
-        if self.total_tokens != sum(self.term_counts.values()):
-            raise ValueError(
-                f"document {self.id!r}: total_tokens {self.total_tokens} does "
-                f"not equal the sum of term counts"
-            )
+        if not _counts_checked:
+            _check_counts(self.id, self.term_counts)
+            if (joined := "".join(self.term_counts)) != joined.lower():  # one pass in C
+                term = next(t for t in self.term_counts if t != t.lower())
+                raise ValueError(f"document {self.id!r}: term {term!r} is not lowercase")
+            if self.total_tokens != sum(self.term_counts.values()):
+                raise ValueError(
+                    f"document {self.id!r}: total_tokens {self.total_tokens} does "
+                    f"not equal the sum of term counts"
+                )
         if self.timestamp is not None:
             if self.timestamp.tzinfo is None:
                 raise ValueError(f"document {self.id!r}: timestamp is naive")
@@ -143,11 +158,13 @@ class Document:
         """Build from a pre-counted map; tokens are lowercased and merged."""
         _check_counts(id, term_counts)  # before merging can hide a bad count
         merged = dict(term_counts)
-        if (joined := "".join(term_counts)) != joined.lower():  # else nothing merges
+        lowercase = (joined := "".join(term_counts)) == joined.lower()  # nothing merges
+        if not lowercase:
             merged = {}
             for term, count in term_counts.items():
                 merged[term.lower()] = merged.get(term.lower(), 0) + count
-        return cls(id, channel, merged, sum(merged.values()), genre, timestamp)
+        # merged counts are checked again, since a sum can pass 2**53
+        return cls(id, channel, merged, sum(merged.values()), genre, timestamp, lowercase)
 
 
 @dataclass(frozen=True, slots=True)

@@ -411,6 +411,18 @@ def test_gaussian_variance_with_infinite_log_norm_names_class_and_feature():
             model_from_json(json.dumps(payload))
 
 
+def test_gaussian_variance_not_positive_names_class_and_feature():
+    model = train_gaussian([[1.0], [2.0], [1.0], [3.0]], ["a", "a", "b", "b"])
+    for variance in (0.0, -0.0, -1.0):
+        payload = json.loads(model_to_json(model))
+        payload["variances"][1][0] = variance
+        with pytest.raises(ValueError) as excinfo:
+            model_from_json(json.dumps(payload))
+        assert str(excinfo.value) == (
+            f"class 'b', feature 0: variance {variance!r} is not positive"
+        )
+
+
 def test_prediction_is_deterministic():
     model = train_gaussian([[0.0], [2.0], [4.0], [6.0]], ["A", "A", "B", "B"])
     first = predict_gaussian(model, [2.5])

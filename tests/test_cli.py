@@ -488,6 +488,31 @@ def test_synth_unreadable_profiles_name_the_flag(tmp_path, capsys, lexicon_path,
 
 
 @pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("lexicon-validate", "--lexicon"),
+        *((command, flag) for command in ("score", "features", "evaluate")
+          for flag in ("--lexicon", "--corpus")),
+    ],
+)
+def test_undecodable_input_names_its_flag(tmp_path, capsys, lexicon_path, corpus_path, command, flag):
+    files = {"--lexicon": lexicon_path, "--corpus": corpus_path}
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(Path(files[flag]).read_bytes() + b"\xff\n")
+    files[flag] = str(bad)
+    argv = [command, "--lexicon", files["--lexicon"]]
+    if command != "lexicon-validate":
+        argv += ["--corpus", files["--corpus"], "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--folds", "2", "--min-genre-support", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize(
     "start,fragment",
     [
         ("9999-12-31", "--start 9999-12-31T00:00:00Z: the document timestamps run past"),
@@ -720,6 +745,8 @@ def test_cli_boundary_ends_in_exit_0_or_one_error_line(case):
         assert err == ""
         return
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    if "codec can't decode" in err:  # a file that is not UTF-8 is named by its flag
+        assert err.startswith(("error: --lexicon ", "error: --corpus ", "error: --profiles ")), err
     good_flags = [f"{k}={v}" for k, v in good.items()] + other
     if _run_sample(command, good_flags, line, lexicon, profiles)[0] == 0:
         assert any(flag in err for flag in drawn), err
