@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -413,15 +414,14 @@ def predict_multinomial(
     Terms outside the training vocabulary are ignored; an empty instance
     yields the priors.
     """
-    log_scores = []
-    for index in range(len(model.class_labels)):
-        row = model.log_term_probs[index]
-        terms = [
-            count * row[model.term_index[term]]
-            for term, count in instance.items()
-            if term in model.term_index
-        ]
-        log_scores.append(model.log_priors[index] + math.fsum(terms))
+    term_index = model.term_index
+    known = [term for term in instance if term in term_index]
+    columns = list(map(term_index.__getitem__, known))
+    counts = list(map(instance.__getitem__, known))
+    log_scores = [
+        prior + math.fsum(map(operator.mul, counts, map(row.__getitem__, columns)))
+        for prior, row in zip(model.log_priors, model.log_term_probs)
+    ]
     return _normalize_log_scores(model.class_labels, log_scores)
 
 

@@ -129,6 +129,8 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    if args.origin is not None and args.window is None:
+        raise ValueError("--origin is only allowed with --window")
     lexicon = _read("--lexicon", load_lexicon, args.lexicon)
     corpus = _read("--corpus", load_corpus_file, args.corpus, args.format)
 
@@ -328,15 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(sub)
     sub.add_argument("--out", required=True, help="output CSV path")
-    sub.add_argument(
-        "--per-document", action="store_true", help="one row per document"
-    )
-    sub.add_argument(
-        "--window", help="window length such as 7d or 4w; emits a series CSV"
-    )
+    rows = sub.add_mutually_exclusive_group()
+    rows.add_argument("--per-document", action="store_true", help="one row per document")
+    rows.add_argument("--window", help="window length such as 7d or 4w; emits a series CSV")
     sub.add_argument(
         "--origin",
-        help="window origin (ISO-8601); default: earliest timestamp at midnight UTC",
+        help="window origin (ISO-8601), only with --window; default: earliest "
+        "timestamp at midnight UTC",
     )
     sub.set_defaults(handler=cmd_score)
 

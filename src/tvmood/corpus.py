@@ -112,7 +112,7 @@ class Document:
     total_tokens: int
     genre: Optional[str] = None
     timestamp: Optional[datetime] = None
-    # True only from from_counts, for lowercase keys whose counts it checked
+    # True only from from_text and from_counts: lowercase keys, checked counts, summed total
     _counts_checked: InitVar[bool] = False
 
     def __post_init__(self, _counts_checked: bool) -> None:
@@ -143,8 +143,9 @@ class Document:
         genre: Optional[str] = None,
         timestamp: Optional[datetime] = None,
     ) -> "Document":
+        # positive int counts of lowercase tokens, and their sum, by construction
         counts, total = count_terms(tokenize(text))
-        return cls(id, channel, counts, total, genre, timestamp)
+        return cls(id, channel, counts, total, genre, timestamp, True)
 
     @classmethod
     def from_counts(

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Optional
 
 from .affect import DIMENSIONS, match_stats
@@ -53,13 +55,9 @@ VsmVector = dict[str, int]
 def _weighted_median(values: tuple[float, ...], counts: list[int], total: int) -> float:
     """Weighted median: the element at 1-based position ceil(total/2) of the
     expanded multiset, i.e. the lower-middle element for even totals."""
-    target = (total + 1) // 2
-    accumulated = 0
-    for value, count in sorted(zip(values, counts)):
-        accumulated += count
-        if accumulated >= target:
-            break
-    return value
+    order = sorted(range(len(values)), key=values.__getitem__)
+    running = list(accumulate(map(counts.__getitem__, order)))
+    return values[order[bisect_left(running, (total + 1) // 2)]]
 
 
 def extract_meta(doc: Document, lexicon: AffectLexicon) -> list[Optional[float]]:

@@ -19,7 +19,7 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain, cycle
 from typing import Iterable, Optional, TextIO
 
@@ -80,8 +80,12 @@ class AffectLexicon:
 
     table: dict[str, tuple[float, float, float]]
     sds: dict[str, tuple[float, float, float]]
+    # True only from parse_lexicon, which checked every row
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _checked: bool) -> None:
+        if _checked:
+            return
         _check_words(list(self.table))
         if self.sds.keys() != self.table.keys():
             raise ValueError("the mean and sd tables hold different words")
@@ -180,7 +184,7 @@ def parse_lexicon(source: str | TextIO | Iterable[str]) -> AffectLexicon:
         raise LexiconError(f"line {line + 1}: {exc}") from None
     if not table:
         raise LexiconError("lexicon contains no entries")
-    return AffectLexicon(table, sds)
+    return AffectLexicon(table, sds, True)
 
 
 def serialize_lexicon(lexicon: AffectLexicon) -> str:

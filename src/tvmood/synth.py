@@ -125,20 +125,20 @@ def generate(
         pools.append(pool)
 
     rng = random.Random(seed)
+    draw, choice = rng.random, rng.choice
     documents = []
     serial = 0
     for profile, pool in zip(profiles, pools):
+        bias = profile.bias
         for _ in range(profile.document_count):
             token_count = rng.randint(*profile.token_range)
-            counts: Counter[str] = Counter()
-            for _ in range(token_count):
-                source = pool if rng.random() < profile.bias else shared_pool
-                counts[rng.choice(source)] += 1
+            # a per-token loop's RNG calls in its order; Counter keeps first-seen order
+            tokens = [choice(pool if draw() < bias else shared_pool) for _ in range(token_count)]
             documents.append(
                 Document(
                     id=f"{profile.label}-{serial:05d}",
                     channel=profile.channel or profile.label,
-                    term_counts=dict(counts),
+                    term_counts=dict(Counter(tokens)),
                     total_tokens=token_count,
                     genre=profile.label,
                     timestamp=start + serial * spacing,

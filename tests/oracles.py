@@ -10,7 +10,11 @@ integration for AUC. The dense-row Gaussian Naive Bayes reference
 ``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows.
 The row-by-row lexicon parser and the per-term lookup loop are the
 references for ``lexicon.parse_lexicon`` (same table or same error
-message) and ``affect.match_stats`` (bit-identical statistics).
+message) and ``affect.match_stats`` (bit-identical statistics). The walk
+over sorted (value, count) pairs, the per-class term lookups and the
+per-token ``Counter`` loop are the bit-exact references for
+``features._weighted_median``, ``classify.predict_multinomial`` and
+``synth.generate``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -26,7 +32,9 @@ import numpy as np
 
 from tvmood.affect import AffectScore, AffectSpread, MatchStats
 from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel
+from tvmood.corpus import Corpus, Document
 from tvmood.lexicon import LEXICON_HEADER, LexiconError
+from tvmood.synth import DEFAULT_SPACING, DEFAULT_START, VALENCE_BAND
 
 mpmath.mp.dps = 60
 
@@ -185,6 +193,25 @@ def predict_gaussian_dense(model, instance):
     return model.class_labels, tuple(value / total for value in shifted)
 
 
+def predict_multinomial_lookup(model, instance):
+    """``(labels, probabilities)``: per class, ``fsum`` of count times the
+    class's log term probability over the instance's known terms, each term
+    looked up in the vocabulary index again, then log-sum-exp normalization."""
+    log_scores = []
+    for index in range(len(model.class_labels)):
+        row = model.log_term_probs[index]
+        terms = [
+            count * row[model.term_index[term]]
+            for term, count in instance.items()
+            if term in model.term_index
+        ]
+        log_scores.append(model.log_priors[index] + math.fsum(terms))
+    peak = max(log_scores)
+    shifted = [math.exp(score - peak) for score in log_scores]
+    total = math.fsum(shifted)
+    return model.class_labels, tuple(value / total for value in shifted)
+
+
 def multinomial_posterior(instances, labels, alpha, query):
     """Exact rational smoothed-count products."""
     class_labels = sorted(set(labels))
@@ -318,3 +345,46 @@ def match_stats_lookup(term_counts, lexicon):
         sds.append(math.sqrt(variance) if variance > 0 else 0.0)
     score = AffectScore(*means, len(counts), total)
     return MatchStats(counts, values, low, high, score, AffectSpread(*sds))
+
+
+def weighted_median_walk(values, counts, total):
+    """Walk the sorted (value, count) pairs until the running count reaches
+    ceil(total / 2): the lower-middle element for even totals."""
+    target = (total + 1) // 2
+    accumulated = 0
+    for value, count in sorted(zip(values, counts)):
+        accumulated += count
+        if accumulated >= target:
+            break
+    return value
+
+
+def generate_per_token(profiles, lexicon, seed, start=DEFAULT_START, spacing=DEFAULT_SPACING):
+    """``synth.generate`` drawing and counting one token at a time."""
+    shared_pool = lexicon.words()
+    pools = [
+        [w for w in shared_pool if abs(lexicon.table[w][0] - profile.target[0]) <= VALENCE_BAND]
+        for profile in profiles
+    ]
+    rng = random.Random(seed)
+    documents = []
+    serial = 0
+    for profile, pool in zip(profiles, pools):
+        for _ in range(profile.document_count):
+            token_count = rng.randint(*profile.token_range)
+            counts = Counter()
+            for _ in range(token_count):
+                source = pool if rng.random() < profile.bias else shared_pool
+                counts[rng.choice(source)] += 1
+            documents.append(
+                Document(
+                    id=f"{profile.label}-{serial:05d}",
+                    channel=profile.channel or profile.label,
+                    term_counts=dict(counts),
+                    total_tokens=token_count,
+                    genre=profile.label,
+                    timestamp=start + serial * spacing,
+                )
+            )
+            serial += 1
+    return Corpus(tuple(documents))

@@ -27,6 +27,7 @@ from oracles import (
     gaussian_posterior,
     multinomial_posterior,
     predict_gaussian_dense,
+    predict_multinomial_lookup,
     train_gaussian_dense,
 )
 
@@ -341,6 +342,20 @@ def test_multinomial_matches_fraction_oracle():
         oracle_labels, oracle_probs = multinomial_posterior(instances, labels, alpha, query)
         assert posterior.labels == tuple(oracle_labels)
         assert posterior.probabilities == pytest.approx(oracle_probs, abs=1e-9)
+
+
+@given(
+    counts_problems(counts=st.one_of(st.integers(1, 9), st.integers(1, 2**53))),
+    st.sampled_from([1.0, 0.5, 1e-3, 7.25]),
+)
+def test_multinomial_equals_per_class_lookup_bit_for_bit(problem, alpha):
+    instances, labels, query = problem
+    model = train_multinomial(instances, labels, alpha)
+    for instance in (query, {}, {"oov": 3}):
+        posterior = predict_multinomial(model, instance)
+        labels_, probabilities = predict_multinomial_lookup(model, instance)
+        assert posterior.labels == labels_
+        assert repr(posterior.probabilities) == repr(probabilities)
 
 
 def test_posteriors_sum_to_one_and_stay_finite():

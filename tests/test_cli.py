@@ -166,6 +166,29 @@ def test_score_oversized_window_is_one_line_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--per-document", "--window", "1w"], "argument --window: not allowed with argument --per-document"),
+        (["--origin", "2013-01-01"], "--origin is only allowed with --window"),
+    ],
+    ids=["per-document-with-window", "origin-without-window"],
+)
+def test_score_rejects_flags_it_would_ignore(
+    lexicon_path, corpus_path, tmp_path, capsys, flags, message
+):
+    out = tmp_path / "scores.csv"
+    argv = ["score", "--lexicon", lexicon_path, "--corpus", corpus_path,
+            "--format", "counts", "--out", str(out), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse flag errors
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_score_nothing_matches_is_an_error(lexicon_path, tmp_path, capsys):
     docs = (make_doc("only", {"zzz": 3}, channel="x", timestamp=T0),)
     corpus_file = tmp_path / "unmatched.jsonl"

@@ -259,6 +259,15 @@ def test_document_validation():
         Document("a", "cnn", {"calm": 1, "Fire": 2, "WIN": 1}, 4)
 
 
+def test_document_from_text_equals_checked_construction():
+    doc = Document.from_text("a", "cnn", "Fire, fire and CALM's calm", "news", T0)
+    assert list(doc.term_counts.items()) == [("fire", 2), ("and", 1), ("calm's", 1), ("calm", 1)]
+    assert doc == Document("a", "cnn", dict(doc.term_counts), 5, "news", T0)
+    assert Document.from_text("b", "cnn", "").total_tokens == 0
+    with pytest.raises(ValueError, match="^document id is empty$"):
+        Document.from_text("", "cnn", "fire")
+
+
 def test_document_from_counts_merges_case():
     doc = Document.from_counts("a", "cnn", {"Fire": 2, "fire": 1})
     assert doc.term_counts == {"fire": 3}

@@ -6,13 +6,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvmood.affect import NoSignalError, score_counts
 from tvmood.corpus import Corpus
-from tvmood.features import FEATURE_NAMES, extract_meta, extract_vsm, features_to_csv
+from tvmood.features import (
+    FEATURE_NAMES,
+    _weighted_median,
+    extract_meta,
+    extract_vsm,
+    features_to_csv,
+)
 
 from conftest import make_doc, make_lexicon, random_counts, random_lexicon
-from oracles import expansion_stats
+from oracles import expansion_stats, weighted_median_walk
 
 DIMENSIONS = ("valence", "arousal", "dominance")
 
@@ -72,6 +80,26 @@ def test_extract_meta_matches_expansion_oracle():
             assert mean == pytest.approx(expected["mean"], abs=1e-12)
             assert sd == pytest.approx(expected["sd"], abs=1e-12)
             assert median == expected["median"]
+
+
+# values on the grid of normalized lexicon ratings, often tied (k/800 for a
+# raw rating 1 + k/100); counts up to the largest one a document may hold
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 4), st.integers(0, 800)).map(lambda k: k / 800),
+            st.one_of(st.integers(1, 9), st.integers(1, 2**53)),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_weighted_median_equals_sorted_pair_walk(pairs):
+    values, counts = zip(*pairs)
+    values, counts = tuple(values), list(counts)
+    total = sum(counts)
+    median = _weighted_median(values, counts, total)
+    assert repr(median) == repr(weighted_median_walk(values, counts, total))
 
 
 def test_extract_meta_mean_agrees_with_score_counts():

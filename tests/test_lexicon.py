@@ -71,6 +71,35 @@ def test_non_finite_sd_is_rejected(raw):
         parse_lexicon(lexicon_text(f"joy,5,{raw},5,1,5,1"))
 
 
+@pytest.mark.parametrize(
+    "table, sds, message",
+    [
+        ({"Joy": (0.5,) * 3}, {"Joy": (0.1,) * 3}, "word 'Joy' is not lowercase"),
+        ({"big joy": (0.5,) * 3}, {"big joy": (0.1,) * 3}, "word 'big joy' contains whitespace"),
+        ({"": (0.5,) * 3}, {"": (0.1,) * 3}, "word is empty"),
+        (
+            {"joy": (0.5, 1.5, 0.5)},
+            {"joy": (0.1,) * 3},
+            r"word 'joy': means \(0.5, 1.5, 0.5\) are not three finite values in \[0, 1\]",
+        ),
+        (
+            {"joy": (0.5, 0.5)},
+            {"joy": (0.1,) * 3},
+            r"word 'joy': means \(0.5, 0.5\) are not three finite values in \[0, 1\]",
+        ),
+        ({"joy": (0.5,) * 3}, {"fun": (0.1,) * 3}, "the mean and sd tables hold different words"),
+    ],
+)
+def test_direct_construction_checks_every_word_and_value(table, sds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AffectLexicon(table, sds)
+
+
+def test_parsed_lexicon_equals_checked_construction():
+    lexicon = parse_lexicon(lexicon_text("joy,8.21,1.02,5.98,2.54,7.00,1.80", "Fire,2,1,8,1,5,1"))
+    assert AffectLexicon(dict(lexicon.table), dict(lexicon.sds)) == lexicon
+
+
 def test_parse_single_row_hand_values():
     lexicon = parse_lexicon(lexicon_text("joy,8.21,1.02,5.98,2.54,7.00,1.80"))
     means = lexicon.lookup("joy")

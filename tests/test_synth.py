@@ -7,12 +7,15 @@ from collections import Counter
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmood.affect import score_counts
 from tvmood.corpus import corpus_to_jsonl, load_corpus
 from tvmood.synth import GenreProfile, generate
 
 from conftest import T0, random_lexicon
+from oracles import generate_per_token
 
 
 def test_generate_cardinality_and_labels():
@@ -136,3 +139,42 @@ def test_generate_bias_zero_uses_shared_pool():
         pooled.update(doc.term_counts)
     # with no bias both genres draw from the whole lexicon
     assert len(pooled) > 30
+
+
+@st.composite
+def synth_problems(draw, bias):
+    """A random lexicon, one to three profiles of the given bias, and a seed.
+
+    Each profile targets the valence of a lexicon word, so its pool is not empty.
+    """
+    lexicon = random_lexicon(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(5, 60)))
+    valences = [means[0] for means in lexicon.table.values()]
+    profiles = []
+    for index in range(draw(st.integers(1, 3))):
+        low = draw(st.integers(1, 40))
+        profiles.append(
+            GenreProfile(
+                f"g{index}",
+                draw(st.integers(1, 4)),
+                draw(bias),
+                (draw(st.sampled_from(valences)), 0.5, 0.5),
+                (low, low + draw(st.integers(0, 40))),
+                channel=draw(st.sampled_from([None, "shared"])),
+            )
+        )
+    return profiles, lexicon, draw(st.integers(0, 2**64))
+
+
+@pytest.mark.parametrize(
+    "bias", [st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)], ids=["bias0", "bias1", "mixed"]
+)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_generate_equals_per_token_counter_loop(bias, data):
+    profiles, lexicon, seed = data.draw(synth_problems(bias))
+    corpus = generate(profiles, lexicon, seed)
+    reference = generate_per_token(profiles, lexicon, seed)
+    assert corpus_to_jsonl(corpus) == corpus_to_jsonl(reference)
+    assert [list(doc.term_counts.items()) for doc in corpus.documents] == [
+        list(doc.term_counts.items()) for doc in reference.documents
+    ]
