@@ -142,6 +142,7 @@ def generate(
                     total_tokens=token_count,
                     genre=profile.label,
                     timestamp=start + serial * spacing,
+                    _counts_checked=True,  # lowercase lexicon words, counts summing to token_count
                 )
             )
             serial += 1

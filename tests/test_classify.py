@@ -261,6 +261,56 @@ def test_gaussian_counts_and_dense_rows_do_not_mix():
             predict_gaussian(dense_model, query)
 
 
+def _assert_same_fits(model, reference):
+    """Means, variances and floor with equal bits; repr tells -0.0 from 0.0."""
+    assert repr(model.means) == repr(reference.means)
+    assert repr(model.variances) == repr(reference.variances)
+    assert repr(model.variance_floor) == repr(reference.variance_floor)
+
+
+@st.composite
+def repeated_counts_problems(draw):
+    """Counts of 1 or 2 over six terms in at most 12 instances, so that
+    most (term, class) value patterns repeat across terms and classes."""
+    classes = [f"c{c}" for c in range(draw(st.integers(2, 3)))]
+    labels = classes + draw(st.lists(st.sampled_from(classes), max_size=12 - len(classes)))
+    vector = st.dictionaries(st.sampled_from(TERMS), st.integers(1, 2), max_size=6)
+    instances = [draw(vector) for _ in labels]
+    instances[0] = instances[0] or {"t0": 1}
+    return instances, labels
+
+
+@given(repeated_counts_problems())
+def test_gaussian_counts_with_repeated_patterns_match_dense_reference(problem):
+    """The trainer fits each distinct value pattern once; the reference
+    rescans every (class, feature) pair of the densified rows."""
+    instances, labels = problem
+    model = train_gaussian(instances, labels)
+    densified = [densify(x, model.vocabulary) for x in instances]
+    _assert_same_fits(model, train_gaussian_dense(densified, labels))
+
+
+def test_gaussian_equal_patterns_of_signed_zeros_and_ints_share_exact_fits():
+    # -0.0 == 0.0 and 1 == 1.0, so these patterns share one fit whichever comes first
+    for first, second in ((-0.0, 0.0), (0.0, -0.0), (1, 1.0), (1.0, 1)):
+        dense = [[first, first], [2.0, second], [second, 1.0], [2.0, 1], [first, -0.0]]
+        labels = ["a", "a", "b", "b", "c"]
+        reference = train_gaussian_dense(dense, labels)
+        _assert_same_fits(train_gaussian(dense, labels), reference)
+        counts = [{"x": first, "y": 2.0}, {"x": second}, {"y": first}, {"x": second, "y": 1}]
+        labels = ["a", "a", "b", "b"]
+        reference = train_gaussian_dense([densify(x, "xy") for x in counts], labels)
+        _assert_same_fits(train_gaussian(counts, labels), reference)
+
+
+def test_gaussian_equal_overflowing_patterns_name_the_first_feature():
+    # "b" is seen first, but "a" comes first in vocabulary order, and a failed fit is not shared
+    with pytest.raises(ValueError, match=r"^feature 'a': .* not finite"):
+        train_gaussian([{"b": 1e300, "a": 1e300}, {"c": 1}], ["x", "y"])
+    with pytest.raises(ValueError, match=r"^feature 0: .* not finite"):
+        train_gaussian([[1e300, 1e300], [0.0, 0.0], [1.0, 1.0]], ["x", "y", "y"])
+
+
 def test_multinomial_hand_smoothing():
     model = train_multinomial([{"a": 2, "b": 1}, {"c": 3}], ["x", "y"], alpha=1.0)
     x_row = model.log_term_probs[model.class_labels.index("x")]
