@@ -37,6 +37,7 @@ from .corpus import (
     filter_min_genre_support,
     load_corpus,
     load_corpus_file,
+    read_documents,
     tokenize,
 )
 from .evaluation import (

@@ -62,11 +62,10 @@ def parse_window(spec: str) -> timedelta:
 
 
 def default_origin(corpus: Corpus) -> datetime:
-    """Earliest document timestamp, truncated to midnight UTC."""
-    stamps = [doc.timestamp for doc in corpus.documents if doc.timestamp is not None]
-    if not stamps:
-        raise ValueError("corpus has no timestamped documents")
-    return min(stamps).replace(hour=0, minute=0, second=0, microsecond=0)
+    """Earliest timestamp of a loaded corpus (whole seconds), truncated to midnight UTC."""
+    if not corpus.documents:
+        raise ValueError("corpus has no documents, so --window needs --origin")
+    return min(doc.timestamp for doc in corpus.documents).replace(hour=0, minute=0, second=0)
 
 
 def _write_all(outputs: dict[str, str]) -> None:
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub: argparse.ArgumentParser, corpus: bool = True) -> None:
+    def common(sub: argparse.ArgumentParser, corpus: bool = True, seed: bool = False) -> None:
         sub.add_argument("--lexicon", required=True, help="lexicon CSV path")
         if corpus:
             sub.add_argument("--corpus", required=True, help="corpus JSONL path")
@@ -317,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default="text",
                 help="corpus record mode (default: text)",
             )
-        sub.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
+        if seed:  # only synth and evaluate draw random numbers
+            sub.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
     sub = subparsers.add_parser(
         "lexicon-validate", help="parse a lexicon and print a summary"
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "synth", help="generate a synthetic labeled corpus"
     )
-    common(sub, corpus=False)
+    common(sub, corpus=False, seed=True)
     sub.add_argument(
         "--profiles", required=True, help="JSON array of genre profiles"
     )
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "evaluate", help="stratified cross-validation; writes JSON + CSV reports"
     )
-    common(sub)
+    common(sub, seed=True)
     sub.add_argument("--out", required=True, help="output path prefix (or .json path)")
     sub.add_argument(
         "--rep", choices=evaluation.REPRESENTATIONS, default="vsm",

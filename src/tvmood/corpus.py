@@ -13,11 +13,12 @@ from __future__ import annotations
 import io
 import json
 import re
+from array import array
 from collections import Counter
 from dataclasses import InitVar, dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'+[^\W_]+)*")
 # ASCII letters, digits and apostrophes map to themselves, every other ASCII
@@ -112,13 +113,13 @@ class Document:
     total_tokens: int
     genre: Optional[str] = None
     timestamp: Optional[datetime] = None
-    # True only from from_text and from_counts: lowercase keys, checked counts, summed total
-    _counts_checked: InitVar[bool] = False
+    # True only from a producer in this package that checked the terms and their total
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self, _counts_checked: bool) -> None:
+    def __post_init__(self, _checked: bool) -> None:
         if not self.id:
             raise ValueError("document id is empty")
-        if not _counts_checked:
+        if not _checked:
             _check_counts(self.id, self.term_counts)
             if (joined := "".join(self.term_counts)) != joined.lower():  # one pass in C
                 term = next(t for t in self.term_counts if t != t.lower())
@@ -173,10 +174,13 @@ class Corpus:
     """Ordered, immutable collection of documents with distinct ids."""
 
     documents: tuple[Document, ...]
+    # True only from a producer in this package that checked the ids are distinct
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.documents, tuple):
-            object.__setattr__(self, "documents", tuple(self.documents))
+    def __post_init__(self, _checked: bool) -> None:
+        if _checked:
+            return
+        object.__setattr__(self, "documents", tuple(self.documents))  # a tuple is kept as is
         seen: set[str] = set()
         for doc in self.documents:
             if doc.id in seen:
@@ -198,22 +202,24 @@ class Corpus:
         return [doc for doc in self.documents if doc.channel == channel]
 
 
-def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
-    """Load a JSON-lines corpus in ``text`` or ``counts`` mode.
+def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
+    """Yield each JSON-lines record as a checked :class:`Document`, in file order.
 
     In ``text`` mode each record's ``text`` field is tokenized and counted;
     in ``counts`` mode the ``term_counts`` map is used as given, except that
-    tokens are lowercased (counts merge on collision). Raises
-    :class:`CorpusError` with a line number for malformed records and names
-    the offending id for duplicates.
+    tokens are lowercased (counts merge on collision). Lazy: a line is read
+    only when the next document is asked for, and a :class:`CorpusError`
+    naming the line of a bad record, or both lines of a duplicate id, is
+    raised when iteration reaches that record.
     """
-    if mode not in ("text", "counts"):
+    if mode == "text":
+        field, kind, what, build = "text", str, "a string", Document.from_text
+    elif mode == "counts":
+        field, kind, what, build = "term_counts", dict, "an object", Document.from_counts
+    else:
         raise ValueError(f"unknown corpus mode {mode!r}; use 'text' or 'counts'")
-    # text splits into lines exactly as load_corpus_file's text-mode file does
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
-
-    documents: list[Document] = []
-    seen: set[str] = set()
+    ids: dict[str, None] = {}  # in file order; starts holds each one's line
+    starts = array("q")
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -231,14 +237,14 @@ def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
             if not isinstance(record[key], str):
                 raise CorpusError(f"line {line_no}: field {key!r} must be a string")
         if "text" in record and "term_counts" in record:
-            raise CorpusError(
-                f"line {line_no}: record has both 'text' and 'term_counts'"
-            )
+            raise CorpusError(f"line {line_no}: record has both 'text' and 'term_counts'")
 
         doc_id = record["id"]
-        if doc_id in seen:
-            raise CorpusError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
+        if doc_id in ids:
+            first = starts[list(ids).index(doc_id)]
+            raise CorpusError(f"duplicate document id {doc_id!r} at lines {first} and {line_no}")
+        ids[doc_id] = None
+        starts.append(line_no)
 
         try:
             timestamp = parse_timestamp(record["timestamp"])
@@ -251,11 +257,6 @@ def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
         if genre is not None and not isinstance(genre, str):
             raise CorpusError(f"line {line_no}: field 'genre' must be a string")
 
-        field, kind, what, build = (
-            ("text", str, "a string", Document.from_text)
-            if mode == "text"
-            else ("term_counts", dict, "an object", Document.from_counts)
-        )
         if field not in record:
             raise CorpusError(f"line {line_no}: missing required field {field!r}")
         if not isinstance(record[field], kind):
@@ -264,8 +265,14 @@ def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
             document = build(doc_id, record["channel"], record[field], genre, timestamp)
         except ValueError as exc:
             raise CorpusError(f"line {line_no}: {exc}") from None
-        documents.append(document)
-    return Corpus(tuple(documents))
+        yield document
+
+
+def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
+    """:func:`read_documents` as a :class:`Corpus`; a ``str`` is split into lines
+    exactly as :func:`load_corpus_file` splits its file."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    return Corpus(tuple(read_documents(lines, mode)), True)  # read_documents checks the ids
 
 
 def load_corpus_file(path: str, mode: str) -> Corpus:
@@ -312,4 +319,4 @@ def filter_min_genre_support(corpus: Corpus, min_programs: int) -> Corpus:
         for doc in corpus.documents
         if doc.genre is not None and support[doc.genre] >= min_programs
     )
-    return Corpus(kept)
+    return Corpus(kept, True)  # a subsequence of distinct ids

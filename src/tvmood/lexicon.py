@@ -1,4 +1,4 @@
-"""Affect lexicon parsing, normalization, and lookup.
+"""Affect lexicon parsing and normalization.
 
 A lexicon file is a CSV with one header line and seven columns:
 
@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import InitVar, dataclass
 from itertools import chain, cycle
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, TextIO
 
 RAW_MIN = 1.0
 RAW_MAX = 9.0
@@ -80,7 +80,7 @@ class AffectLexicon:
 
     table: dict[str, tuple[float, float, float]]
     sds: dict[str, tuple[float, float, float]]
-    # True only from parse_lexicon, which checked every row
+    # True only from a producer in this package that checked the words and values
     _checked: InitVar[bool] = False
 
     def __post_init__(self, _checked: bool) -> None:
@@ -102,13 +102,6 @@ class AffectLexicon:
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self.table
-
-    def lookup(self, token: str) -> Optional[tuple[float, float, float]]:
-        """Case-insensitive lookup of the means. Returns None for unknown tokens."""
-        return self.table.get(token.lower())
 
     def words(self) -> list[str]:
         """All lexicon words in sorted order."""

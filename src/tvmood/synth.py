@@ -109,8 +109,6 @@ def generate(
     """
     if not profiles:
         raise ValueError("no profiles given")
-    if len(lexicon) == 0:
-        raise ValueError("empty lexicon")
 
     shared_pool = lexicon.words()
     pools = []
@@ -142,8 +140,8 @@ def generate(
                     total_tokens=token_count,
                     genre=profile.label,
                     timestamp=start + serial * spacing,
-                    _counts_checked=True,  # lowercase lexicon words, counts summing to token_count
+                    _checked=True,  # lowercase lexicon words, counts summing to token_count
                 )
             )
             serial += 1
-    return Corpus(tuple(documents))
+    return Corpus(tuple(documents), True)  # serial numbers make the ids distinct

@@ -54,6 +54,16 @@ def make_doc(
     )
 
 
+def checked_copy(corpus: Corpus) -> Corpus:
+    """``corpus`` rebuilt through the fully checked constructors, from a list."""
+    return Corpus(
+        [
+            Document(d.id, d.channel, dict(d.term_counts), d.total_tokens, d.genre, d.timestamp)
+            for d in corpus.documents
+        ]
+    )
+
+
 def weekly_docs(count: int, counts: dict[str, int], channel: str = "cnn") -> Corpus:
     docs = tuple(
         make_doc(f"wk{i:02d}", dict(counts), channel, timestamp=T0 + timedelta(weeks=i))

@@ -56,7 +56,7 @@ def expansion_stats(counts, lexicon, dim):
     """Replicate each matched term by its count; plain statistics on the list."""
     values = []
     for term, count in counts.items():
-        means = lexicon.lookup(term)
+        means = lexicon.table.get(term.lower())
         if means is not None:
             values.extend([means[("valence", "arousal", "dominance").index(dim)]] * count)
     if not values:
@@ -324,7 +324,7 @@ def match_stats_lookup(term_counts, lexicon):
     counts = []
     values = ([], [], [])
     for term, count in term_counts.items():
-        means = lexicon.lookup(term)
+        means = lexicon.table.get(term.lower())
         if means is not None:
             counts.append(count)
             for column, mean in zip(values, means):

@@ -65,7 +65,7 @@ def test_score_stays_within_matched_value_range():
         counts = random_counts(rng, vocabulary)
         score, _ = score_counts(counts, lexicon)
         for d, dim in enumerate(("valence", "arousal", "dominance")):
-            values = [lexicon.lookup(t)[d] for t in counts]
+            values = [lexicon.table.get(t.lower())[d] for t in counts]
             assert min(values) - 1e-12 <= getattr(score, dim) <= max(values) + 1e-12
 
 

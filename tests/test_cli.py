@@ -189,6 +189,19 @@ def test_score_rejects_flags_it_would_ignore(
     assert not out.exists()
 
 
+def test_score_window_on_an_empty_corpus_needs_origin(lexicon_path, tmp_path, capsys):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("\n", encoding="utf-8")
+    out = tmp_path / "series.csv"
+    argv = ["score", "--lexicon", lexicon_path, "--corpus", str(corpus), "--out", str(out),
+            "--window", "1w"]
+    assert main(argv) == 2
+    message = "error: corpus has no documents, so --window needs --origin\n"
+    assert capsys.readouterr().err == message and not out.exists()
+    assert main(argv + ["--origin", "2013-01-01"]) == 0
+    assert out.read_text(encoding="utf-8").count("\n") == 1  # the header alone
+
+
 def test_score_nothing_matches_is_an_error(lexicon_path, tmp_path, capsys):
     docs = (make_doc("only", {"zzz": 3}, channel="x", timestamp=T0),)
     corpus_file = tmp_path / "unmatched.jsonl"
@@ -575,6 +588,14 @@ def test_flag_errors_are_one_line(capsys, flags, fragment):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
+@pytest.mark.parametrize("command", ["score", "features"])
+def test_seed_is_refused_where_nothing_is_random(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--lexicon", "L", "--corpus", "C", "--out", "O", "--seed", "1"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed 1\n"
 
 
 SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"

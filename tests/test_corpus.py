@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given
@@ -19,10 +19,11 @@ from tvmood.corpus import (
     load_corpus,
     load_corpus_file,
     parse_timestamp,
+    read_documents,
     tokenize,
 )
 
-from conftest import T0, make_doc
+from conftest import T0, checked_copy, make_doc
 from oracles import tokenize as oracle_tokenize
 
 
@@ -135,9 +136,21 @@ def test_load_counts_mode_lowercases_and_merges():
 
 
 def test_load_duplicate_id_names_id():
-    lines = [record("a", text="x"), record("a", text="y")]
-    with pytest.raises(CorpusError, match="'a'"):
+    lines = [record("b", text="x"), record("a", text="x"), "", "", record("a", text="y")]
+    with pytest.raises(CorpusError, match=r"^duplicate document id 'a' at lines 2 and 5$"):
         load_corpus("\n".join(lines), mode="text")
+
+
+def test_read_documents_yields_each_document_before_reading_on():
+    lines = iter([record("a", text="Good news"), "not json"])
+    documents = read_documents(lines, "text")
+    noon = T0 + timedelta(hours=12)
+    assert next(documents) == Document.from_text("a", "cnn", "Good news", None, noon)
+    assert next(lines) == "not json"  # the reader has not taken the second line yet
+    bad = read_documents([record("a", text="Good news"), "not json"], "text")
+    assert next(bad).id == "a"
+    with pytest.raises(CorpusError, match="^line 2: invalid JSON"):
+        next(bad)
 
 
 @pytest.mark.parametrize(
@@ -263,9 +276,31 @@ def test_document_from_text_equals_checked_construction():
     doc = Document.from_text("a", "cnn", "Fire, fire and CALM's calm", "news", T0)
     assert list(doc.term_counts.items()) == [("fire", 2), ("and", 1), ("calm's", 1), ("calm", 1)]
     assert doc == Document("a", "cnn", dict(doc.term_counts), 5, "news", T0)
+    lowercase = Document.from_counts("b", "cnn", {"fire": 2, "calm": 1}, "news", T0)
+    assert lowercase == Document("b", "cnn", {"fire": 2, "calm": 1}, 3, "news", T0)
     assert Document.from_text("b", "cnn", "").total_tokens == 0
     with pytest.raises(ValueError, match="^document id is empty$"):
         Document.from_text("", "cnn", "fire")
+
+
+def test_loaded_and_filtered_corpora_equal_checked_construction():
+    text = "\n".join(
+        [
+            record("a", text="Fire, fire and CALM's calm", genre="news"),
+            record("b", channel="fox", timestamp="2013-01-07T13:30:00+01:00", text=""),
+            record("c", text="calm", genre="news"),
+            record("d", text="rare words", genre="rare"),
+        ]
+    )
+    loaded = load_corpus(text, "text")
+    assert loaded == checked_copy(loaded) and type(loaded.documents) is tuple
+    counts = load_corpus(corpus_to_jsonl(loaded), "counts")
+    assert counts == checked_copy(counts) == loaded
+    merged = load_corpus(record("m", term_counts={"Fire": 2, "fire": 1, "calm": 4}), "counts")
+    assert merged == checked_copy(merged)
+    filtered = filter_min_genre_support(loaded, 2)
+    assert [doc.id for doc in filtered.documents] == ["a", "c"]
+    assert filtered == checked_copy(filtered) and type(filtered.documents) is tuple
 
 
 def test_document_from_counts_merges_case():

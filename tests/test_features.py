@@ -154,7 +154,7 @@ def test_extract_vsm_total_bounded_by_document_total(small_lexicon):
         doc = make_doc(f"d{trial}", counts)
         vector = extract_vsm(doc, small_lexicon)
         assert sum(vector.values()) <= doc.total_tokens
-        assert all(term in small_lexicon for term in vector)
+        assert all(term.lower() in small_lexicon.table for term in vector)
 
 
 def test_extract_meta_singleton_layout():

@@ -1,9 +1,10 @@
-"""Lexicon parsing, normalization, and lookup."""
+"""Lexicon parsing, normalization, and the word table."""
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,7 +103,7 @@ def test_parsed_lexicon_equals_checked_construction():
 
 def test_parse_single_row_hand_values():
     lexicon = parse_lexicon(lexicon_text("joy,8.21,1.02,5.98,2.54,7.00,1.80"))
-    means = lexicon.lookup("joy")
+    means = lexicon.table.get("joy")
     assert means is not None
     sds = lexicon.sds["joy"]
     assert math.isclose(means[0], 0.90125, abs_tol=1e-12)
@@ -118,8 +119,8 @@ def test_parse_single_row_hand_values():
 
 def test_parse_lowercases_words():
     lexicon = parse_lexicon(lexicon_text("JoY,5,1,5,1,5,1"))
-    assert lexicon.lookup("joy") is not None
-    assert lexicon.lookup("JOY") == lexicon.lookup("joy")
+    assert lexicon.table.get("joy") is not None
+    assert lexicon.table.get("JOY".lower()) == lexicon.table.get("joy")
     assert list(lexicon.table) == ["joy"]
 
 
@@ -194,9 +195,13 @@ def test_parse_accepts_blank_lines():
 
 def test_lookup_miss_and_empty():
     lexicon = parse_lexicon(lexicon_text("joy,5,1,5,1,5,1"))
-    assert lexicon.lookup("xyzzy") is None
-    assert AffectLexicon({}, {}).lookup("joy") is None
-    assert "JOY" in lexicon and "xyzzy" not in lexicon
+    assert lexicon.table.get("xyzzy") is None
+    assert AffectLexicon({}, {}).table.get("joy") is None
+    assert "JOY".lower() in lexicon.table and "xyzzy" not in lexicon.table
+    # the case-folding lookup and membership test are gone: callers lowercase
+    assert not hasattr(lexicon, "lookup")
+    with pytest.raises(TypeError):
+        operator.contains(lexicon, "joy")
 
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz'", min_size=1, max_size=10)

@@ -14,7 +14,7 @@ from tvmood.affect import score_counts
 from tvmood.corpus import corpus_to_jsonl, load_corpus
 from tvmood.synth import GenreProfile, generate
 
-from conftest import T0, random_lexicon
+from conftest import T0, checked_copy, random_lexicon
 from oracles import generate_per_token
 
 
@@ -83,6 +83,7 @@ def test_generate_output_is_loadable_and_valid():
         GenreProfile("y", 4, 0.7, (0.6, 0.5, 0.5), (10, 15), channel="chy"),
     ]
     corpus = generate(profiles, lexicon, seed=12)
+    assert corpus == checked_copy(corpus) and type(corpus.documents) is tuple
     reloaded = load_corpus(corpus_to_jsonl(corpus), mode="counts")
     assert reloaded == corpus
     assert reloaded.label_set == {"x", "y"}
@@ -174,6 +175,7 @@ def test_generate_equals_per_token_counter_loop(bias, data):
     profiles, lexicon, seed = data.draw(synth_problems(bias))
     corpus = generate(profiles, lexicon, seed)
     reference = generate_per_token(profiles, lexicon, seed)
+    assert corpus == checked_copy(corpus)  # the trusted path holds the checked invariants
     assert corpus_to_jsonl(corpus) == corpus_to_jsonl(reference)
     assert [list(doc.term_counts.items()) for doc in corpus.documents] == [
         list(doc.term_counts.items()) for doc in reference.documents
