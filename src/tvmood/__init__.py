@@ -12,7 +12,7 @@ from .affect import (
     AffectSpread,
     NoSignalError,
     SeriesPoint,
-    score_channel,
+    pool_channels,
     score_counts,
     score_windows,
     series_to_csv,
@@ -34,6 +34,7 @@ from .corpus import (
     Document,
     corpus_to_jsonl,
     count_terms,
+    document_to_jsonl,
     filter_min_genre_support,
     load_corpus,
     load_corpus_file,
@@ -45,8 +46,10 @@ from .evaluation import (
     ClassMetrics,
     EvalReport,
     FoldAssignment,
+    LabeledRow,
     auc_one_vs_rest,
     confusion_and_rates,
+    labeled_rows,
     report_to_csv,
     report_to_json,
     run_cv,

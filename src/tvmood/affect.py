@@ -6,6 +6,8 @@ occurrence. Channel and window scores pool term counts across documents
 first and score the pooled map, so longer documents weigh more, and the
 reported spread is the weighted population standard deviation of the
 term-value distribution (divide by total matched tokens, not n-1).
+Pooling takes one pass over the documents and keeps only the pooled
+counts, never a document.
 """
 
 from __future__ import annotations
@@ -14,15 +16,19 @@ import csv
 import io
 import math
 import operator
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import Mapping, Optional
+from datetime import datetime, timedelta, timezone
+from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
-from .corpus import Corpus, format_timestamp
+from .corpus import Document, format_timestamp
 from .lexicon import AffectLexicon
 
 DIMENSIONS = ("valence", "arousal", "dominance")
+
+K = TypeVar("K", bound=Hashable)
+_DAY = timedelta(days=1)
 
 SERIES_CSV_HEADER = (
     "channel",
@@ -137,12 +143,27 @@ def match_stats(
     return MatchStats(counts, values, low, high, score, AffectSpread(*sds))
 
 
-def _pool_matched(into: dict[str, int], counts: Mapping[str, int], lexicon: AffectLexicon) -> None:
-    """Add the counts of the lexicon's terms to ``into``; no other term can match."""
+def _pool_matched(
+    documents: Iterable[Document], lexicon: AffectLexicon, key: Callable[[Document], K]
+) -> dict[K, dict[str, int]]:
+    """One pass: the counts of the lexicon's terms, pooled per ``key(document)``.
+
+    Every key gets a pool, also when none of its terms match; no other term
+    is kept, since no other term can match. Terms are interned, so the pools
+    share one string per term and keep no document's strings alive.
+    """
     table = lexicon.table
-    for term, count in counts.items():
-        if term in table:
-            into[term] = into.get(term, 0) + count
+    intern = sys.intern
+    pools: dict[K, dict[str, int]] = {}
+    for doc in documents:
+        pool = pools.get(slot := key(doc))
+        if pool is None:
+            pool = pools[slot] = {}
+        for term, count in doc.term_counts.items():
+            if term in table:
+                term = intern(term)
+                pool[term] = pool.get(term, 0) + count
+    return pools
 
 
 def score_counts(
@@ -160,69 +181,98 @@ def score_counts(
     return stats.score, stats.spread
 
 
-def score_channel(
-    corpus: Corpus, channel: str, lexicon: AffectLexicon
-) -> tuple[AffectScore, AffectSpread]:
-    """Score one channel by pooling term counts across all its documents.
+def pool_channels(
+    documents: Iterable[Document], lexicon: AffectLexicon
+) -> dict[str, dict[str, int]]:
+    """Each channel's matched term counts, pooled in one pass, in sorted
+    channel order.
 
-    Pooling happens before scoring, so this is not an average of per-document
-    scores: documents contribute in proportion to their matched token counts.
+    A channel is scored by :func:`score_counts` of its pool, so a channel
+    score is not an average of per-document scores: documents contribute in
+    proportion to their matched token counts. A channel whose documents
+    match nothing gets an empty pool.
     """
-    docs = corpus.by_channel(channel)
-    if not docs:
-        raise NoSignalError(f"no documents for channel {channel!r}")
-    pooled: dict[str, int] = {}
-    for doc in docs:
-        _pool_matched(pooled, doc.term_counts, lexicon)
-    stats = match_stats(pooled, lexicon)
-    if stats is None:
-        raise NoSignalError(f"channel {channel!r} has no terms matching the lexicon")
-    return stats.score, stats.spread
+    pools = _pool_matched(documents, lexicon, lambda doc: doc.channel)
+    return dict(sorted(pools.items()))
+
+
+def _timestamp(doc: Document) -> datetime:
+    if doc.timestamp is None:
+        raise ValueError(
+            f"document {doc.id!r} has no timestamp; windowed scoring requires one"
+        )
+    return doc.timestamp
 
 
 def score_windows(
-    corpus: Corpus,
-    channel: str,
+    documents: Iterable[Document],
     lexicon: AffectLexicon,
     window_length: timedelta,
-    origin: datetime,
-) -> AffectSeries:
-    """Score a channel over consecutive half-open time windows.
+    origin: Optional[datetime] = None,
+) -> list[AffectSeries]:
+    """Score every channel over consecutive half-open time windows, in one pass.
 
     Documents are bucketed into windows ``[origin + k*length, origin +
     (k+1)*length)`` and each occupied window is scored from its pooled
-    counts. Windows between the first and last occupied ones that have no
-    documents, or no lexicon matches, appear as gap points rather than
-    fabricated values. A channel with no documents yields an empty series.
+    counts. Windows between a channel's first and last occupied ones that
+    have no documents, or no lexicon matches, appear as gap points rather
+    than fabricated values. Series come in sorted channel order, one per
+    channel that has documents.
+
+    Without an origin, the origin is the earliest timestamp at midnight UTC,
+    which is known only once every document is read: the documents are
+    pooled per (channel, UTC day) and the days merged into their windows at
+    the end, so ``window_length`` must then be a whole number of days.
     """
     if window_length <= timedelta(0):
         raise ValueError("window_length must be positive")
-    buckets: dict[int, dict[str, int]] = defaultdict(dict)
-    for doc in corpus.by_channel(channel):
-        if doc.timestamp is None:
-            raise ValueError(
-                f"document {doc.id!r} has no timestamp; windowed scoring "
-                f"requires one"
-            )
-        _pool_matched(buckets[(doc.timestamp - origin) // window_length], doc.term_counts, lexicon)
-    if not buckets:
-        return AffectSeries(channel, window_length, ())
+    if origin is not None:
+        pools = _pool_matched(
+            documents,
+            lexicon,
+            lambda doc: (doc.channel, (_timestamp(doc) - origin) // window_length),
+        )
+    else:
+        if window_length % _DAY:
+            raise ValueError("without an origin, window_length must be whole days")
+        days = _pool_matched(
+            documents, lexicon, lambda doc: (doc.channel, _timestamp(doc).toordinal())
+        )
+        if not days:
+            return []
+        first = min(day for _, day in days)
+        origin = datetime.fromordinal(first).replace(tzinfo=timezone.utc)
+        step = window_length.days
+        pools = {}
+        while days:  # each day's pool is merged, then freed
+            (channel, day), pool = days.popitem()
+            into = pools.setdefault((channel, (day - first) // step), pool)
+            if into is not pool:
+                for term, count in pool.items():
+                    into[term] = into.get(term, 0) + count
 
-    points = []
-    for index in range(min(buckets), max(buckets) + 1):
-        try:
-            start = origin + index * window_length
-        except OverflowError:
-            raise ValueError(
-                f"channel {channel!r}: window {index} from origin "
-                f"{format_timestamp(origin)} starts outside the datetime range"
-            ) from None
-        stats = match_stats(buckets[index], lexicon) if index in buckets else None
-        if stats is None:
-            points.append(SeriesPoint(start, None, None))
-        else:
-            points.append(SeriesPoint(start, stats.score, stats.spread))
-    return AffectSeries(channel, window_length, tuple(points))
+    indices: dict[str, list[int]] = defaultdict(list)
+    for channel, index in pools:
+        indices[channel].append(index)
+    series = []
+    for channel in sorted(indices):
+        points = []
+        for index in range(min(indices[channel]), max(indices[channel]) + 1):
+            try:
+                start = origin + index * window_length
+            except OverflowError:
+                raise ValueError(
+                    f"channel {channel!r}: window {index} from origin "
+                    f"{format_timestamp(origin)} starts outside the datetime range"
+                ) from None
+            pool = pools.get((channel, index))
+            stats = None if pool is None else match_stats(pool, lexicon)
+            if stats is None:
+                points.append(SeriesPoint(start, None, None))
+            else:
+                points.append(SeriesPoint(start, stats.score, stats.spread))
+        series.append(AffectSeries(channel, window_length, tuple(points)))
+    return series
 
 
 def value_fields(score: AffectScore, spread: AffectSpread) -> list[str]:

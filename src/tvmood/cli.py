@@ -19,19 +19,19 @@ import re
 import sys
 from collections import Counter
 from datetime import datetime, timedelta, timezone
-from functools import partial
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn, TextIO
 
 from . import affect, classify, evaluation, features, synth
 from .corpus import (
-    Corpus,
-    corpus_to_jsonl,
+    CorpusError,
+    Document,
+    document_to_jsonl,
     filter_min_genre_support,
     format_timestamp,
-    load_corpus_file,
     parse_timestamp,
+    read_documents,
 )
-from .lexicon import load_lexicon
+from .lexicon import AffectLexicon, load_lexicon
 
 _WINDOW_RE = re.compile(r"^(\d+)([dw])$")
 
@@ -61,34 +61,28 @@ def parse_window(spec: str) -> timedelta:
         ) from None
 
 
-def default_origin(corpus: Corpus) -> datetime:
-    """Earliest timestamp of a loaded corpus (whole seconds), truncated to midnight UTC."""
-    if not corpus.documents:
-        raise ValueError("corpus has no documents, so --window needs --origin")
-    return min(doc.timestamp for doc in corpus.documents).replace(hour=0, minute=0, second=0)
+@contextlib.contextmanager
+def _write_all(*paths: str) -> Iterator[list[TextIO]]:
+    """Open one text handle per path; write every target or, on failure, none.
 
-
-def _write_all(outputs: dict[str, str]) -> None:
-    """Write every ``path -> content`` or, on failure, none of them.
-
-    Each content goes to a temporary file beside its target; the temporaries
-    replace the targets only after all are written, and are removed on
-    failure. A FIFO or device such as ``/dev/stdout`` is not replaced but
-    written in place, once its content is encoded and the temporaries are
+    Each handle writes a temporary file beside its target; the temporaries
+    replace the targets only when the block ends without an error, and are
+    removed otherwise. A FIFO or device such as ``/dev/stdout`` is not
+    replaced: its handle buffers in memory, and the content is encoded and
+    written in place once the block has ended and the temporaries are
     written. A directory target is refused before anything is written.
     """
-    for path in outputs:
+    for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    direct = {
-        path: content.encode("utf-8")
-        for path, content in outputs.items()
-        if os.path.exists(path) and not os.path.isfile(path)
-    }
+    direct: dict[str, io.StringIO] = {}  # FIFO or device target -> its buffer
     temps: dict[str, str] = {}  # target -> its temporary
+    files = contextlib.ExitStack()  # the open temporaries
     try:
-        for path, content in outputs.items():
-            if path in direct:
+        handles: list[TextIO] = []
+        for path in paths:
+            if os.path.exists(path) and not os.path.isfile(path):
+                handles.append(direct.setdefault(path, io.StringIO()))
                 continue
             target = os.path.realpath(path)  # replace a symlink's target, not the link
             directory, name = os.path.split(target)
@@ -98,29 +92,45 @@ def _write_all(outputs: dict[str, str]) -> None:
             except OSError as exc:  # name the target, not its temporary
                 raise type(exc)(exc.errno, exc.strerror, path) from None
             temps[target] = temp
-            with handle:
-                handle.write(content)
-        for path, data in direct.items():
+            handles.append(files.enter_context(handle))
+        yield handles
+        files.close()  # flushed before anything is replaced
+        encoded = {path: buffer.getvalue().encode("utf-8") for path, buffer in direct.items()}
+        for path, data in encoded.items():
             with open(path, "wb") as handle:
                 handle.write(data)
         for path, temp in temps.items():
             os.replace(temp, path)
     finally:  # after a failure; once replaced, a temporary no longer exists
+        files.close()
         for temp in temps.values():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
 
 
-def _read(flag: str, load: Callable, path: str, *args: str):
-    """``load(path, *args)``, with a file that is not UTF-8 named by its flag."""
+def _lexicon(args: argparse.Namespace) -> AffectLexicon:
+    """The ``--lexicon`` file, named by its flag when it is not UTF-8."""
     try:
-        return load(path, *args)
+        return load_lexicon(args.lexicon)
     except UnicodeDecodeError as exc:  # its message names neither file nor flag
-        raise ValueError(f"{flag} {path}: {exc}") from None
+        raise ValueError(f"--lexicon {args.lexicon}: {exc}") from None
+
+
+def _documents(args: argparse.Namespace) -> Iterator[Document]:
+    """The ``--corpus`` file's documents, each read when it is asked for.
+
+    A corpus error is raised when the pass reaches it; a file that is not
+    UTF-8 is named by its flag, wherever the bad byte lies.
+    """
+    try:
+        with open(args.corpus, encoding="utf-8") as handle:
+            yield from read_documents(handle, args.format)
+    except UnicodeDecodeError as exc:  # its message names neither file nor flag
+        raise CorpusError(f"--corpus {args.corpus}: {exc}") from None
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
-    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
+    lexicon = _lexicon(args)
     columns = zip(affect.DIMENSIONS, zip(*lexicon.table.values()))
     ranges = [f"{dim} [{min(means):.4f}, {max(means):.4f}]" for dim, means in columns]
     print(f"{len(lexicon)} entries; " + "; ".join(ranges))
@@ -130,80 +140,69 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     if args.origin is not None and args.window is None:
         raise ValueError("--origin is only allowed with --window")
-    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
-    corpus = _read("--corpus", load_corpus_file, args.corpus, args.format)
+    lexicon = _lexicon(args)
 
     if args.window is not None:
         window = parse_window(args.window)
-        origin = (
-            default_origin(corpus)
-            if args.origin is None
-            else _parse_cli_timestamp(args.origin, "--origin")
-        )
-        try:  # a loaded corpus is timestamped, so only a window start can fail
-            series = [
-                affect.score_windows(corpus, channel, lexicon, window, origin)
-                for channel in corpus.channels()
-            ]
-        except ValueError as exc:
+        origin = None if args.origin is None else _parse_cli_timestamp(args.origin, "--origin")
+        try:
+            series = affect.score_windows(_documents(args), lexicon, window, origin)
+        except CorpusError:
+            raise
+        except ValueError as exc:  # loaded documents are timestamped: a window start failed
             raise ValueError(f"--window {args.window!r}: {exc}") from None
-        _write_all({args.out: affect.series_to_csv(series)})
+        if origin is None and not series:
+            raise ValueError("corpus has no documents, so --window needs --origin")
+        with _write_all(args.out) as (out,):
+            out.write(affect.series_to_csv(series))
         points = sum(len(s.points) for s in series)
         print(f"wrote {points} series points to {args.out}")
         return 0
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    # each job is (leading row fields, scorer); the first field names a skip
+    # (leading row fields, term counts); the first field names a skip
     if args.per_document:
-        writer.writerow(("id", "channel") + SCORE_VALUE_COLUMNS)
-        jobs = [
-            ((doc.id, doc.channel), partial(affect.score_counts, doc.term_counts, lexicon))
-            for doc in corpus.documents
-        ]
+        header = ("id", "channel")
+        scored = (((doc.id, doc.channel), doc.term_counts) for doc in _documents(args))
     else:
-        writer.writerow(("channel",) + SCORE_VALUE_COLUMNS)
-        jobs = [
-            ((channel,), partial(affect.score_channel, corpus, channel, lexicon))
-            for channel in corpus.channels()
-        ]
+        header = ("channel",)
+        pools = affect.pool_channels(_documents(args), lexicon)
+        scored = (((channel,), pool) for channel, pool in pools.items())
     skipped: list[tuple[str, str]] = []
     rows = 0
-    for key, scorer in jobs:
-        try:
-            score, spread = scorer()
-        except affect.NoSignalError:
-            skipped.append((key[0], "no lexicon matches"))
-            continue
-        writer.writerow(
-            [*key, *affect.value_fields(score, spread)]
-            + [str(score.matched_distinct_terms), str(score.matched_token_total)]
-        )
-        rows += 1
-
-    if skipped:
-        writer.writerow([])
-        writer.writerow(("skipped_id", "reason"))
-        for item, reason in skipped:
-            writer.writerow((item, reason))
-    if rows == 0:
-        print("error: no document or channel matched the lexicon", file=sys.stderr)
-        return 2
-    _write_all({args.out: buffer.getvalue()})
+    with _write_all(args.out) as (out,):
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header + SCORE_VALUE_COLUMNS)
+        for key, counts in scored:
+            try:
+                score, spread = affect.score_counts(counts, lexicon)
+            except affect.NoSignalError:
+                skipped.append((key[0], "no lexicon matches"))
+                continue
+            writer.writerow(
+                [*key, *affect.value_fields(score, spread)]
+                + [str(score.matched_distinct_terms), str(score.matched_token_total)]
+            )
+            rows += 1
+        if rows == 0:
+            raise ValueError("no document or channel matched the lexicon")
+        if skipped:
+            writer.writerow([])
+            writer.writerow(("skipped_id", "reason"))
+            writer.writerows(skipped)
     print(f"wrote {rows} rows ({len(skipped)} skipped) to {args.out}")
     return 0
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
-    corpus = _read("--corpus", load_corpus_file, args.corpus, args.format)
-    _write_all({args.out: features.features_to_csv(corpus, lexicon)})
-    print(f"wrote {len(corpus)} feature rows to {args.out}")
+    lexicon = _lexicon(args)
+    with _write_all(args.out) as (out,):
+        rows = features.features_to_csv(_documents(args), lexicon, out)
+    print(f"wrote {rows} feature rows to {args.out}")
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
+    lexicon = _lexicon(args)
     with open(args.profiles, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -217,15 +216,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if args.start is None
         else _parse_cli_timestamp(args.start, "--start")
     )
+    documents = synth.generate(profiles, lexicon, args.seed, start=start)
+    written = 0
     try:
-        corpus = synth.generate(profiles, lexicon, args.seed, start=start)
+        with _write_all(args.out) as (out,):
+            for doc in documents:
+                out.write(document_to_jsonl(doc))
+                written += 1
     except OverflowError:  # from start + n * spacing, the timestamp of document n
         raise ValueError(
             f"--start {format_timestamp(start)}: the document timestamps run past "
             f"the datetime range"
         ) from None
-    _write_all({args.out: corpus_to_jsonl(corpus)})
-    print(f"wrote {len(corpus)} documents to {args.out}")
+    print(f"wrote {written} documents to {args.out}")
     return 0
 
 
@@ -233,10 +236,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kind = args.nb or evaluation.DEFAULT_NB[args.rep]
     evaluation.check_representation(args.rep, kind)
     config = evaluation.ClassifierConfig(kind=kind, alpha=args.alpha)
-    lexicon = _read("--lexicon", load_lexicon, args.lexicon)
-    corpus = _read("--corpus", load_corpus_file, args.corpus, args.format)
-    corpus = filter_min_genre_support(corpus, args.min_genre_support)
-    support = Counter(doc.genre for doc in corpus.documents)
+    lexicon = _lexicon(args)
+    rows = evaluation.labeled_rows(_documents(args), lexicon, args.rep)
+    rows = filter_min_genre_support(rows, args.min_genre_support)
+    support = Counter(row.genre for row in rows)
     if len(support) < 2:
         raise ValueError(
             f"--min-genre-support {args.min_genre_support}: fewer than two genres "
@@ -245,19 +248,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     smallest = min(support.values())
     if args.folds > smallest:
         raise ValueError(f"--folds {args.folds} exceeds the smallest genre support, {smallest}")
-    report = evaluation.run_cv(
-        corpus, lexicon, args.rep, args.folds, args.seed, config
-    )
+    report = evaluation.run_cv(rows, args.rep, args.folds, args.seed, config)
 
     prefix = args.out[:-5] if args.out.endswith(".json") else args.out
     json_path = prefix + ".json"
     csv_path = prefix + ".csv"
-    _write_all(
-        {
-            json_path: evaluation.report_to_json(report),
-            csv_path: evaluation.report_to_csv(report),
-        }
-    )
+    with _write_all(json_path, csv_path) as (json_out, csv_out):
+        json_out.write(evaluation.report_to_json(report))
+        csv_out.write(evaluation.report_to_csv(report))
     print(
         f"weighted_average tp_rate={report.weighted_tp_rate:.4f} "
         f"fp_rate={report.weighted_fp_rate:.4f} auc={report.weighted_auc:.4f}"

@@ -18,7 +18,9 @@ from collections import Counter
 from dataclasses import InitVar, dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO, TypeVar
+
+T = TypeVar("T")
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'+[^\W_]+)*")
 # ASCII letters, digits and apostrophes map to themselves, every other ASCII
@@ -198,9 +200,6 @@ class Corpus:
         """Distinct channel names in sorted order."""
         return sorted({doc.channel for doc in self.documents})
 
-    def by_channel(self, channel: str) -> list[Document]:
-        return [doc for doc in self.documents if doc.channel == channel]
-
 
 def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
     """Yield each JSON-lines record as a checked :class:`Document`, in file order.
@@ -281,42 +280,47 @@ def load_corpus_file(path: str, mode: str) -> Corpus:
         return load_corpus(handle, mode)
 
 
-def corpus_to_jsonl(corpus: Corpus) -> str:
-    """Render a corpus to the JSON-lines interchange format.
+def document_to_jsonl(doc: Document) -> str:
+    """Render one document as a JSON-lines record, newline included.
 
-    Emits ``term_counts`` records with sorted keys, so identical corpora
-    produce byte-identical output. Every document must carry a timestamp.
+    Emits ``term_counts`` with sorted keys, so identical documents produce
+    byte-identical lines. The document must carry a timestamp.
     """
-    lines = []
-    for doc in corpus.documents:
-        if doc.timestamp is None:
-            raise CorpusError(
-                f"document {doc.id!r} has no timestamp; the JSON-lines format "
-                f"requires one"
-            )
-        record: dict[str, object] = {
-            "id": doc.id,
-            "channel": doc.channel,
-            "timestamp": format_timestamp(doc.timestamp),
-        }
-        if doc.genre is not None:
-            record["genre"] = doc.genre
-        record["term_counts"] = dict(sorted(doc.term_counts.items()))
-        lines.append(json.dumps(record, separators=(",", ":"), sort_keys=False))
-    return "\n".join(lines) + ("\n" if lines else "")
+    if doc.timestamp is None:
+        raise CorpusError(
+            f"document {doc.id!r} has no timestamp; the JSON-lines format "
+            f"requires one"
+        )
+    record: dict[str, object] = {
+        "id": doc.id,
+        "channel": doc.channel,
+        "timestamp": format_timestamp(doc.timestamp),
+    }
+    if doc.genre is not None:
+        record["genre"] = doc.genre
+    record["term_counts"] = dict(sorted(doc.term_counts.items()))
+    return json.dumps(record, separators=(",", ":"), sort_keys=False) + "\n"
 
 
-def filter_min_genre_support(corpus: Corpus, min_programs: int) -> Corpus:
-    """Keep documents whose genre occurs in at least ``min_programs`` documents.
+def corpus_to_jsonl(corpus: Corpus) -> str:
+    """Render a corpus to the JSON-lines interchange format, one
+    :func:`document_to_jsonl` line per document."""
+    return "".join(map(document_to_jsonl, corpus.documents))
 
-    Unlabeled documents are dropped; relative order is preserved. Idempotent.
+
+def filter_min_genre_support(items: Iterable[T], min_programs: int) -> list[T]:
+    """Keep the items whose ``genre`` occurs in at least ``min_programs`` of them.
+
+    Items are documents, or anything else with a ``genre`` attribute, such
+    as :class:`~tvmood.evaluation.LabeledRow`. Unlabeled items are dropped;
+    relative order is preserved. Idempotent.
     """
     if min_programs < 1:
         raise ValueError(f"min_programs must be >= 1, got {min_programs}")
-    support = Counter(doc.genre for doc in corpus.documents if doc.genre is not None)
-    kept = tuple(
-        doc
-        for doc in corpus.documents
-        if doc.genre is not None and support[doc.genre] >= min_programs
-    )
-    return Corpus(kept, True)  # a subsequence of distinct ids
+    items = list(items)
+    support = Counter(item.genre for item in items if item.genre is not None)
+    return [
+        item
+        for item in items
+        if item.genre is not None and support[item.genre] >= min_programs
+    ]

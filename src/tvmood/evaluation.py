@@ -21,10 +21,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import classify, features
-from .corpus import Corpus
+from .corpus import Document
 from .lexicon import AffectLexicon
 
 # representation -> the Naive Bayes variant used when none is chosen
@@ -32,6 +32,25 @@ DEFAULT_NB = {"vsm": "multinomial", "meta": "gaussian"}
 REPRESENTATIONS = tuple(DEFAULT_NB)
 
 REPORT_FORMAT_VERSION = 1
+
+
+class LabeledRow(NamedTuple):
+    """One document as cross-validation sees it: its id, its genre and its
+    representation row (a meta row or a vsm map), never the document."""
+
+    id: str
+    genre: Optional[str]
+    row: Union[list[Optional[float]], features.VsmVector]
+
+
+def labeled_rows(
+    documents: Iterable[Document], lexicon: AffectLexicon, representation: str
+) -> Iterator[LabeledRow]:
+    """Each document's :class:`LabeledRow`, made as the document is read."""
+    if representation not in REPRESENTATIONS:
+        raise ValueError(f"unknown representation {representation!r}")
+    extract = features.extract_meta if representation == "meta" else features.extract_vsm
+    return (LabeledRow(doc.id, doc.genre, extract(doc, lexicon)) for doc in documents)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,22 +226,22 @@ def check_representation(representation: str, kind: str) -> None:
 
 
 def run_cv(
-    corpus: Corpus,
-    lexicon: AffectLexicon,
+    rows: Sequence[LabeledRow],
     representation: str,
     k: int,
     seed: int,
     config: Optional[ClassifierConfig] = None,
 ) -> EvalReport:
-    """Stratified k-fold cross-validation over a fully labeled corpus.
+    """Stratified k-fold cross-validation over fully labeled rows.
 
-    Each fold trains on the remaining folds and predicts its held-out
-    documents; metrics are computed over the pooled predictions. Any
-    vocabulary fitting happens inside training (both classifiers over term
-    counts take their vocabulary from the training folds only, and ignore
-    held-out terms outside it), so no information leaks from held-out
-    documents. The per-document representations themselves are
-    parameter-free.
+    ``rows`` come from :func:`labeled_rows` with the same representation.
+    Each fold trains on the remaining folds and predicts its held-out rows;
+    metrics are computed over the pooled predictions. Any vocabulary fitting
+    happens inside training (both classifiers over term counts take their
+    vocabulary from the training folds only, and ignore held-out terms
+    outside it), so no information leaks from held-out documents. The
+    per-document representations themselves are parameter-free, so they are
+    made once, before the folds.
     """
     if representation not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
@@ -230,14 +249,13 @@ def run_cv(
         config = ClassifierConfig(DEFAULT_NB[representation])
     check_representation(representation, config.kind)
 
-    docs = corpus.documents
-    unlabeled = [doc.id for doc in docs if doc.genre is None]
+    unlabeled = [row.id for row in rows if row.genre is None]
     if unlabeled:
         raise ValueError(
             f"corpus contains unlabeled documents (first: {unlabeled[0]!r}); "
             f"filter before evaluating"
         )
-    labels = [doc.genre for doc in docs]
+    labels = [row.genre for row in rows]
     support = Counter(labels)
     for label in sorted(support):
         if support[label] < k:
@@ -246,21 +264,16 @@ def run_cv(
             )
     class_order = tuple(sorted(support))
 
-    folds = stratified_folds(labels, k, seed, ids=[doc.id for doc in docs])
-    fold_of = [folds.assignment[doc.id] for doc in docs]
+    ids = [row.id for row in rows]
+    folds = stratified_folds(labels, k, seed, ids=ids)
+    fold_of = [folds.assignment[doc_id] for doc_id in ids]
+    instances = [row.row for row in rows]
 
-    # Per-document representations carry no fitted parameters, so they can
-    # be extracted once up front without leaking across folds.
-    if representation == "meta":
-        rows = [features.extract_meta(doc, lexicon) for doc in docs]
-    else:
-        rows = [features.extract_vsm(doc, lexicon) for doc in docs]
-
-    posteriors: list[Optional[classify.Posterior]] = [None] * len(docs)
+    posteriors: list[Optional[classify.Posterior]] = [None] * len(rows)
     for fold in range(k):
-        train_idx = [i for i in range(len(docs)) if fold_of[i] != fold]
-        test_idx = [i for i in range(len(docs)) if fold_of[i] == fold]
-        train_rows = [rows[i] for i in train_idx]
+        train_idx = [i for i in range(len(rows)) if fold_of[i] != fold]
+        test_idx = [i for i in range(len(rows)) if fold_of[i] == fold]
+        train_rows = [instances[i] for i in train_idx]
         train_labels = [labels[i] for i in train_idx]
         if config.kind == "multinomial":
             model = classify.train_multinomial(train_rows, train_labels, config.alpha)
@@ -269,7 +282,7 @@ def run_cv(
             model = classify.train_gaussian(train_rows, train_labels)
             predict = classify.predict_gaussian
         for i in test_idx:
-            posteriors[i] = predict(model, rows[i])
+            posteriors[i] = predict(model, instances[i])
 
     predicted = [posterior.predicted_label for posterior in posteriors]
     matrix, tp_rates, fp_rates = confusion_and_rates(labels, predicted, class_order)
@@ -288,7 +301,7 @@ def run_cv(
             )
         )
 
-    total = len(docs)
+    total = len(rows)
     weighted = {
         name: math.fsum(getattr(m, name) * m.support for m in metrics) / total
         for name in ("tp_rate", "fp_rate", "auc")

@@ -16,13 +16,13 @@ all fifteen affect statistics; the stylistic counts are always present.
 from __future__ import annotations
 
 import csv
-import io
+import sys
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Optional
+from typing import Iterable, Optional, TextIO
 
 from .affect import DIMENSIONS, match_stats
-from .corpus import Corpus, Document
+from .corpus import Document
 from .lexicon import AffectLexicon
 
 # Canonical feature order for dense vectors and CSV export.
@@ -83,23 +83,29 @@ def extract_meta(doc: Document, lexicon: AffectLexicon) -> list[Optional[float]]
 
 
 def extract_vsm(doc: Document, lexicon: AffectLexicon) -> VsmVector:
-    """Restrict the document's term counts to the lexicon vocabulary."""
+    """Restrict the document's term counts to the lexicon vocabulary.
+
+    Keys are interned, so rows kept side by side share one string per term.
+    """
     table = lexicon.table
-    return {term: count for term, count in doc.term_counts.items() if term in table}
+    intern = sys.intern
+    return {intern(term): count for term, count in doc.term_counts.items() if term in table}
 
 
-def features_to_csv(corpus: Corpus, lexicon: AffectLexicon) -> str:
-    """Feature-matrix CSV: ``id,genre`` plus the 19 canonical features.
+def features_to_csv(documents: Iterable[Document], lexicon: AffectLexicon, out: TextIO) -> int:
+    """Write the feature-matrix CSV, ``id,genre`` plus the 19 canonical
+    features, one row as each document is read; return the row count.
 
     Missing values (affect statistics of unmatched documents, absent genre)
     serialize as empty fields.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("id", "genre") + FEATURE_NAMES)
-    for doc in corpus.documents:
+    rows = 0
+    for doc in documents:
         row = extract_meta(doc, lexicon)
         statistics = ["" if value is None else repr(value) for value in row[:15]]
         counts = [str(int(value)) for value in row[15:]]
         writer.writerow([doc.id, doc.genre or "", *statistics, *counts])
-    return buffer.getvalue()
+        rows += 1
+    return rows

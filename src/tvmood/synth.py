@@ -14,9 +14,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .corpus import Corpus, Document
+from .corpus import Document
 from .lexicon import AffectLexicon
 
 VALENCE_BAND = 0.1
@@ -99,13 +99,16 @@ def generate(
     seed: int,
     start: datetime = DEFAULT_START,
     spacing: timedelta = DEFAULT_SPACING,
-) -> Corpus:
-    """Generate a labeled corpus, one batch of documents per profile.
+) -> Iterator[Document]:
+    """Draw a labeled corpus, one batch of documents per profile.
 
-    Documents receive evenly spaced timestamps (``start + n * spacing`` in
-    generation order) and ids of the form ``<label>-<n>``. Raises
-    ``ValueError`` when a profile's valence band contains no lexicon word,
-    naming the profile.
+    Returns an iterator that draws each document when it is asked for, so
+    a corpus need not be held; the documents' ids are distinct. Documents
+    receive evenly spaced timestamps (``start + n * spacing`` in generation
+    order) and ids of the form ``<label>-<n>``. Raises ``ValueError`` at
+    the call when a profile's valence band contains no lexicon word, naming
+    the profile; a timestamp past the datetime range raises
+    ``OverflowError`` when its document is drawn.
     """
     if not profiles:
         raise ValueError("no profiles given")
@@ -121,10 +124,19 @@ def generate(
                 f"±{VALENCE_BAND} of target {target}"
             )
         pools.append(pool)
+    return _draw(profiles, pools, shared_pool, seed, start, spacing)
 
+
+def _draw(
+    profiles: Sequence[GenreProfile],
+    pools: list[list[str]],
+    shared_pool: list[str],
+    seed: int,
+    start: datetime,
+    spacing: timedelta,
+) -> Iterator[Document]:
     rng = random.Random(seed)
     draw, choice = rng.random, rng.choice
-    documents = []
     serial = 0
     for profile, pool in zip(profiles, pools):
         bias = profile.bias
@@ -132,16 +144,13 @@ def generate(
             token_count = rng.randint(*profile.token_range)
             # a per-token loop's RNG calls in its order; Counter keeps first-seen order
             tokens = [choice(pool if draw() < bias else shared_pool) for _ in range(token_count)]
-            documents.append(
-                Document(
-                    id=f"{profile.label}-{serial:05d}",
-                    channel=profile.channel or profile.label,
-                    term_counts=dict(Counter(tokens)),
-                    total_tokens=token_count,
-                    genre=profile.label,
-                    timestamp=start + serial * spacing,
-                    _checked=True,  # lowercase lexicon words, counts summing to token_count
-                )
+            yield Document(
+                id=f"{profile.label}-{serial:05d}",
+                channel=profile.channel or profile.label,
+                term_counts=dict(Counter(tokens)),
+                total_tokens=token_count,
+                genre=profile.label,
+                timestamp=start + serial * spacing,
+                _checked=True,  # lowercase lexicon words, counts summing to token_count
             )
             serial += 1
-    return Corpus(tuple(documents), True)  # serial numbers make the ids distinct

@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from tvmood.corpus import Corpus, Document
+from tvmood.evaluation import EvalReport, labeled_rows, run_cv
 from tvmood.lexicon import AffectLexicon
 
 UTC = timezone.utc
@@ -62,6 +63,14 @@ def checked_copy(corpus: Corpus) -> Corpus:
             for d in corpus.documents
         ]
     )
+
+
+def cross_validate(
+    corpus: Corpus, lexicon: AffectLexicon, representation: str, **kwargs
+) -> EvalReport:
+    """``run_cv`` on the corpus's labeled rows of the given representation."""
+    rows = list(labeled_rows(corpus.documents, lexicon, representation))
+    return run_cv(rows, representation, **kwargs)
 
 
 def weekly_docs(count: int, counts: dict[str, int], channel: str = "cnn") -> Corpus:

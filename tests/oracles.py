@@ -14,7 +14,8 @@ message) and ``affect.match_stats`` (bit-identical statistics). The walk
 over sorted (value, count) pairs, the per-class term lookups and the
 per-token ``Counter`` loop are the bit-exact references for
 ``features._weighted_median``, ``classify.predict_multinomial`` and
-``synth.generate``.
+``synth.generate``. The resident per-channel window scorer, with its
+default origin, is the byte-exact reference for one-pass window scoring.
 """
 
 from __future__ import annotations
@@ -24,13 +25,20 @@ import math
 import operator
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from tvmood.affect import AffectScore, AffectSpread, MatchStats
+from tvmood.affect import (
+    AffectScore,
+    AffectSeries,
+    AffectSpread,
+    MatchStats,
+    SeriesPoint,
+    match_stats,
+)
 from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel
 from tvmood.corpus import Corpus, Document
 from tvmood.lexicon import LEXICON_HEADER, LexiconError
@@ -388,3 +396,33 @@ def generate_per_token(profiles, lexicon, seed, start=DEFAULT_START, spacing=DEF
             )
             serial += 1
     return Corpus(tuple(documents))
+
+
+def default_origin(corpus):
+    """Earliest timestamp of a loaded corpus, truncated to midnight UTC."""
+    if not corpus.documents:
+        raise ValueError("corpus has no documents, so --window needs --origin")
+    return min(doc.timestamp for doc in corpus.documents).replace(hour=0, minute=0, second=0)
+
+
+def score_windows_resident(corpus, channel, lexicon, window_length, origin):
+    """One channel's series from a resident corpus, rescanned per channel and
+    pooled per window index from a known origin."""
+    table = lexicon.table
+    buckets = defaultdict(dict)
+    for doc in (doc for doc in corpus.documents if doc.channel == channel):
+        bucket = buckets[(doc.timestamp - origin) // window_length]
+        for term, count in doc.term_counts.items():
+            if term in table:
+                bucket[term] = bucket.get(term, 0) + count
+    if not buckets:
+        return AffectSeries(channel, window_length, ())
+    points = []
+    for index in range(min(buckets), max(buckets) + 1):
+        start = origin + index * window_length
+        stats = match_stats(buckets[index], lexicon) if index in buckets else None
+        if stats is None:
+            points.append(SeriesPoint(start, None, None))
+        else:
+            points.append(SeriesPoint(start, stats.score, stats.spread))
+    return AffectSeries(channel, window_length, tuple(points))

@@ -18,7 +18,7 @@ from datetime import timedelta
 
 import pytest
 
-from tvmood.affect import score_channel, score_counts, score_windows
+from tvmood.affect import pool_channels, score_counts, score_windows
 from tvmood.classify import (
     predict_gaussian,
     predict_multinomial,
@@ -27,11 +27,11 @@ from tvmood.classify import (
 )
 from tvmood.cli import main
 from tvmood.corpus import Corpus, corpus_to_jsonl
-from tvmood.evaluation import auc_one_vs_rest, run_cv, stratified_folds
+from tvmood.evaluation import auc_one_vs_rest, stratified_folds
 from tvmood.lexicon import normalize_rating, serialize_lexicon
 from tvmood.synth import GenreProfile, generate
 
-from conftest import T0, make_doc, make_lexicon, random_lexicon
+from conftest import T0, cross_validate, make_doc, make_lexicon, random_lexicon
 from oracles import (
     expansion_stats,
     gaussian_posterior,
@@ -68,7 +68,7 @@ def table3_setup():
         GenreProfile("newscast", 41, 0.85, (0.30, 0.60, 0.50), (40, 90)),
         GenreProfile("reality", 93, 0.85, (0.10, 0.55, 0.55), (40, 90)),
     ]
-    corpus = generate(profiles, lexicon, seed=42)
+    corpus = Corpus(tuple(generate(profiles, lexicon, seed=42)))
     return lexicon, corpus
 
 
@@ -255,8 +255,8 @@ def test_criterion_06_synthetic_genre_classification(table3_setup):
     assert len(corpus) == 343
 
     started = time.perf_counter()
-    vsm = run_cv(corpus, lexicon, "vsm", k=5, seed=42)
-    meta = run_cv(corpus, lexicon, "meta", k=5, seed=42)
+    vsm = cross_validate(corpus, lexicon, "vsm", k=5, seed=42)
+    meta = cross_validate(corpus, lexicon, "meta", k=5, seed=42)
     elapsed = time.perf_counter() - started
     _verdict(
         6,
@@ -284,7 +284,7 @@ def test_criterion_07_label_shuffle_null(table3_setup):
     means = {}
     for representation in ("vsm", "meta"):
         aucs = [
-            run_cv(
+            cross_validate(
                 shuffled(1000 + seed), lexicon, representation, k=5, seed=seed
             ).weighted_auc
             for seed in range(20)
@@ -314,10 +314,10 @@ def test_criterion_08_channel_groups_rank_by_valence():
     ]
     ok = True
     for seed in range(10):
-        corpus = generate(profiles, lexicon, seed=seed)
+        corpus = Corpus(tuple(generate(profiles, lexicon, seed=seed)))
         valence = {
-            channel: score_channel(corpus, channel, lexicon)[0].valence
-            for channel in corpus.channels()
+            channel: score_counts(pool, lexicon)[0].valence
+            for channel, pool in pool_channels(corpus.documents, lexicon).items()
         }
         if max(valence[ch] for ch in low_channels) >= min(
             valence[ch] for ch in high_channels
@@ -411,14 +411,14 @@ def test_criterion_10_windowing_and_gaps():
         make_doc(f"wk{i:02d}", {"good": 2, "bad": 1}, "cnn", timestamp=T0 + i * week)
         for i in range(52)
     )
-    series = score_windows(Corpus(docs), "cnn", lexicon, 4 * week, T0)
+    [series] = score_windows(docs, lexicon, 4 * week, T0)
     thirteen = len(series.points) == 13 and not any(p.is_gap for p in series.points)
 
     sparse_docs = (
         make_doc("early", {"good": 1}, "cnn", timestamp=T0),
         make_doc("late", {"bad": 1}, "cnn", timestamp=T0 + 9 * week),
     )
-    sparse = score_windows(Corpus(sparse_docs), "cnn", lexicon, 4 * week, T0)
+    [sparse] = score_windows(sparse_docs, lexicon, 4 * week, T0)
     gaps_ok = (
         [point.is_gap for point in sparse.points] == [False, True, False]
         and sparse.points[1].score is None

@@ -14,7 +14,7 @@ from tvmood.affect import (
     SERIES_CSV_HEADER,
     NoSignalError,
     match_stats,
-    score_channel,
+    pool_channels,
     score_counts,
     score_windows,
     series_to_csv,
@@ -90,7 +90,9 @@ def test_score_matches_expansion_oracle():
 def test_channel_single_document_matches_score_counts(small_lexicon):
     counts = {"good": 3, "fire": 1}
     corpus = Corpus((make_doc("a", counts, channel="cnn"),))
-    pooled_score, pooled_spread = score_channel(corpus, "cnn", small_lexicon)
+    pooled_score, pooled_spread = score_counts(
+        pool_channels(corpus.documents, small_lexicon)["cnn"], small_lexicon
+    )
     direct_score, direct_spread = score_counts(counts, small_lexicon)
     assert pooled_score == direct_score
     assert pooled_spread == direct_spread
@@ -104,7 +106,7 @@ def test_channel_two_disjoint_documents_hand_case():
             make_doc("d2", {"b": 1}, channel="cnn"),
         )
     )
-    score, spread = score_channel(corpus, "cnn", lexicon)
+    score, spread = score_counts(pool_channels(corpus.documents, lexicon)["cnn"], lexicon)
     assert score.valence == pytest.approx(0.5, abs=1e-15)
     assert spread.valence == pytest.approx(0.3, abs=1e-15)
 
@@ -117,17 +119,17 @@ def test_channel_zero_variance():
             make_doc("d2", {"b": 3}, channel="cnn"),
         )
     )
-    score, spread = score_channel(corpus, "cnn", lexicon)
+    score, spread = score_counts(pool_channels(corpus.documents, lexicon)["cnn"], lexicon)
     assert score.valence == pytest.approx(0.7, abs=1e-15)
     assert spread.valence == 0.0
 
 
 def test_channel_unknown_or_unmatched_raises(small_lexicon):
     corpus = Corpus((make_doc("a", {"xyzzy": 2}, channel="cnn"),))
+    pools = pool_channels(corpus.documents, small_lexicon)
+    assert pools == {"cnn": {}}  # no pool for a channel without documents
     with pytest.raises(NoSignalError):
-        score_channel(corpus, "nope", small_lexicon)
-    with pytest.raises(NoSignalError):
-        score_channel(corpus, "cnn", small_lexicon)
+        score_counts(pools["cnn"], small_lexicon)
 
 
 def test_channel_pooling_equals_summed_count_maps():
@@ -148,13 +150,13 @@ def test_channel_pooling_equals_summed_count_maps():
         pooled = Counter()
         for counts in doc_counts:
             pooled.update(counts)
-        channel_score, _ = score_channel(corpus, "ch", lexicon)
+        channel_score, _ = score_counts(pool_channels(corpus.documents, lexicon)["ch"], lexicon)
         assert channel_score == score_counts(dict(pooled), lexicon)[0]
 
 
 def test_windows_thirteen_four_week_periods(small_lexicon):
     corpus = weekly_docs(52, {"good": 2, "fire": 1})
-    series = score_windows(corpus, "cnn", small_lexicon, 4 * WEEK, T0)
+    [series] = score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
     assert len(series.points) == 13
     assert not any(point.is_gap for point in series.points)
     assert series.points[0].start == T0
@@ -164,7 +166,7 @@ def test_windows_thirteen_four_week_periods(small_lexicon):
 def test_windows_single_document_equals_its_score(small_lexicon):
     counts = {"good": 3, "bad": 1}
     corpus = Corpus((make_doc("a", counts, channel="cnn", timestamp=T0),))
-    series = score_windows(corpus, "cnn", small_lexicon, 4 * WEEK, T0)
+    [series] = score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
     assert len(series.points) == 1
     assert series.points[0].score == score_counts(counts, small_lexicon)[0]
 
@@ -174,7 +176,7 @@ def test_windows_emit_gap_for_empty_window(small_lexicon):
         make_doc("a", {"good": 1}, channel="cnn", timestamp=T0),
         make_doc("b", {"bad": 1}, channel="cnn", timestamp=T0 + 9 * WEEK),
     )
-    series = score_windows(Corpus(docs), "cnn", small_lexicon, 4 * WEEK, T0)
+    [series] = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     assert [point.is_gap for point in series.points] == [False, True, False]
 
 
@@ -183,19 +185,20 @@ def test_windows_emit_gap_for_unmatched_window(small_lexicon):
         make_doc("a", {"good": 1}, channel="cnn", timestamp=T0),
         make_doc("b", {"xyzzy": 4}, channel="cnn", timestamp=T0 + 5 * WEEK),
     )
-    series = score_windows(Corpus(docs), "cnn", small_lexicon, 4 * WEEK, T0)
+    [series] = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     assert [point.is_gap for point in series.points] == [False, True]
 
 
 def test_windows_empty_channel_returns_empty_series(small_lexicon):
     corpus = Corpus((make_doc("a", {"good": 1}, channel="cnn", timestamp=T0),))
-    series = score_windows(corpus, "fox", small_lexicon, 4 * WEEK, T0)
-    assert series.points == ()
+    series = score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
+    assert [s.channel for s in series] == ["cnn"]  # and none for "fox", which has no documents
+    assert score_windows((), small_lexicon, 4 * WEEK, T0) == []
 
 
 def test_windows_document_before_origin(small_lexicon):
     docs = (make_doc("a", {"good": 1}, channel="cnn", timestamp=T0 - 2 * WEEK),)
-    series = score_windows(Corpus(docs), "cnn", small_lexicon, 4 * WEEK, T0)
+    [series] = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     assert len(series.points) == 1
     assert series.points[0].start == T0 - 4 * WEEK
 
@@ -203,13 +206,13 @@ def test_windows_document_before_origin(small_lexicon):
 def test_windows_require_timestamps(small_lexicon):
     corpus = Corpus((make_doc("a", {"good": 1}, channel="cnn"),))
     with pytest.raises(ValueError, match="timestamp"):
-        score_windows(corpus, "cnn", small_lexicon, 4 * WEEK, T0)
+        score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
 
 
 def test_windows_reject_non_positive_length(small_lexicon):
     corpus = weekly_docs(2, {"good": 1})
     with pytest.raises(ValueError):
-        score_windows(corpus, "cnn", small_lexicon, timedelta(0), T0)
+        score_windows(corpus.documents, small_lexicon, timedelta(0), T0)
 
 
 def test_series_csv_layout(small_lexicon):
@@ -217,7 +220,7 @@ def test_series_csv_layout(small_lexicon):
         make_doc("a", {"good": 4}, channel="cnn", timestamp=T0),
         make_doc("b", {"xyzzy": 1}, channel="cnn", timestamp=T0 + 5 * WEEK),
     )
-    series = score_windows(Corpus(docs), "cnn", small_lexicon, 4 * WEEK, T0)
+    [series] = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     lines = series_to_csv([series]).splitlines()
     assert lines[0] == ",".join(SERIES_CSV_HEADER)
     scored = lines[1].split(",")

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tvmood.affect import series_to_csv
 from tvmood.cli import _write_all, main, parse_window
 from tvmood.corpus import Corpus, corpus_to_jsonl, load_corpus_file
-from tvmood.lexicon import serialize_lexicon
+from tvmood.lexicon import parse_lexicon, serialize_lexicon
 from tvmood.synth import GenreProfile, generate
 
 from conftest import T0, make_doc, random_lexicon
+from oracles import default_origin, score_windows_resident
 
 LEXICON_TEXT = """word,valence_mean,valence_sd,arousal_mean,arousal_sd,dominance_mean,dominance_sd
 good,8.0,1.0,5.0,1.0,5.8,1.0
@@ -189,6 +191,46 @@ def test_score_rejects_flags_it_would_ignore(
     assert not out.exists()
 
 
+@st.composite
+def window_corpora(draw):
+    """Up to 12 documents on three channels, each at 00:00:00 or 23:59:59 UTC
+    of a day within 120 days, so that windows may be gaps; terms come from
+    the test lexicon and from outside it, so a document may match nothing."""
+    terms = st.sampled_from(["good", "bad", "fire", "calm", "xyzzy", "plugh"])
+    docs = []
+    for i in range(draw(st.integers(1, 12))):
+        moment = T0 + timedelta(
+            days=draw(st.integers(0, 120)), seconds=draw(st.sampled_from([0, 86399]))
+        )
+        counts = draw(st.dictionaries(terms, st.integers(1, 5), min_size=1, max_size=4))
+        channel = draw(st.sampled_from(["cnn", "e", "fox"]))
+        docs.append(make_doc(f"d{i}", counts, channel=channel, timestamp=moment))
+    return Corpus(tuple(docs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=window_corpora(), days=st.integers(1, 30))
+def test_window_without_origin_equals_resident_reference(corpus, days):
+    """Pooling per (channel, UTC day) and merging the days into windows writes
+    the bytes of the resident per-channel scorer from the default origin."""
+    lexicon = parse_lexicon(LEXICON_TEXT)
+    length = timedelta(days=days)
+    origin = default_origin(corpus)
+    expected = series_to_csv(
+        [score_windows_resident(corpus, channel, lexicon, length, origin)
+         for channel in corpus.channels()]
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {name: os.path.join(directory, name) for name in ("lex.csv", "c.jsonl", "w.csv")}
+        Path(paths["lex.csv"]).write_text(LEXICON_TEXT, encoding="utf-8")
+        Path(paths["c.jsonl"]).write_text(corpus_to_jsonl(corpus), encoding="utf-8")
+        argv = ["score", "--lexicon", paths["lex.csv"], "--corpus", paths["c.jsonl"],
+                "--format", "counts", "--window", f"{days}d", "--out", paths["w.csv"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert Path(paths["w.csv"]).read_text(encoding="utf-8") == expected
+
+
 def test_score_window_on_an_empty_corpus_needs_origin(lexicon_path, tmp_path, capsys):
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text("\n", encoding="utf-8")
@@ -278,7 +320,7 @@ def test_evaluate_command(tmp_path, capsys):
         GenreProfile("down", 22, 1.0, (0.2, 0.5, 0.5), (20, 40)),
         GenreProfile("tiny", 3, 1.0, (0.5, 0.5, 0.5), (20, 40)),
     ]
-    corpus = generate(profiles, lexicon, seed=23)
+    corpus = Corpus(tuple(generate(profiles, lexicon, seed=23)))
     corpus_file = tmp_path / "corpus.jsonl"
     corpus_file.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
 
@@ -320,7 +362,7 @@ def test_evaluate_config_echo_differs_by_variant(tmp_path):
     ]
     corpus_file = tmp_path / "corpus.jsonl"
     corpus_file.write_text(
-        corpus_to_jsonl(generate(profiles, lexicon, seed=31)), encoding="utf-8"
+        corpus_to_jsonl(Corpus(tuple(generate(profiles, lexicon, seed=31)))), encoding="utf-8"
     )
 
     for variant in ("multinomial", "gaussian"):
@@ -379,21 +421,80 @@ def test_evaluate_rejects_non_finite_alpha(tmp_path, capsys, lexicon_path, corpu
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize(
-    "command", [["features"], ["score", "--per-document"]], ids=["features", "per-document"]
-)
+# every command that reads a corpus and writes files, with the flags it needs
+# on a tiny corpus; evaluate writes <out>.json and <out>.csv
+WRITERS = [
+    ["features"],
+    ["score", "--per-document"],
+    ["score"],
+    ["score", "--window", "1w"],
+    ["evaluate", "--folds", "2", "--min-genre-support", "1"],
+]
+WRITER_IDS = ["features", "per-document", "channels", "window", "evaluate"]
+
+
+def _outputs(command, tmp_path):
+    """The ``--out`` value of a command and the files it writes."""
+    if command[0] == "evaluate":
+        return tmp_path / "out", [tmp_path / "out.json", tmp_path / "out.csv"]
+    return tmp_path / "out.csv", [tmp_path / "out.csv"]
+
+
+@pytest.mark.parametrize("command", WRITERS, ids=WRITER_IDS)
 def test_unencodable_output_keeps_the_old_file(tmp_path, capsys, lexicon_path, command):
     corpus = tmp_path / "corpus.jsonl"
-    lone_surrogate = make_doc("x\ud800", {"good": 1}, timestamp=T0)  # JSON escapes it
-    corpus.write_text(corpus_to_jsonl(Corpus((lone_surrogate,))), encoding="utf-8")
-    out = tmp_path / "out.csv"
-    out.write_bytes(b"old bytes\n")
+    # JSON escapes a lone surrogate; writing it as UTF-8 fails. Only the
+    # evaluate CSV holds the genre, which the JSON report escapes too.
+    docs = [
+        make_doc(f"{name}\ud800", {"good": 1}, channel="c\ud800", genre="g\ud800", timestamp=T0)
+        for name in ("x", "y")
+    ] + [make_doc(name, {"bad": 1}, channel="c", genre="h", timestamp=T0) for name in ("a", "b")]
+    corpus.write_text(corpus_to_jsonl(Corpus(tuple(docs))), encoding="utf-8")
+    out, outputs = _outputs(command, tmp_path)
+    for path in outputs:
+        path.write_bytes(b"old bytes\n")
     argv = [*command, "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts"]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "surrogates not allowed" in err and err.count("\n") == 1
-    assert out.read_bytes() == b"old bytes\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lexicon.csv", "out.csv"]
+    assert all(path.read_bytes() == b"old bytes\n" for path in outputs)
+    expected = ["corpus.jsonl", "lexicon.csv", *(path.name for path in outputs)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+
+
+@pytest.mark.parametrize("target", ["file", "fifo"])
+@pytest.mark.parametrize("command", WRITERS, ids=WRITER_IDS)
+def test_bad_last_record_writes_nothing(tmp_path, capsys, lexicon_path, corpus_path, command, target):
+    """Rows are written as the documents are read, yet a bad last record
+    leaves every old output as it was, no temporary, and a FIFO unwritten."""
+    lines = Path(corpus_path).read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines + ['{"id": "late", "channel": "cnn"}']) + "\n", encoding="utf-8")
+    out, outputs = _outputs(command, tmp_path)
+    for path in outputs:
+        path.write_bytes(b"old bytes\n")
+    received = []
+    if target == "fifo":
+        outputs[0].unlink()
+        os.mkfifo(outputs[0])
+        reader = threading.Thread(
+            target=lambda: received.append(outputs[0].read_bytes()), daemon=True
+        )
+        reader.start()
+    argv = [*command, "--lexicon", lexicon_path, "--corpus", str(bad), "--format", "counts"]
+    assert main([*argv, "--out", str(out)]) == 2
+    message = f"error: line {len(lines) + 1}: missing required field 'timestamp'\n"
+    assert capsys.readouterr().err == message
+    if target == "fifo":
+        reader.join(timeout=0.5)
+        if reader.is_alive():  # still waiting for a writer: let it read end-of-file
+            os.close(os.open(outputs[0], os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+        assert received == [b""]
+        assert stat.S_ISFIFO(os.stat(outputs[0]).st_mode)
+    assert all(path.read_bytes() == b"old bytes\n" for path in outputs[target == "fifo":])
+    expected = ["corpus.jsonl", "bad.jsonl", "lexicon.csv", *(path.name for path in outputs)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
 
 
 def test_write_all_writes_a_fifo_in_place(tmp_path):
@@ -403,7 +504,9 @@ def test_write_all_writes_a_fifo_in_place(tmp_path):
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
     try:
-        _write_all({str(fifo): "through the pipe \u00e9\n", str(regular): "file\n"})
+        with _write_all(str(fifo), str(regular)) as (to_fifo, to_file):
+            to_fifo.write("through the pipe \u00e9\n")
+            to_file.write("file\n")
     finally:
         reader.join(timeout=10)
     assert received == ["through the pipe \u00e9\n".encode("utf-8")]
@@ -434,12 +537,17 @@ def test_evaluate_failed_write_leaves_no_report(tmp_path, capsys, lexicon_path, 
 
 def test_write_all_writes_every_output_or_none(tmp_path):
     first, second = str(tmp_path / "a.json"), str(tmp_path / "a.csv")
-    _write_all({first: "old\n", second: "old\n"})
+    def write_all(outputs):
+        with _write_all(*outputs) as handles:
+            for handle, content in zip(handles, outputs.values()):
+                handle.write(content)
+
+    write_all({first: "old\n", second: "old\n"})
     with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails while writing
-        _write_all({first: "new\n", second: "bad \udc80\n"})
+        write_all({first: "new\n", second: "bad \udc80\n"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
     assert (tmp_path / "a.json").read_text(encoding="utf-8") == "old\n"
-    _write_all({first: "new\n", second: "new\n"})
+    write_all({first: "new\n", second: "new\n"})
     assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "new\n"
 
 
@@ -524,17 +632,29 @@ def test_synth_unreadable_profiles_name_the_flag(tmp_path, capsys, lexicon_path,
 
 
 @pytest.mark.parametrize(
-    "command,flag",
+    "command,flag,where",
     [
-        ("lexicon-validate", "--lexicon"),
-        *((command, flag) for command in ("score", "features", "evaluate")
+        pytest.param("lexicon-validate", "--lexicon", "own-line", id="lexicon-validate---lexicon"),
+        *(pytest.param(command, flag, "own-line", id=f"{command}-{flag}")
+          for command in ("score", "features", "evaluate")
           for flag in ("--lexicon", "--corpus")),
+        # the corpus is read while the outputs are made: the pass is covered to its end
+        *(pytest.param(command, "--corpus", "last-record", id=f"{command}---corpus-last-record")
+          for command in ("score", "features", "evaluate")),
     ],
 )
-def test_undecodable_input_names_its_flag(tmp_path, capsys, lexicon_path, corpus_path, command, flag):
+def test_undecodable_input_names_its_flag(
+    tmp_path, capsys, lexicon_path, corpus_path, command, flag, where
+):
     files = {"--lexicon": lexicon_path, "--corpus": corpus_path}
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(Path(files[flag]).read_bytes() + b"\xff\n")
+    data = Path(files[flag]).read_bytes()
+    if where == "own-line":
+        bad.write_bytes(data + b"\xff\n")
+    else:  # inside the id of the last record
+        head, last = data.rstrip(b"\n").rsplit(b"\n", 1)
+        assert last.startswith(b'{"id":"u1"')
+        bad.write_bytes(head + b"\n" + last.replace(b'"u1"', b'"u\xff1"') + b"\n")
     files[flag] = str(bad)
     argv = [command, "--lexicon", files["--lexicon"]]
     if command != "lexicon-validate":

@@ -298,9 +298,8 @@ def test_loaded_and_filtered_corpora_equal_checked_construction():
     assert counts == checked_copy(counts) == loaded
     merged = load_corpus(record("m", term_counts={"Fire": 2, "fire": 1, "calm": 4}), "counts")
     assert merged == checked_copy(merged)
-    filtered = filter_min_genre_support(loaded, 2)
-    assert [doc.id for doc in filtered.documents] == ["a", "c"]
-    assert filtered == checked_copy(filtered) and type(filtered.documents) is tuple
+    filtered = filter_min_genre_support(loaded.documents, 2)
+    assert filtered == [loaded.documents[0], loaded.documents[2]]  # the loaded documents, kept
 
 
 def test_document_from_counts_merges_case():
@@ -331,12 +330,12 @@ def test_filter_min_genre_support_threshold():
     docs += [make_doc(f"y{i}", {"t": 1}, genre="y") for i in range(10)]
     docs += [make_doc("u0", {"t": 1})]
     corpus = Corpus(tuple(docs))
-    filtered = filter_min_genre_support(corpus, 20)
+    filtered = Corpus(tuple(filter_min_genre_support(corpus.documents, 20)))
     assert filtered.label_set == {"x"}
     assert len(filtered) == 25
 
-    assert len(filter_min_genre_support(corpus, 1)) == 35  # unlabeled still dropped
-    assert filter_min_genre_support(filtered, 20) == filtered  # idempotent
+    assert len(filter_min_genre_support(corpus.documents, 1)) == 35  # unlabeled still dropped
+    assert filter_min_genre_support(filtered.documents, 20) == list(filtered.documents)  # idempotent
 
 
 def test_filter_keeps_published_genre_distribution():
@@ -347,14 +346,14 @@ def test_filter_keeps_published_genre_distribution():
         for i in range(size)
     ]
     corpus = Corpus(tuple(docs))
-    filtered = filter_min_genre_support(corpus, 20)
+    filtered = Corpus(tuple(filter_min_genre_support(corpus.documents, 20)))
     assert len(filtered) == 343
     assert filtered.label_set == set(sizes)
 
 
 def test_filter_rejects_bad_threshold():
     with pytest.raises(ValueError):
-        filter_min_genre_support(Corpus(()), 0)
+        filter_min_genre_support((), 0)
 
 
 def test_filter_preserves_order():
@@ -363,8 +362,8 @@ def test_filter_preserves_order():
         make_doc("b", {"t": 1}, genre="rare"),
         make_doc("c", {"t": 1}, genre="g"),
     ]
-    filtered = filter_min_genre_support(Corpus(tuple(docs)), 2)
-    assert [doc.id for doc in filtered.documents] == ["a", "c"]
+    filtered = filter_min_genre_support(Corpus(tuple(docs)).documents, 2)
+    assert [doc.id for doc in filtered] == ["a", "c"]
 
 
 def test_jsonl_round_trip_and_determinism():

@@ -15,12 +15,11 @@ from tvmood.evaluation import (
     confusion_and_rates,
     report_to_csv,
     report_to_json,
-    run_cv,
     stratified_folds,
 )
 from tvmood.synth import GenreProfile, generate
 
-from conftest import make_doc, make_lexicon, random_lexicon
+from conftest import cross_validate, make_doc, make_lexicon, random_lexicon
 from oracles import trapezoid_auc
 
 
@@ -181,7 +180,7 @@ def separable_corpus():
 @pytest.mark.parametrize("representation", ["vsm", "meta"])
 def test_run_cv_separable_corpus_reaches_auc_one(representation):
     corpus, lexicon = separable_corpus()
-    report = run_cv(corpus, lexicon, representation, k=5, seed=42)
+    report = cross_validate(corpus, lexicon, representation, k=5, seed=42)
     assert report.weighted_auc == pytest.approx(1.0)
     assert report.weighted_tp_rate == pytest.approx(1.0)
     total = sum(sum(row) for row in report.confusion)
@@ -190,15 +189,15 @@ def test_run_cv_separable_corpus_reaches_auc_one(representation):
 
 def test_run_cv_is_deterministic():
     corpus, lexicon = separable_corpus()
-    first = run_cv(corpus, lexicon, "vsm", k=5, seed=7)
-    second = run_cv(corpus, lexicon, "vsm", k=5, seed=7)
+    first = cross_validate(corpus, lexicon, "vsm", k=5, seed=7)
+    second = cross_validate(corpus, lexicon, "vsm", k=5, seed=7)
     assert report_to_json(first) == report_to_json(second)
     assert report_to_csv(first) == report_to_csv(second)
 
 
 def test_run_cv_gaussian_on_counts_variant():
     corpus, lexicon = separable_corpus()
-    report = run_cv(
+    report = cross_validate(
         corpus, lexicon, "vsm", k=5, seed=7, config=ClassifierConfig(kind="gaussian")
     )
     assert report.config["model"] == "gaussian"
@@ -209,20 +208,20 @@ def test_run_cv_rejects_low_support_naming_class():
     corpus, lexicon = separable_corpus()
     docs = corpus.documents + (make_doc("rare0", {"sunny": 1}, genre="rare"),)
     with pytest.raises(ValueError, match="'rare'"):
-        run_cv(Corpus(docs), lexicon, "vsm", k=5, seed=1)
+        cross_validate(Corpus(docs), lexicon, "vsm", k=5, seed=1)
 
 
 def test_run_cv_rejects_unlabeled_documents():
     corpus, lexicon = separable_corpus()
     docs = corpus.documents + (make_doc("nolabel", {"sunny": 1}),)
     with pytest.raises(ValueError, match="unlabeled"):
-        run_cv(Corpus(docs), lexicon, "vsm", k=5, seed=1)
+        cross_validate(Corpus(docs), lexicon, "vsm", k=5, seed=1)
 
 
 def test_run_cv_rejects_meta_with_multinomial():
     corpus, lexicon = separable_corpus()
     with pytest.raises(ValueError, match="gaussian"):
-        run_cv(
+        cross_validate(
             corpus,
             lexicon,
             "meta",
@@ -240,14 +239,14 @@ def test_classifier_config_rejects_bad_alpha(alpha):
 
 def test_run_cv_weighted_auc_survives_relabeling():
     corpus, lexicon = separable_corpus()
-    base = run_cv(corpus, lexicon, "vsm", k=5, seed=3)
+    base = cross_validate(corpus, lexicon, "vsm", k=5, seed=3)
 
     renames = {"up": "zz_top", "down": "aa_bottom"}
     renamed_docs = tuple(
         make_doc(doc.id, dict(doc.term_counts), doc.channel, renames[doc.genre])
         for doc in corpus.documents
     )
-    renamed = run_cv(Corpus(renamed_docs), lexicon, "vsm", k=5, seed=3)
+    renamed = cross_validate(Corpus(renamed_docs), lexicon, "vsm", k=5, seed=3)
     assert renamed.weighted_auc == pytest.approx(base.weighted_auc, abs=1e-12)
 
 
@@ -258,8 +257,8 @@ def test_run_cv_weighted_averages_stay_within_class_range():
         GenreProfile("one", 12, 0.8, (0.25, 0.5, 0.5), (20, 40)),
         GenreProfile("two", 9, 0.8, (0.75, 0.5, 0.5), (20, 40)),
     ]
-    corpus = generate(profiles, lexicon, seed=5)
-    report = run_cv(corpus, lexicon, "meta", k=3, seed=11)
+    corpus = Corpus(tuple(generate(profiles, lexicon, seed=5)))
+    report = cross_validate(corpus, lexicon, "meta", k=3, seed=11)
     for name in ("tp_rate", "fp_rate", "auc"):
         values = [getattr(m, name) for m in report.class_metrics]
         weighted = getattr(report, f"weighted_{name}")
@@ -268,7 +267,7 @@ def test_run_cv_weighted_averages_stay_within_class_range():
 
 def test_report_serializations():
     corpus, lexicon = separable_corpus()
-    report = run_cv(corpus, lexicon, "vsm", k=5, seed=42)
+    report = cross_validate(corpus, lexicon, "vsm", k=5, seed=42)
 
     payload = json.loads(report_to_json(report))
     assert payload["config"]["representation"] == "vsm"

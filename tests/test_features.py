@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 
@@ -185,7 +186,9 @@ def test_features_csv_layout(small_lexicon):
             make_doc("b", {"xyzzy": 1}),
         )
     )
-    lines = features_to_csv(corpus, small_lexicon).splitlines()
+    buffer = io.StringIO()
+    assert features_to_csv(corpus.documents, small_lexicon, buffer) == 2
+    lines = buffer.getvalue().splitlines()
     assert lines[0] == "id,genre," + ",".join(FEATURE_NAMES)
     first = lines[1].split(",")
     assert first[0] == "a" and first[1] == "newscast"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvmood.affect import score_counts
-from tvmood.corpus import corpus_to_jsonl, load_corpus
+from tvmood.corpus import Corpus, corpus_to_jsonl, load_corpus
 from tvmood.synth import GenreProfile, generate
 
 from conftest import T0, checked_copy, random_lexicon
@@ -22,7 +22,7 @@ def test_generate_cardinality_and_labels():
     rng = random.Random(1)
     lexicon = random_lexicon(rng, 50)
     profile = GenreProfile("toons", 5, 1.0, (0.5, 0.5, 0.5), (10, 20))
-    corpus = generate([profile], lexicon, seed=3)
+    corpus = Corpus(tuple(generate([profile], lexicon, seed=3)))
     assert len(corpus) == 5
     assert all(doc.genre == "toons" for doc in corpus.documents)
     assert all(doc.channel == "toons" for doc in corpus.documents)
@@ -36,11 +36,11 @@ def test_generate_is_deterministic():
         GenreProfile("a", 4, 0.8, (0.3, 0.5, 0.5), (10, 30)),
         GenreProfile("b", 3, 0.8, (0.7, 0.5, 0.5), (10, 30)),
     ]
-    first = generate(profiles, lexicon, seed=99)
-    second = generate(profiles, lexicon, seed=99)
+    first = Corpus(tuple(generate(profiles, lexicon, seed=99)))
+    second = Corpus(tuple(generate(profiles, lexicon, seed=99)))
     assert first == second
     assert corpus_to_jsonl(first) == corpus_to_jsonl(second)
-    different = generate(profiles, lexicon, seed=100)
+    different = Corpus(tuple(generate(profiles, lexicon, seed=100)))
     assert corpus_to_jsonl(different) != corpus_to_jsonl(first)
 
 
@@ -52,7 +52,7 @@ def test_generate_separates_valence_groups():
         GenreProfile("highv", 8, 1.0, (0.8, 0.5, 0.5), (30, 60)),
     ]
     for seed in range(10):
-        corpus = generate(profiles, lexicon, seed=seed)
+        corpus = Corpus(tuple(generate(profiles, lexicon, seed=seed)))
         means = {}
         for genre in ("lowv", "highv"):
             scores = [
@@ -68,7 +68,8 @@ def test_generate_timestamps_are_evenly_spaced():
     rng = random.Random(5)
     lexicon = random_lexicon(rng, 40)
     profile = GenreProfile("g", 6, 1.0, (0.5, 0.5, 0.5), (5, 9))
-    corpus = generate([profile], lexicon, seed=0, start=T0, spacing=timedelta(hours=6))
+    documents = generate([profile], lexicon, seed=0, start=T0, spacing=timedelta(hours=6))
+    corpus = Corpus(tuple(documents))
     stamps = [doc.timestamp for doc in corpus.documents]
     assert stamps[0] == T0
     deltas = {b - a for a, b in zip(stamps, stamps[1:])}
@@ -82,7 +83,7 @@ def test_generate_output_is_loadable_and_valid():
         GenreProfile("x", 4, 0.7, (0.4, 0.5, 0.5), (10, 15), channel="chx"),
         GenreProfile("y", 4, 0.7, (0.6, 0.5, 0.5), (10, 15), channel="chy"),
     ]
-    corpus = generate(profiles, lexicon, seed=12)
+    corpus = Corpus(tuple(generate(profiles, lexicon, seed=12)))
     assert corpus == checked_copy(corpus) and type(corpus.documents) is tuple
     reloaded = load_corpus(corpus_to_jsonl(corpus), mode="counts")
     assert reloaded == corpus
@@ -134,7 +135,7 @@ def test_generate_bias_zero_uses_shared_pool():
         GenreProfile("a", 10, 0.0, (0.1, 0.5, 0.5), (50, 80)),
         GenreProfile("b", 10, 0.0, (0.9, 0.5, 0.5), (50, 80)),
     ]
-    corpus = generate(profiles, lexicon, seed=21)
+    corpus = Corpus(tuple(generate(profiles, lexicon, seed=21)))
     pooled = Counter()
     for doc in corpus.documents:
         pooled.update(doc.term_counts)
@@ -173,7 +174,7 @@ def synth_problems(draw, bias):
 @given(data=st.data())
 def test_generate_equals_per_token_counter_loop(bias, data):
     profiles, lexicon, seed = data.draw(synth_problems(bias))
-    corpus = generate(profiles, lexicon, seed)
+    corpus = Corpus(tuple(generate(profiles, lexicon, seed)))
     reference = generate_per_token(profiles, lexicon, seed)
     assert corpus == checked_copy(corpus)  # the trusted path holds the checked invariants
     assert corpus_to_jsonl(corpus) == corpus_to_jsonl(reference)
