@@ -98,6 +98,15 @@ def test_channel_single_document_matches_score_counts(small_lexicon):
     assert pooled_spread == direct_spread
 
 
+def test_channel_pools_share_one_key_object_per_term(small_lexicon):
+    """Pools hold one string per term and keep no document's strings alive."""
+    first, second = ("".join(["go", "od"]) for _ in range(2))
+    assert first is not second
+    docs = [make_doc("a", {first: 1}, channel="cnn"), make_doc("b", {second: 2}, channel="fox")]
+    [a], [b] = pool_channels(docs, small_lexicon).values()
+    assert a is b
+
+
 def test_channel_two_disjoint_documents_hand_case():
     lexicon = make_lexicon({"a": (0.2, 0.5, 0.5), "b": (0.8, 0.5, 0.5)})
     corpus = Corpus(

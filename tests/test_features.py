@@ -147,6 +147,15 @@ def test_extract_vsm_restricts_to_lexicon(small_lexicon):
     assert extract_vsm(make_doc("d3", counts), small_lexicon) == counts
 
 
+def test_extract_vsm_rows_share_one_key_object_per_term(small_lexicon):
+    """Rows kept side by side hold one string per term, not one per document."""
+    first, second = ("".join(["go", "od"]) for _ in range(2))
+    assert first is not second
+    [a], [b] = (extract_vsm(make_doc(f"d{i}", {term: 1}), small_lexicon)
+                for i, term in enumerate((first, second)))
+    assert a is b
+
+
 def test_extract_vsm_total_bounded_by_document_total(small_lexicon):
     rng = random.Random(43)
     vocabulary = small_lexicon.words() + ["m1", "m2", "m3"]
