@@ -492,7 +492,8 @@ def test_bad_last_record_writes_nothing(tmp_path, capsys, lexicon_path, corpus_p
         reader.join(timeout=10)
         assert received == [b""]
         assert stat.S_ISFIFO(os.stat(outputs[0]).st_mode)
-    assert all(path.read_bytes() == b"old bytes\n" for path in outputs[target == "fifo":])
+    regular = outputs[1:] if target == "fifo" else outputs
+    assert all(path.read_bytes() == b"old bytes\n" for path in regular)
     expected = ["corpus.jsonl", "bad.jsonl", "lexicon.csv", *(path.name for path in outputs)]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
 
