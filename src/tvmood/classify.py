@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -425,14 +424,13 @@ def predict_multinomial(
     """Posterior over classes for one term-count vector.
 
     Terms outside the training vocabulary are ignored; an empty instance
-    yields the priors.
+    yields the priors. A class's log-likelihood is one ``math.fsum`` of
+    count times log-probability over the instance's (column, count) pairs.
     """
     term_index = model.term_index
-    known = [term for term in instance if term in term_index]
-    columns = list(map(term_index.__getitem__, known))
-    counts = list(map(instance.__getitem__, known))
+    pairs = [(term_index[term], count) for term, count in instance.items() if term in term_index]
     log_scores = [
-        prior + math.fsum(map(operator.mul, counts, map(row.__getitem__, columns)))
+        prior + math.fsum([count * row[column] for column, count in pairs])
         for prior, row in zip(model.log_priors, model.log_term_probs)
     ]
     return _normalize_log_scores(model.class_labels, log_scores)

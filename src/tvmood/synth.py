@@ -5,7 +5,9 @@ lexicon words whose valence mean lies within ±0.1 of that target. Tokens
 are drawn from a mixture of the genre pool and a shared background pool
 (the whole lexicon), weighted by the profile's bias. Arousal and dominance
 follow whatever the sampled words carry. Generation is fully determined by
-the seed.
+the seed: per token, one ``random()`` picks the pool, then
+``getrandbits(n.bit_length())``, redrawn while >= n, picks one of its n
+words. These are the calls ``Random.choice`` makes on CPython 3.10-3.13.
 """
 
 from __future__ import annotations
@@ -43,21 +45,25 @@ class GenreProfile:
     channel: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for key, (_, _, what) in _FIELDS.items():
+            if not _well_typed(key, getattr(self, key)):
+                what = what.removeprefix("a list of ")
+                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
         if not self.label:
             raise ValueError("profile label is empty")
         if self.document_count < 1:
             raise ValueError(f"document_count must be >= 1, got {self.document_count}")
         if not 0.0 <= self.bias <= 1.0:
             raise ValueError(f"bias {self.bias!r} is outside [0, 1]")
-        if len(self.target) != 3 or not all(0.0 <= t <= 1.0 for t in self.target):
+        if not all(0.0 <= t <= 1.0 for t in self.target):
             raise ValueError(f"target {self.target!r} must be three values in [0, 1]")
         low, high = self.token_range
         if low < 1 or high < low:
             raise ValueError(f"token_range {self.token_range!r} is invalid")
 
 
-# GenreProfile field -> (JSON types of the value or its items, list length, what it must be)
-_JSON_FIELDS = {
+# GenreProfile field -> (types of the value or its items, item count, what it must be in JSON)
+_FIELDS = {
     "label": ((str,), None, "a string"),
     "document_count": ((int,), None, "an integer"),
     "bias": ((int, float), None, "a number"),
@@ -65,6 +71,16 @@ _JSON_FIELDS = {
     "token_range": ((int,), 2, "a list of two integers"),
     "channel": ((str, type(None)), None, "a string or null"),
 }
+
+
+def _well_typed(key: str, value: object) -> bool:
+    """Whether ``value`` fits field ``key``: never a bool, and a list or tuple of
+    the item count where the field has one."""
+    kinds, length, _ = _FIELDS[key]
+    values = value if length and isinstance(value, (list, tuple)) else [value]
+    return len(values) == (length or 1) and all(
+        isinstance(v, kinds) and not isinstance(v, bool) for v in values
+    )
 
 
 def profile_from_json(index: int, item: object) -> GenreProfile:
@@ -77,16 +93,12 @@ def profile_from_json(index: int, item: object) -> GenreProfile:
         raise ValueError(f"profile {index}: not a JSON object")
     item = {"bias": 1.0, "token_range": [30, 80], "channel": None, **item}
     fields = {}
-    for key, (kinds, length, what) in _JSON_FIELDS.items():
+    for key, (_, length, what) in _FIELDS.items():
         if key not in item:
             raise ValueError(f"profile {index}: missing required field {key!r}")
-        value = item[key]
-        values = value if length and isinstance(value, list) else [value]
-        if len(values) != (length or 1) or not all(
-            isinstance(v, kinds) and not isinstance(v, bool) for v in values
-        ):
+        if not _well_typed(key, item[key]):
             raise ValueError(f"profile {index}: field {key!r} must be {what}")
-        fields[key] = tuple(value) if length else value
+        fields[key] = tuple(item[key]) if length else item[key]
     try:
         return GenreProfile(**fields)
     except ValueError as exc:
@@ -136,14 +148,22 @@ def _draw(
     spacing: timedelta,
 ) -> Iterator[Document]:
     rng = random.Random(seed)
-    draw, choice = rng.random, rng.choice
+    draw, bits = rng.random, rng.getrandbits
+    shared = (shared_pool, len(shared_pool), len(shared_pool).bit_length())
     serial = 0
     for profile, pool in zip(profiles, pools):
         bias = profile.bias
+        own = (pool, len(pool), len(pool).bit_length())
         for _ in range(profile.document_count):
             token_count = rng.randint(*profile.token_range)
-            # a per-token loop's RNG calls in its order; Counter keeps first-seen order
-            tokens = [choice(pool if draw() < bias else shared_pool) for _ in range(token_count)]
+            # Random.choice's RNG calls, inline; Counter keeps first-seen order
+            tokens = []
+            for _ in range(token_count):
+                words, size, width = own if draw() < bias else shared
+                r = bits(width)
+                while r >= size:
+                    r = bits(width)
+                tokens.append(words[r])
             yield Document(
                 id=f"{profile.label}-{serial:05d}",
                 channel=profile.channel or profile.label,

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from tvmood.affect import score_counts
 from tvmood.corpus import Corpus, corpus_to_jsonl, load_corpus
-from tvmood.synth import GenreProfile, generate
+from tvmood.synth import VALENCE_BAND, GenreProfile, generate
 
-from conftest import T0, checked_copy, random_lexicon
+from conftest import T0, checked_copy, make_lexicon, random_lexicon
 from oracles import generate_per_token
 
 
@@ -173,7 +173,11 @@ def synth_problems(draw, bias):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_generate_equals_per_token_counter_loop(bias, data):
-    profiles, lexicon, seed = data.draw(synth_problems(bias))
+    assert_equals_per_token(*data.draw(synth_problems(bias)))
+
+
+def assert_equals_per_token(profiles, lexicon, seed):
+    """``generate`` equals the ``rng.choice`` reference in bytes and term order."""
     corpus = Corpus(tuple(generate(profiles, lexicon, seed)))
     reference = generate_per_token(profiles, lexicon, seed)
     assert corpus == checked_copy(corpus)  # the trusted path holds the checked invariants
@@ -181,3 +185,56 @@ def test_generate_equals_per_token_counter_loop(bias, data):
     assert [list(doc.term_counts.items()) for doc in corpus.documents] == [
         list(doc.term_counts.items()) for doc in reference.documents
     ]
+
+
+# n.bit_length() and (n - 1).bit_length() differ only when n is 1 or a power of two
+@pytest.mark.parametrize("size", [1, 2, 4, 5, 255, 256, 257])
+@pytest.mark.parametrize("background", [0, 3], ids=["pool-is-lexicon", "plus-3-words"])
+def test_generate_equals_per_token_on_edge_pool_sizes(size, background):
+    """Exactly ``size`` words lie within the band of valence 0.5; with no
+    background words the shared pool holds the same ``size`` words."""
+    words = {f"in{i:03d}": (0.45 + 0.1 * i / size, 0.5, 0.5) for i in range(size)}
+    words.update({f"out{i}": (0.9 + 0.01 * i, 0.5, 0.5) for i in range(background)})
+    lexicon = make_lexicon(words)
+    assert sum(abs(means[0] - 0.5) <= VALENCE_BAND for means in lexicon.table.values()) == size
+    profiles = [
+        GenreProfile("mixed", 6, 0.5, (0.5, 0.5, 0.5), (20, 40)),
+        GenreProfile("own", 3, 1.0, (0.5, 0.5, 0.5), (1, 9)),
+        GenreProfile("shared", 3, 0.0, (0.5, 0.5, 0.5), (1, 9)),
+    ]
+    for seed in (0, 1, 2**40 + 3):
+        assert_equals_per_token(profiles, lexicon, seed)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("label", 7),
+        ("document_count", 2.5),
+        ("document_count", True),
+        ("bias", "0.5"),
+        ("bias", True),
+        ("target", (0.5, "0.5", 0.5)),
+        ("target", (0.5, False, 0.5)),
+        ("target", (0.5, 0.5)),
+        ("token_range", (1.5, 3.0)),
+        ("token_range", (True, 3)),
+        ("token_range", (1, 3, 5)),
+        ("token_range", 3),
+        ("channel", 7),
+    ],
+)
+def test_profile_rejects_values_of_the_wrong_type(field, value):
+    fields = dict(label="g", document_count=2, bias=0.5, target=(0.5, 0.5, 0.5), token_range=(1, 3))
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        GenreProfile(**fields)
+
+
+def test_profile_accepts_int_bias_and_target():
+    lexicon = random_lexicon(random.Random(10), 40)
+    profile = GenreProfile("g", 2, 1, (0, 0, 1), (1, 3))
+    exact = GenreProfile("g", 2, 1.0, (0.0, 0.0, 1.0), (1, 3))
+    assert corpus_to_jsonl(Corpus(tuple(generate([profile], lexicon, seed=5)))) == corpus_to_jsonl(
+        Corpus(tuple(generate([exact], lexicon, seed=5)))
+    )
