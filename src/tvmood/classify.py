@@ -12,15 +12,22 @@ are always finite and sum to one.
 Gaussian training makes one pass over the instances, collecting each
 feature's present values per class, and costs O(nnz + F*C) for nnz
 present values, F features (for counts, the training vocabulary) and C
-classes; the zero counts are never materialised. Moments are computed once
-per distinct (zero count, values) pattern, which sparse counts repeat
-often: on perfbench's cv-gauss-wide this took ``job_s`` from 1.48 to 1.15
-reference s (2-vCPU VM, Python 3.11.7). Equal patterns give equal bits:
-both sums of a fit are ``math.fsum``, exact and so independent of order,
-and values that compare equal (``0.0`` and ``-0.0``, ``1`` and ``1.0``)
-sum alike. Prediction costs O(C * nnz) per instance: each class holds the
-all-absent instance's log-likelihood as an exact sum of floats (empty for
-dense rows), and an instance only corrects the features it has. Both use
+classes; the zero counts are never materialised. Fits live in one table
+per class size (and one for the whole training set), keyed by the tuple of
+present values, which sparse counts repeat often: each distinct pattern's
+moments and floored variance are computed once, and a class's rows are
+gathered from its table in C-level ``map`` passes. The model likewise
+derives ``log(2*pi*variance)`` once per distinct variance and the
+absent-feature term once per distinct (mean, variance), so equal entries
+share one float object. On perfbench's cv-gauss-wide this took ``job_s``
+from 1.13 to 0.90 reference s (``BENCH_15.json``; 2-vCPU VM, Python
+3.11.7). Equal patterns give equal bits: both sums of a fit are
+``math.fsum``, exact and so independent of order, and values that compare
+equal (``0.0`` and ``-0.0``, ``1`` and ``1.0``) sum alike; so do the
+derived floats, which are pure functions of such values. Prediction costs
+O(C * nnz) per instance: each class holds the all-absent instance's
+log-likelihood as an exact sum of floats (empty for dense rows), and an
+instance only corrects the features it has. Both use
 ``math.fsum``, which rounds the exact sum once, so a model over counts
 equals the model over the densified rows bit for bit, moments and
 posteriors alike.
@@ -35,8 +42,11 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Optional
 
 # Variance floor scale, relative to the largest per-feature variance of the
 # training data. Keeps constant features from producing infinite densities.
@@ -92,15 +102,13 @@ def _split(value: float) -> tuple[float, float]:
     return hi, value - hi
 
 
-def _moments(
-    values: list[float], zeros: int, feature: str | int
-) -> tuple[Optional[float], Optional[float]]:
+def _moments(values: Sequence[float], zeros: int) -> tuple[Optional[float], Optional[float]]:
     """Population mean and variance of ``values`` plus ``zeros`` implicit zeros.
 
     ``(None, None)`` when there is nothing at all. Bit-identical to the
     two-pass moments of the padded list: both fsums see the same exact sum,
     since the zeros' equal squares enter as two exact products. Raises
-    ValueError naming ``feature`` when the variance is not a finite float.
+    ValueError when the variance is not a finite float.
     """
     if not values:
         return (0.0, 0.0) if zeros else (None, None)
@@ -116,7 +124,7 @@ def _moments(
             return mean, variance
     except OverflowError:  # a square or a sum ran past the float range
         pass
-    raise ValueError(f"feature {feature!r}: the variance of its values is not finite")
+    raise ValueError("the variance of its values is not finite")
 
 
 def _exact_partials(values: list[float]) -> tuple[float, ...]:
@@ -146,6 +154,42 @@ def _present(
     if len(instance) != feature_count:
         raise ValueError(f"instance has {len(instance)} features, expected {feature_count}")
     return {feature: value for feature, value in enumerate(instance) if value is not None}
+
+
+class _Table(dict):
+    """A dict that derives a missing value from its key once, on first lookup.
+
+    ``map(table.__getitem__, keys)`` stays in C for every key already
+    stored, so a pass over many equal keys costs one ``derive`` call per
+    distinct key. A call that raises stores nothing.
+    """
+
+    __slots__ = ("derive",)
+
+    def __init__(self, derive: Callable[[Hashable], object]) -> None:
+        super().__init__()
+        self.derive = derive
+
+    def __missing__(self, key: Hashable) -> object:
+        value = self[key] = self.derive(key)
+        return value
+
+
+def _bad_variance(
+    class_labels: Sequence[str], variances: Sequence[Sequence], features: Sequence
+) -> str:
+    """The error for the first stored variance that is not positive, else the
+    first whose ``2*pi*variance`` is not finite, naming its class and feature."""
+    for label, row in zip(class_labels, variances):
+        for feature, v in zip(features, row):
+            if v is not None and v <= 0.0:  # a NaN passes here and fails below
+                return f"class {label!r}, feature {feature!r}: variance {v!r} is not positive"
+    for label, row in zip(class_labels, variances):
+        for feature, v in zip(features, row):
+            if v is not None and not math.isfinite(2.0 * math.pi * v):
+                what = f"2*pi*variance is not finite for variance {v!r}"
+                return f"class {label!r}, feature {feature!r}: {what}"
+    raise AssertionError("every variance is positive and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,28 +224,25 @@ class GaussianNbModel:
     def __post_init__(self) -> None:
         counts = self.vocabulary is not None
         features = self.vocabulary if counts else range(self.feature_count)
-        for label, variances in zip(self.class_labels, self.variances):
-            # the log needs v > 0; a NaN passes here and fails the finite check below
-            bad = next((i for i, v in enumerate(variances) if v is not None and v <= 0.0), None)
-            if bad is not None:
-                what = f"variance {variances[bad]!r} is not positive"
-                raise ValueError(f"class {label!r}, feature {features[bad]!r}: {what}")
-        log_norms = tuple(
-            tuple(None if v is None else math.log(2.0 * math.pi * v) for v in row)
-            for row in self.variances
-        )
-        for label, variances, norms in zip(self.class_labels, self.variances, log_norms):
-            if not math.isfinite(sum(filter(None, norms))):  # each finite log is below 710
-                bad = next(i for i, n in enumerate(norms) if n and not math.isfinite(n))
-                what = f"2*pi*variance is not finite for variance {variances[bad]!r}"
-                raise ValueError(f"class {label!r}, feature {features[bad]!r}: {what}")
+        # each derived float is computed once per distinct value and shared by
+        # the entries equal to it: a pure function of values that compare equal
+        log_norm_of = _Table(lambda v: None if v is None else math.log(2.0 * math.pi * v))
+        try:
+            log_norms = tuple(tuple(map(log_norm_of.__getitem__, row)) for row in self.variances)
+            finite = math.isfinite(sum(filter(None, log_norm_of.values())))  # each log < 710
+        except ValueError:  # math.log of a variance that is not positive
+            finite = False
+        if not finite:
+            raise ValueError(_bad_variance(self.class_labels, self.variances, features))
         # the expression predict_gaussian evaluates for a zero count
+        absent_term_of = _Table(
+            lambda pair: -0.5 * (log_norm_of[pair[1]] + (0.0 - pair[0]) ** 2 / pair[1])
+            if counts
+            else 0.0
+        )
         absent_terms = tuple(
-            tuple(
-                -0.5 * (log_norm + (0.0 - mean) ** 2 / variance) if counts else 0.0
-                for mean, variance, log_norm in zip(means, variances, norms)
-            )
-            for means, variances, norms in zip(self.means, self.variances, log_norms)
+            tuple(map(absent_term_of.__getitem__, zip(means, variances)))
+            for means, variances in zip(self.means, self.variances)
         )
         object.__setattr__(self, "term_index", {term: i for i, term in enumerate(features)})
         object.__setattr__(self, "log_norms", log_norms)
@@ -252,20 +293,29 @@ def train_gaussian(
     vocabulary = tuple(sorted(present)) if counts else None
     features = vocabulary or range(feature_count)
     unseen: list[list[float]] = [[] for _ in class_labels]
-    per_feature = [present.get(feature, unseen) for feature in features]
-    fits: dict[tuple, list] = {}  # (zeros, *values) -> moments; equal keys, equal bits
+    per_feature = list(map(present.get, features, repeat(unseen)))
 
-    def fit(values: list[float], zeros: int, feature: str | int) -> list:
-        moments = fits.setdefault((zeros, *values), [])  # one hash of the key
-        if not moments:  # a miss; an error leaves it empty, and training stops
-            moments += _moments(values, zeros, feature)
-        return moments
+    def fit_table(size: int, floor: float) -> _Table:
+        """Each pattern's (mean, variance floored at ``floor``) among ``size`` instances."""
 
-    global_max_variance = 0.0
-    for feature, per_class in zip(features, per_feature):
-        values = [value for class_values in per_class for value in class_values]
-        _, variance = fit(values, len(instances) - len(values) if counts else 0, feature)
-        global_max_variance = max(global_max_variance, variance or 0.0)
+        def fit(values: tuple) -> tuple:
+            mean, variance = _moments(values, size - len(values) if counts else 0)
+            return mean, None if variance is None else max(variance, floor)
+
+        return _Table(fit)
+
+    def lookup(fits: _Table, keys: list[tuple]) -> list[tuple]:
+        try:
+            return list(map(fits.__getitem__, keys))
+        except ValueError as error:  # keys fit in order, so the first one not stored failed
+            bad = next(feature for feature, key in zip(features, keys) if key not in fits)
+            raise ValueError(f"feature {bad!r}: {error}") from None
+
+    # a fit is a pure function of the values and the size: equal keys, equal bits.
+    # A variance is never below 0.0, so the global pass leaves it unfloored
+    global_fits = fit_table(len(instances), 0.0)
+    lookup(global_fits, list(map(tuple, map(chain.from_iterable, per_feature))))
+    global_max_variance = max([0.0, *filter(None, map(itemgetter(1), global_fits.values()))])
     variance_floor = (
         # at least the smallest normal float, so log(2*pi*variance) is finite
         max(VARIANCE_FLOOR_SCALE * global_max_variance, sys.float_info.min)
@@ -273,17 +323,13 @@ def train_gaussian(
         else VARIANCE_FLOOR_SCALE
     )
 
+    fits_by_size = _Table(lambda size: fit_table(size, variance_floor))  # size -> its fits
     means = []
     variances = []
     for index, size in enumerate(class_sizes):
-        moments = [
-            fit(per_class[index], size - len(per_class[index]) if counts else 0, feature)
-            for feature, per_class in zip(features, per_feature)
-        ]
-        means.append(tuple(mean for mean, _ in moments))
-        variances.append(
-            tuple(None if v is None else max(v, variance_floor) for _, v in moments)
-        )
+        pairs = lookup(fits_by_size[size], list(map(tuple, map(itemgetter(index), per_feature))))
+        means.append(tuple(map(itemgetter(0), pairs)))
+        variances.append(tuple(map(itemgetter(1), pairs)))
 
     return GaussianNbModel(
         class_labels=class_labels,

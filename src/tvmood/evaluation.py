@@ -241,7 +241,8 @@ def run_cv(
     vocabulary from the training folds only, and ignore held-out terms
     outside it), so no information leaks from held-out documents. The
     per-document representations themselves are parameter-free, so they are
-    made once, before the folds.
+    made once, before the folds. One model is alive at a time: each fold's
+    is dropped before the next fold trains.
     """
     if representation not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
@@ -283,6 +284,7 @@ def run_cv(
             predict = classify.predict_gaussian
         for i in test_idx:
             posteriors[i] = predict(model, instances[i])
+        del model
 
     predicted = [posterior.predicted_label for posterior in posteriors]
     matrix, tp_rates, fp_rates = confusion_and_rates(labels, predicted, class_order)

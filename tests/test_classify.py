@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given
@@ -309,6 +310,60 @@ def test_gaussian_equal_overflowing_patterns_name_the_first_feature():
         train_gaussian([{"b": 1e300, "a": 1e300}, {"c": 1}], ["x", "y"])
     with pytest.raises(ValueError, match=r"^feature 0: .* not finite"):
         train_gaussian([[1e300, 1e300], [0.0, 0.0], [1.0, 1.0]], ["x", "y", "y"])
+
+
+@st.composite
+def recurring_pattern_problems(draw):
+    """Classes of different sizes in which each shared term holds one value
+    list, so that equal values meet different zero counts; plus a few terms
+    with counts of their own."""
+    values = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    sizes = draw(
+        st.lists(st.integers(len(values), 6), min_size=2, max_size=3, unique=True)
+    )
+    shared = TERMS[: draw(st.integers(1, 3))]
+    instances, labels = [], []
+    for c, size in enumerate(sizes):
+        rows = draw(st.permutations(range(size)))[: len(values)]
+        for i in range(size):
+            labels.append(f"c{c}")
+            instances.append(draw(st.dictionaries(st.sampled_from(TERMS[3:]), st.integers(1, 3))))
+        for term in shared:
+            for row, value in zip(rows, values):
+                instances[len(instances) - size + row][term] = value
+    return instances, labels, shared
+
+
+@given(recurring_pattern_problems())
+def test_gaussian_recurring_values_fit_apart_per_class_size(problem):
+    instances, labels, shared = problem
+    model = train_gaussian(instances, labels)
+    densified = [densify(x, model.vocabulary) for x in instances]
+    _assert_same_fits(model, train_gaussian_dense(densified, labels))
+    # one value list, as many zero counts as classes: the fits must not mix sizes
+    for term in shared:
+        column = model.term_index[term]
+        assert len({row[column] for row in model.means}) == len(model.class_labels)
+
+
+def test_gaussian_equal_fits_share_their_derived_floats():
+    # in class x every term but "c" holds (1,) among 3 instances; in class y (2,) among 2
+    instances = [{"a": 1, "b": 1, "c": 2}, {"d": 1, "e": 1}, {"c": 1}, {"a": 2, "c": 1}, {"d": 2}]
+    labels = ["x", "x", "x", "y", "y"]
+    model = train_gaussian(instances, labels)
+    for copy in (model, model_from_json(model_to_json(model))):
+        variances = list(chain.from_iterable(copy.variances))
+        pairs = list(zip(chain.from_iterable(copy.means), variances))
+        norms = list(chain.from_iterable(copy.log_norms))
+        absent = list(chain.from_iterable(copy.absent_terms))
+        assert len(set(pairs)) < len(pairs)
+        # one float object per distinct value, shared by every entry equal to it
+        assert len(set(map(id, norms))) == len(set(variances))
+        assert len(set(map(id, absent))) == len(set(pairs))
+        for variance, norm in zip(variances, norms):
+            assert norm is norms[variances.index(variance)]
+        for pair, term in zip(pairs, absent):
+            assert term is absent[pairs.index(pair)]
 
 
 def test_multinomial_hand_smoothing():

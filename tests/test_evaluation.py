@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
+from tvmood import classify
 from tvmood.corpus import Corpus
 from tvmood.evaluation import (
     ClassifierConfig,
@@ -202,6 +205,33 @@ def test_run_cv_gaussian_on_counts_variant():
     )
     assert report.config["model"] == "gaussian"
     assert report.weighted_auc > 0.9
+
+
+class _WeaklyReferencedModel(classify.GaussianNbModel):
+    """A model that takes weak references: a subclass without ``__slots__``."""
+
+
+@pytest.mark.parametrize("representation", ["vsm", "meta"])
+def test_run_cv_keeps_one_gaussian_model_alive(monkeypatch, representation):
+    corpus, lexicon = separable_corpus()
+    train = classify.train_gaussian
+    trained = []
+
+    def train_tracked(instances, labels):
+        assert [ref() for ref in trained] == [None] * len(trained)  # earlier models are gone
+        model = train(instances, labels)
+        tracked = _WeaklyReferencedModel(
+            **{f.name: getattr(model, f.name) for f in fields(model) if f.init}
+        )
+        trained.append(weakref.ref(tracked))
+        return tracked
+
+    monkeypatch.setattr(classify, "train_gaussian", train_tracked)
+    report = cross_validate(
+        corpus, lexicon, representation, k=5, seed=7, config=ClassifierConfig(kind="gaussian")
+    )
+    assert len(trained) == 5
+    assert report.weighted_auc == pytest.approx(1.0)
 
 
 def test_run_cv_rejects_low_support_naming_class():
