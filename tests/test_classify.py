@@ -347,7 +347,7 @@ def test_gaussian_recurring_values_fit_apart_per_class_size(problem):
 
 
 def test_gaussian_equal_fits_share_their_derived_floats():
-    # in class x every term but "c" holds (1,) among 3 instances; in class y (2,) among 2
+    # a, b, d and e each hold (1,) in class x, and b and e hold nothing in class y
     instances = [{"a": 1, "b": 1, "c": 2}, {"d": 1, "e": 1}, {"c": 1}, {"a": 2, "c": 1}, {"d": 2}]
     labels = ["x", "x", "x", "y", "y"]
     model = train_gaussian(instances, labels)
