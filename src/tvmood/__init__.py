@@ -29,15 +29,11 @@ from .classify import (
     train_multinomial,
 )
 from .corpus import (
-    Corpus,
     CorpusError,
     Document,
-    corpus_to_jsonl,
     count_terms,
     document_to_jsonl,
     filter_min_genre_support,
-    load_corpus,
-    load_corpus_file,
     read_documents,
     tokenize,
 )
@@ -69,7 +65,6 @@ from .lexicon import (
     normalize_rating,
     normalize_sd,
     parse_lexicon,
-    serialize_lexicon,
 )
 from .synth import GenreProfile, generate
 

@@ -10,7 +10,6 @@ genre-based operations.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from array import array
@@ -18,7 +17,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -171,36 +170,6 @@ class Document:
         return cls(id, channel, merged, sum(merged.values()), genre, timestamp, lowercase)
 
 
-@dataclass(frozen=True, slots=True)
-class Corpus:
-    """Ordered, immutable collection of documents with distinct ids."""
-
-    documents: tuple[Document, ...]
-    # True only from a producer in this package that checked the ids are distinct
-    _checked: InitVar[bool] = False
-
-    def __post_init__(self, _checked: bool) -> None:
-        if _checked:
-            return
-        object.__setattr__(self, "documents", tuple(self.documents))  # a tuple is kept as is
-        seen: set[str] = set()
-        for doc in self.documents:
-            if doc.id in seen:
-                raise CorpusError(f"duplicate document id {doc.id!r}")
-            seen.add(doc.id)
-
-    @property
-    def label_set(self) -> set[str]:
-        return {doc.genre for doc in self.documents if doc.genre is not None}
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def channels(self) -> list[str]:
-        """Distinct channel names in sorted order."""
-        return sorted({doc.channel for doc in self.documents})
-
-
 def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
     """Yield each JSON-lines record as a checked :class:`Document`, in file order.
 
@@ -267,19 +236,6 @@ def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
         yield document
 
 
-def load_corpus(source: str | TextIO | Iterable[str], mode: str) -> Corpus:
-    """:func:`read_documents` as a :class:`Corpus`; a ``str`` is split into lines
-    exactly as :func:`load_corpus_file` splits its file."""
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
-    return Corpus(tuple(read_documents(lines, mode)), True)  # read_documents checks the ids
-
-
-def load_corpus_file(path: str, mode: str) -> Corpus:
-    """Read and parse a JSON-lines corpus file (UTF-8)."""
-    with open(path, encoding="utf-8") as handle:
-        return load_corpus(handle, mode)
-
-
 def document_to_jsonl(doc: Document) -> str:
     """Render one document as a JSON-lines record, newline included.
 
@@ -300,12 +256,6 @@ def document_to_jsonl(doc: Document) -> str:
         record["genre"] = doc.genre
     record["term_counts"] = dict(sorted(doc.term_counts.items()))
     return json.dumps(record, separators=(",", ":"), sort_keys=False) + "\n"
-
-
-def corpus_to_jsonl(corpus: Corpus) -> str:
-    """Render a corpus to the JSON-lines interchange format, one
-    :func:`document_to_jsonl` line per document."""
-    return "".join(map(document_to_jsonl, corpus.documents))
 
 
 def filter_min_genre_support(items: Iterable[T], min_programs: int) -> list[T]:

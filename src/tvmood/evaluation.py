@@ -61,12 +61,6 @@ class FoldAssignment:
     assignment: dict[Hashable, int]
     seed: int
 
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for fold in self.assignment.values():
-            sizes[fold] += 1
-        return sizes
-
 
 @dataclass(frozen=True, slots=True)
 class ClassMetrics:
@@ -131,7 +125,9 @@ def stratified_folds(
         if len(ids) != len(labels):
             raise ValueError("ids and labels have different lengths")
         if len(set(ids)) != len(ids):
-            raise ValueError("ids are not distinct")
+            occurrences = Counter(ids)
+            repeated = next(i for i in ids if occurrences[i] > 1)
+            raise ValueError(f"id {repeated!r} occurs more than once")
         keys = ids
 
     rng = random.Random(seed)

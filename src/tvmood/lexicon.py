@@ -9,8 +9,8 @@ normalized to [0, 1]: means via ``(x - 1) / 8``, standard deviations via
 ``x / 8`` (sd is translation-invariant). ``parse_lexicon`` lowercases words
 and reads the file in one pass of rows; each error names the file line on
 which its row starts. A parsed lexicon is one flat ``table`` from word to
-(valence, arousal, dominance) means, all that scoring reads; ``sds`` keeps
-the standard deviations for output.
+(valence, arousal, dominance) means, all that scoring reads; ``sds`` holds
+the checked standard deviations, which no scoring or output reads.
 """
 
 from __future__ import annotations
@@ -178,24 +178,6 @@ def parse_lexicon(source: str | TextIO | Iterable[str]) -> AffectLexicon:
     if not table:
         raise LexiconError("lexicon contains no entries")
     return AffectLexicon(table, sds, True)
-
-
-def serialize_lexicon(lexicon: AffectLexicon) -> str:
-    """Render a lexicon back to CSV text on the raw [1, 9] scale.
-
-    ``parse_lexicon(serialize_lexicon(lex))`` reproduces ``lex`` exactly:
-    the scale maps are affine with a power-of-two slope, so no precision is
-    lost in either direction.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(LEXICON_HEADER)
-    for word, means in lexicon.table.items():
-        fields = [word]
-        for mean, sd in zip(means, lexicon.sds[word]):
-            fields += (repr(mean * RAW_SPAN + RAW_MIN), repr(sd * RAW_SPAN))
-        writer.writerow(fields)
-    return buffer.getvalue()
 
 
 def load_lexicon(path: str) -> AffectLexicon:

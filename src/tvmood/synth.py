@@ -87,10 +87,14 @@ def profile_from_json(index: int, item: object) -> GenreProfile:
     """Build a profile from item ``index`` of a JSON profiles array.
 
     ``bias``, ``token_range`` and ``channel`` default to 1.0, [30, 80] and
-    null. Every error names the index, and a bad value also its field.
+    null; any other key is an error. Every error names the index, and a bad
+    value or an unknown key also its field.
     """
     if not isinstance(item, dict):
         raise ValueError(f"profile {index}: not a JSON object")
+    unknown = [key for key in item if key not in _FIELDS]
+    if unknown:
+        raise ValueError(f"profile {index}: unknown field {unknown[0]!r}")
     item = {"bias": 1.0, "token_range": [30, 80], "channel": None, **item}
     fields = {}
     for key, (_, length, what) in _FIELDS.items():

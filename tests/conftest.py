@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from datetime import datetime, timedelta, timezone
+from typing import Iterable
 
 import pytest
 
-from tvmood.corpus import Corpus, Document
+from tvmood.corpus import Document, document_to_jsonl, read_documents
 from tvmood.evaluation import EvalReport, labeled_rows, run_cv
-from tvmood.lexicon import AffectLexicon
+from tvmood.lexicon import LEXICON_HEADER, RAW_MIN, RAW_SPAN, AffectLexicon
 
 UTC = timezone.utc
 T0 = datetime(2013, 1, 7, tzinfo=UTC)
@@ -55,30 +58,55 @@ def make_doc(
     )
 
 
-def checked_copy(corpus: Corpus) -> Corpus:
-    """``corpus`` rebuilt through the fully checked constructors, from a list."""
-    return Corpus(
-        [
-            Document(d.id, d.channel, dict(d.term_counts), d.total_tokens, d.genre, d.timestamp)
-            for d in corpus.documents
-        ]
-    )
+def checked_copy(documents: Iterable[Document]) -> list[Document]:
+    """``documents`` rebuilt through the fully checked constructor."""
+    return [
+        Document(d.id, d.channel, dict(d.term_counts), d.total_tokens, d.genre, d.timestamp)
+        for d in documents
+    ]
+
+
+def read_text(text: str, mode: str) -> list[Document]:
+    """``read_documents`` over ``text``, split into lines as a file is split."""
+    return list(read_documents(io.StringIO(text, newline=None), mode))
+
+
+def to_jsonl(documents: Iterable[Document]) -> str:
+    """The JSON-lines text of ``documents``, one ``document_to_jsonl`` line each."""
+    return "".join(map(document_to_jsonl, documents))
+
+
+def lexicon_csv(lexicon: AffectLexicon) -> str:
+    """Render a lexicon back to CSV text on the raw [1, 9] scale.
+
+    ``parse_lexicon(lexicon_csv(lex))`` reproduces ``lex`` exactly: the
+    scale maps are affine with a power-of-two slope, so no precision is lost
+    in either direction.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(LEXICON_HEADER)
+    for word, means in lexicon.table.items():
+        fields = [word]
+        for mean, sd in zip(means, lexicon.sds[word]):
+            fields += (repr(mean * RAW_SPAN + RAW_MIN), repr(sd * RAW_SPAN))
+        writer.writerow(fields)
+    return buffer.getvalue()
 
 
 def cross_validate(
-    corpus: Corpus, lexicon: AffectLexicon, representation: str, **kwargs
+    documents: Iterable[Document], lexicon: AffectLexicon, representation: str, **kwargs
 ) -> EvalReport:
-    """``run_cv`` on the corpus's labeled rows of the given representation."""
-    rows = list(labeled_rows(corpus.documents, lexicon, representation))
+    """``run_cv`` on the documents' labeled rows of the given representation."""
+    rows = list(labeled_rows(documents, lexicon, representation))
     return run_cv(rows, representation, **kwargs)
 
 
-def weekly_docs(count: int, counts: dict[str, int], channel: str = "cnn") -> Corpus:
-    docs = tuple(
+def weekly_docs(count: int, counts: dict[str, int], channel: str = "cnn") -> tuple[Document, ...]:
+    return tuple(
         make_doc(f"wk{i:02d}", dict(counts), channel, timestamp=T0 + timedelta(weeks=i))
         for i in range(count)
     )
-    return Corpus(docs)
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ from tvmood.affect import (
     match_stats,
 )
 from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel
-from tvmood.corpus import Corpus, Document
+from tvmood.corpus import Document
 from tvmood.lexicon import LEXICON_HEADER, LexiconError
 from tvmood.synth import DEFAULT_SPACING, DEFAULT_START, VALENCE_BAND
 
@@ -395,22 +395,22 @@ def generate_per_token(profiles, lexicon, seed, start=DEFAULT_START, spacing=DEF
                 )
             )
             serial += 1
-    return Corpus(tuple(documents))
+    return tuple(documents)
 
 
-def default_origin(corpus):
-    """Earliest timestamp of a loaded corpus, truncated to midnight UTC."""
-    if not corpus.documents:
+def default_origin(documents):
+    """Earliest timestamp of loaded documents, truncated to midnight UTC."""
+    if not documents:
         raise ValueError("corpus has no documents, so --window needs --origin")
-    return min(doc.timestamp for doc in corpus.documents).replace(hour=0, minute=0, second=0)
+    return min(doc.timestamp for doc in documents).replace(hour=0, minute=0, second=0)
 
 
-def score_windows_resident(corpus, channel, lexicon, window_length, origin):
-    """One channel's series from a resident corpus, rescanned per channel and
+def score_windows_resident(documents, channel, lexicon, window_length, origin):
+    """One channel's series from resident documents, rescanned per channel and
     pooled per window index from a known origin."""
     table = lexicon.table
     buckets = defaultdict(dict)
-    for doc in (doc for doc in corpus.documents if doc.channel == channel):
+    for doc in (doc for doc in documents if doc.channel == channel):
         bucket = buckets[(doc.timestamp - origin) // window_length]
         for term, count in doc.term_counts.items():
             if term in table:

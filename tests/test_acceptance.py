@@ -26,12 +26,20 @@ from tvmood.classify import (
     train_multinomial,
 )
 from tvmood.cli import main
-from tvmood.corpus import Corpus, corpus_to_jsonl
+from tvmood.corpus import Document
 from tvmood.evaluation import auc_one_vs_rest, stratified_folds
-from tvmood.lexicon import normalize_rating, serialize_lexicon
+from tvmood.lexicon import normalize_rating
 from tvmood.synth import GenreProfile, generate
 
-from conftest import T0, cross_validate, make_doc, make_lexicon, random_lexicon
+from conftest import (
+    T0,
+    cross_validate,
+    lexicon_csv,
+    make_doc,
+    make_lexicon,
+    random_lexicon,
+    to_jsonl,
+)
 from oracles import (
     expansion_stats,
     gaussian_posterior,
@@ -68,7 +76,7 @@ def table3_setup():
         GenreProfile("newscast", 41, 0.85, (0.30, 0.60, 0.50), (40, 90)),
         GenreProfile("reality", 93, 0.85, (0.10, 0.55, 0.55), (40, 90)),
     ]
-    corpus = Corpus(tuple(generate(profiles, lexicon, seed=42)))
+    corpus = tuple(generate(profiles, lexicon, seed=42))
     return lexicon, corpus
 
 
@@ -250,7 +258,7 @@ def test_criterion_05_stratification_bounds():
 
 def test_criterion_06_synthetic_genre_classification(table3_setup):
     lexicon, corpus = table3_setup
-    sizes = Counter(doc.genre for doc in corpus.documents)
+    sizes = Counter(doc.genre for doc in corpus)
     assert sizes == Counter(GENRE_SIZES)
     assert len(corpus) == 343
 
@@ -270,16 +278,11 @@ def test_criterion_06_synthetic_genre_classification(table3_setup):
 def test_criterion_07_label_shuffle_null(table3_setup):
     lexicon, corpus = table3_setup
 
-    def shuffled(seed: int) -> Corpus:
+    def shuffled(seed: int) -> tuple[Document, ...]:
         rng = random.Random(seed)
-        genres = [doc.genre for doc in corpus.documents]
+        genres = [doc.genre for doc in corpus]
         rng.shuffle(genres)
-        return Corpus(
-            tuple(
-                dataclasses.replace(doc, genre=genre)
-                for doc, genre in zip(corpus.documents, genres)
-            )
-        )
+        return tuple(dataclasses.replace(doc, genre=genre) for doc, genre in zip(corpus, genres))
 
     means = {}
     for representation in ("vsm", "meta"):
@@ -314,10 +317,10 @@ def test_criterion_08_channel_groups_rank_by_valence():
     ]
     ok = True
     for seed in range(10):
-        corpus = Corpus(tuple(generate(profiles, lexicon, seed=seed)))
+        corpus = tuple(generate(profiles, lexicon, seed=seed))
         valence = {
             channel: score_counts(pool, lexicon)[0].valence
-            for channel, pool in pool_channels(corpus.documents, lexicon).items()
+            for channel, pool in pool_channels(corpus, lexicon).items()
         }
         if max(valence[ch] for ch in low_channels) >= min(
             valence[ch] for ch in high_channels
@@ -335,7 +338,7 @@ def test_criterion_08_channel_groups_rank_by_valence():
 def test_criterion_09_cli_determinism(tmp_path, table3_setup, capsys):
     lexicon, corpus = table3_setup
     lexicon_file = tmp_path / "lexicon.csv"
-    lexicon_file.write_text(serialize_lexicon(lexicon), encoding="utf-8")
+    lexicon_file.write_text(lexicon_csv(lexicon), encoding="utf-8")
     profiles_file = tmp_path / "profiles.json"
     profiles_file.write_text(
         json.dumps(
@@ -369,7 +372,7 @@ def test_criterion_09_cli_determinism(tmp_path, table3_setup, capsys):
         synth_outputs.append(out.read_bytes())
 
     corpus_file = tmp_path / "corpus.jsonl"
-    corpus_file.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
+    corpus_file.write_text(to_jsonl(corpus), encoding="utf-8")
     eval_outputs = []
     for run in (1, 2):
         prefix = tmp_path / f"report{run}"

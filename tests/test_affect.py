@@ -19,7 +19,6 @@ from tvmood.affect import (
     score_windows,
     series_to_csv,
 )
-from tvmood.corpus import Corpus
 
 from conftest import T0, make_doc, make_lexicon, random_counts, random_lexicon, weekly_docs
 from oracles import expansion_stats, match_stats_lookup
@@ -89,9 +88,9 @@ def test_score_matches_expansion_oracle():
 
 def test_channel_single_document_matches_score_counts(small_lexicon):
     counts = {"good": 3, "fire": 1}
-    corpus = Corpus((make_doc("a", counts, channel="cnn"),))
+    docs = (make_doc("a", counts, channel="cnn"),)
     pooled_score, pooled_spread = score_counts(
-        pool_channels(corpus.documents, small_lexicon)["cnn"], small_lexicon
+        pool_channels(docs, small_lexicon)["cnn"], small_lexicon
     )
     direct_score, direct_spread = score_counts(counts, small_lexicon)
     assert pooled_score == direct_score
@@ -109,33 +108,29 @@ def test_channel_pools_share_one_key_object_per_term(small_lexicon):
 
 def test_channel_two_disjoint_documents_hand_case():
     lexicon = make_lexicon({"a": (0.2, 0.5, 0.5), "b": (0.8, 0.5, 0.5)})
-    corpus = Corpus(
-        (
-            make_doc("d1", {"a": 1}, channel="cnn"),
-            make_doc("d2", {"b": 1}, channel="cnn"),
-        )
+    docs = (
+        make_doc("d1", {"a": 1}, channel="cnn"),
+        make_doc("d2", {"b": 1}, channel="cnn"),
     )
-    score, spread = score_counts(pool_channels(corpus.documents, lexicon)["cnn"], lexicon)
+    score, spread = score_counts(pool_channels(docs, lexicon)["cnn"], lexicon)
     assert score.valence == pytest.approx(0.5, abs=1e-15)
     assert spread.valence == pytest.approx(0.3, abs=1e-15)
 
 
 def test_channel_zero_variance():
     lexicon = make_lexicon({"a": (0.7, 0.7, 0.7), "b": (0.7, 0.7, 0.7)})
-    corpus = Corpus(
-        (
-            make_doc("d1", {"a": 2}, channel="cnn"),
-            make_doc("d2", {"b": 3}, channel="cnn"),
-        )
+    docs = (
+        make_doc("d1", {"a": 2}, channel="cnn"),
+        make_doc("d2", {"b": 3}, channel="cnn"),
     )
-    score, spread = score_counts(pool_channels(corpus.documents, lexicon)["cnn"], lexicon)
+    score, spread = score_counts(pool_channels(docs, lexicon)["cnn"], lexicon)
     assert score.valence == pytest.approx(0.7, abs=1e-15)
     assert spread.valence == 0.0
 
 
 def test_channel_unknown_or_unmatched_raises(small_lexicon):
-    corpus = Corpus((make_doc("a", {"xyzzy": 2}, channel="cnn"),))
-    pools = pool_channels(corpus.documents, small_lexicon)
+    docs = (make_doc("a", {"xyzzy": 2}, channel="cnn"),)
+    pools = pool_channels(docs, small_lexicon)
     assert pools == {"cnn": {}}  # no pool for a channel without documents
     with pytest.raises(NoSignalError):
         score_counts(pools["cnn"], small_lexicon)
@@ -150,22 +145,20 @@ def test_channel_pooling_equals_summed_count_maps():
             random_counts(rng, vocabulary, max_terms=6)
             for _ in range(rng.randint(1, 5))
         ]
-        corpus = Corpus(
-            tuple(
-                make_doc(f"d{trial}-{i}", counts, channel="ch")
-                for i, counts in enumerate(doc_counts)
-            )
+        docs = tuple(
+            make_doc(f"d{trial}-{i}", counts, channel="ch")
+            for i, counts in enumerate(doc_counts)
         )
         pooled = Counter()
         for counts in doc_counts:
             pooled.update(counts)
-        channel_score, _ = score_counts(pool_channels(corpus.documents, lexicon)["ch"], lexicon)
+        channel_score, _ = score_counts(pool_channels(docs, lexicon)["ch"], lexicon)
         assert channel_score == score_counts(dict(pooled), lexicon)[0]
 
 
 def test_windows_thirteen_four_week_periods(small_lexicon):
-    corpus = weekly_docs(52, {"good": 2, "fire": 1})
-    [series] = score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
+    docs = weekly_docs(52, {"good": 2, "fire": 1})
+    [series] = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     assert len(series.points) == 13
     assert not any(point.is_gap for point in series.points)
     assert series.points[0].start == T0
@@ -174,8 +167,8 @@ def test_windows_thirteen_four_week_periods(small_lexicon):
 
 def test_windows_single_document_equals_its_score(small_lexicon):
     counts = {"good": 3, "bad": 1}
-    corpus = Corpus((make_doc("a", counts, channel="cnn", timestamp=T0),))
-    [series] = score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
+    docs = (make_doc("a", counts, channel="cnn", timestamp=T0),)
+    [series] = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     assert len(series.points) == 1
     assert series.points[0].score == score_counts(counts, small_lexicon)[0]
 
@@ -199,8 +192,8 @@ def test_windows_emit_gap_for_unmatched_window(small_lexicon):
 
 
 def test_windows_empty_channel_returns_empty_series(small_lexicon):
-    corpus = Corpus((make_doc("a", {"good": 1}, channel="cnn", timestamp=T0),))
-    series = score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
+    docs = (make_doc("a", {"good": 1}, channel="cnn", timestamp=T0),)
+    series = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     assert [s.channel for s in series] == ["cnn"]  # and none for "fox", which has no documents
     assert score_windows((), small_lexicon, 4 * WEEK, T0) == []
 
@@ -213,15 +206,15 @@ def test_windows_document_before_origin(small_lexicon):
 
 
 def test_windows_require_timestamps(small_lexicon):
-    corpus = Corpus((make_doc("a", {"good": 1}, channel="cnn"),))
+    docs = (make_doc("a", {"good": 1}, channel="cnn"),)
     with pytest.raises(ValueError, match="timestamp"):
-        score_windows(corpus.documents, small_lexicon, 4 * WEEK, T0)
+        score_windows(docs, small_lexicon, 4 * WEEK, T0)
 
 
 def test_windows_reject_non_positive_length(small_lexicon):
-    corpus = weekly_docs(2, {"good": 1})
+    docs = weekly_docs(2, {"good": 1})
     with pytest.raises(ValueError):
-        score_windows(corpus.documents, small_lexicon, timedelta(0), T0)
+        score_windows(docs, small_lexicon, timedelta(0), T0)
 
 
 def test_series_csv_layout(small_lexicon):

@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 
 from tvmood.affect import series_to_csv
 from tvmood.cli import _write_all, main, parse_window
-from tvmood.corpus import Corpus, corpus_to_jsonl, load_corpus_file
-from tvmood.lexicon import parse_lexicon, serialize_lexicon
+from tvmood.lexicon import parse_lexicon
 from tvmood.synth import GenreProfile, generate
 
-from conftest import T0, make_doc, random_lexicon
+from conftest import T0, lexicon_csv, make_doc, random_lexicon, read_text, to_jsonl
 from oracles import default_origin, score_windows_resident
 
 LEXICON_TEXT = """word,valence_mean,valence_sd,arousal_mean,arousal_sd,dominance_mean,dominance_sd
@@ -51,7 +50,7 @@ def corpus_path(tmp_path):
         make_doc("u1", {"xyzzy": 4}, channel="cnn", timestamp=T0),
     )
     path = tmp_path / "corpus.jsonl"
-    path.write_text(corpus_to_jsonl(Corpus(docs)), encoding="utf-8")
+    path.write_text(to_jsonl(docs), encoding="utf-8")
     return str(path)
 
 
@@ -205,7 +204,7 @@ def window_corpora(draw):
         counts = draw(st.dictionaries(terms, st.integers(1, 5), min_size=1, max_size=4))
         channel = draw(st.sampled_from(["cnn", "e", "fox"]))
         docs.append(make_doc(f"d{i}", counts, channel=channel, timestamp=moment))
-    return Corpus(tuple(docs))
+    return tuple(docs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,12 +217,12 @@ def test_window_without_origin_equals_resident_reference(corpus, days):
     origin = default_origin(corpus)
     expected = series_to_csv(
         [score_windows_resident(corpus, channel, lexicon, length, origin)
-         for channel in corpus.channels()]
+         for channel in sorted({doc.channel for doc in corpus})]
     )
     with tempfile.TemporaryDirectory() as directory:
         paths = {name: os.path.join(directory, name) for name in ("lex.csv", "c.jsonl", "w.csv")}
         Path(paths["lex.csv"]).write_text(LEXICON_TEXT, encoding="utf-8")
-        Path(paths["c.jsonl"]).write_text(corpus_to_jsonl(corpus), encoding="utf-8")
+        Path(paths["c.jsonl"]).write_text(to_jsonl(corpus), encoding="utf-8")
         argv = ["score", "--lexicon", paths["lex.csv"], "--corpus", paths["c.jsonl"],
                 "--format", "counts", "--window", f"{days}d", "--out", paths["w.csv"]]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -247,7 +246,7 @@ def test_score_window_on_an_empty_corpus_needs_origin(lexicon_path, tmp_path, ca
 def test_score_nothing_matches_is_an_error(lexicon_path, tmp_path, capsys):
     docs = (make_doc("only", {"zzz": 3}, channel="x", timestamp=T0),)
     corpus_file = tmp_path / "unmatched.jsonl"
-    corpus_file.write_text(corpus_to_jsonl(Corpus(docs)), encoding="utf-8")
+    corpus_file.write_text(to_jsonl(docs), encoding="utf-8")
     code = main(
         [
             "score",
@@ -284,7 +283,7 @@ def test_synth_command_writes_loadable_corpus(tmp_path, capsys):
     rng = random.Random(17)
     lexicon = random_lexicon(rng, 60)
     lexicon_file = tmp_path / "lex.csv"
-    lexicon_file.write_text(serialize_lexicon(lexicon), encoding="utf-8")
+    lexicon_file.write_text(lexicon_csv(lexicon), encoding="utf-8")
     profiles = [
         {"label": "up", "document_count": 4, "bias": 1.0, "target": [0.8, 0.5, 0.5], "token_range": [10, 20]},
         {"label": "down", "document_count": 3, "bias": 1.0, "target": [0.2, 0.5, 0.5], "token_range": [10, 20]},
@@ -303,26 +302,24 @@ def test_synth_command_writes_loadable_corpus(tmp_path, capsys):
     )
     assert code == 0
     assert "wrote 7 documents" in capsys.readouterr().out
-    from tvmood.corpus import load_corpus_file
-
-    corpus = load_corpus_file(str(out_path), mode="counts")
+    corpus = read_text(out_path.read_text(encoding="utf-8"), mode="counts")
     assert len(corpus) == 7
-    assert corpus.label_set == {"up", "down"}
+    assert {doc.genre for doc in corpus} == {"up", "down"}
 
 
 def test_evaluate_command(tmp_path, capsys):
     rng = random.Random(19)
     lexicon = random_lexicon(rng, 80)
     lexicon_file = tmp_path / "lex.csv"
-    lexicon_file.write_text(serialize_lexicon(lexicon), encoding="utf-8")
+    lexicon_file.write_text(lexicon_csv(lexicon), encoding="utf-8")
     profiles = [
         GenreProfile("up", 25, 1.0, (0.8, 0.5, 0.5), (20, 40)),
         GenreProfile("down", 22, 1.0, (0.2, 0.5, 0.5), (20, 40)),
         GenreProfile("tiny", 3, 1.0, (0.5, 0.5, 0.5), (20, 40)),
     ]
-    corpus = Corpus(tuple(generate(profiles, lexicon, seed=23)))
+    corpus = tuple(generate(profiles, lexicon, seed=23))
     corpus_file = tmp_path / "corpus.jsonl"
-    corpus_file.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
+    corpus_file.write_text(to_jsonl(corpus), encoding="utf-8")
 
     out_prefix = tmp_path / "report"
     code = main(
@@ -355,14 +352,14 @@ def test_evaluate_config_echo_differs_by_variant(tmp_path):
     rng = random.Random(29)
     lexicon = random_lexicon(rng, 60)
     lexicon_file = tmp_path / "lex.csv"
-    lexicon_file.write_text(serialize_lexicon(lexicon), encoding="utf-8")
+    lexicon_file.write_text(lexicon_csv(lexicon), encoding="utf-8")
     profiles = [
         GenreProfile("up", 21, 1.0, (0.8, 0.5, 0.5), (15, 30)),
         GenreProfile("down", 21, 1.0, (0.2, 0.5, 0.5), (15, 30)),
     ]
     corpus_file = tmp_path / "corpus.jsonl"
     corpus_file.write_text(
-        corpus_to_jsonl(Corpus(tuple(generate(profiles, lexicon, seed=31)))), encoding="utf-8"
+        to_jsonl(generate(profiles, lexicon, seed=31)), encoding="utf-8"
     )
 
     for variant in ("multinomial", "gaussian"):
@@ -449,7 +446,7 @@ def test_unencodable_output_keeps_the_old_file(tmp_path, capsys, lexicon_path, c
         make_doc(f"{name}\ud800", {"good": 1}, channel="c\ud800", genre="g\ud800", timestamp=T0)
         for name in ("x", "y")
     ] + [make_doc(name, {"bad": 1}, channel="c", genre="h", timestamp=T0) for name in ("a", "b")]
-    corpus.write_text(corpus_to_jsonl(Corpus(tuple(docs))), encoding="utf-8")
+    corpus.write_text(to_jsonl(docs), encoding="utf-8")
     out, outputs = _outputs(command, tmp_path)
     for path in outputs:
         path.write_bytes(b"old bytes\n")
@@ -596,8 +593,12 @@ def test_lexicon_validate_rejects_non_finite_sd(tmp_path, capsys):
         ("not an object", "profile 1: not a JSON object"),
         ({"document_count": 3, "target": [0.8, 0.5, 0.5]}, "profile 1: missing required field 'label'"),
         ({"label": "x", "document_count": "3", "target": [0.8, 0.5, 0.5]}, "profile 1: field 'document_count'"),
+        (
+            {"label": "a", "document_count": 3, "target": [0.5, 0.5, 0.5], "bais": 0.2},
+            "profile 1: unknown field 'bais'\n",
+        ),
     ],
-    ids=["not-object", "missing-label", "string-count"],
+    ids=["not-object", "missing-label", "string-count", "misspelled-bias"],
 )
 def test_synth_rejects_malformed_profile(tmp_path, capsys, lexicon_path, profile, fragment):
     good = {"label": "up", "document_count": 2, "target": [0.8, 0.5, 0.5]}
@@ -843,7 +844,7 @@ def _run_sample(command, flags, line, lexicon=None, profiles=None):
         corpus = Path(tmp) / "corpus.jsonl"
         sample = SAMPLE_DATA / "corpus.jsonl"
         if "--format=counts" in flags:
-            sample_lines = corpus_to_jsonl(load_corpus_file(str(sample), "text"))
+            sample_lines = to_jsonl(read_text(sample.read_text(encoding="utf-8"), "text"))
         else:
             sample_lines = sample.read_text(encoding="utf-8")
         corpus.write_text(sample_lines + line + "\n", encoding="utf-8")

@@ -10,20 +10,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tvmood.corpus import (
-    Corpus,
     CorpusError,
     Document,
-    corpus_to_jsonl,
     count_terms,
+    document_to_jsonl,
     filter_min_genre_support,
-    load_corpus,
-    load_corpus_file,
     parse_timestamp,
     read_documents,
     tokenize,
 )
+from tvmood.evaluation import LabeledRow, run_cv
 
-from conftest import T0, checked_copy, make_doc
+from conftest import T0, checked_copy, make_doc, read_text, to_jsonl
 from oracles import tokenize as oracle_tokenize
 
 
@@ -117,28 +115,28 @@ def test_load_text_mode_happy_path():
         record("a", text="Good news today"),
         record("b", channel="fox", text="BAD bad fire", genre="newscast"),
     ]
-    corpus = load_corpus("\n".join(lines), mode="text")
+    corpus = read_text("\n".join(lines), mode="text")
     assert len(corpus) == 2
-    first, second = corpus.documents
+    first, second = corpus
     assert first.term_counts == {"good": 1, "news": 1, "today": 1}
     assert first.genre is None
     assert second.term_counts == {"bad": 2, "fire": 1}
     assert second.total_tokens == 3
-    assert corpus.label_set == {"newscast"}
-    assert corpus.channels() == ["cnn", "fox"]
+    assert {doc.genre for doc in corpus if doc.genre is not None} == {"newscast"}
+    assert sorted({doc.channel for doc in corpus}) == ["cnn", "fox"]
 
 
 def test_load_counts_mode_lowercases_and_merges():
     line = record("a", term_counts={"Fire": 2, "fire": 3, "Calm": 1})
-    corpus = load_corpus(line, mode="counts")
-    assert corpus.documents[0].term_counts == {"fire": 5, "calm": 1}
-    assert corpus.documents[0].total_tokens == 6
+    [doc] = read_text(line, mode="counts")
+    assert doc.term_counts == {"fire": 5, "calm": 1}
+    assert doc.total_tokens == 6
 
 
 def test_load_duplicate_id_names_id():
     lines = [record("b", text="x"), record("a", text="x"), "", "", record("a", text="y")]
     with pytest.raises(CorpusError, match=r"^duplicate document id 'a' at lines 2 and 5$"):
-        load_corpus("\n".join(lines), mode="text")
+        read_text("\n".join(lines), mode="text")
 
 
 def test_read_documents_yields_each_document_before_reading_on():
@@ -168,7 +166,7 @@ def test_read_documents_yields_each_document_before_reading_on():
 def test_load_malformed_records_report_line_number(line, fragment):
     lines = [record("ok", text="fine"), line]
     with pytest.raises(CorpusError) as excinfo:
-        load_corpus("\n".join(lines), mode="text")
+        read_text("\n".join(lines), mode="text")
     message = str(excinfo.value)
     assert "line 2" in message
     assert fragment in message
@@ -177,23 +175,23 @@ def test_load_malformed_records_report_line_number(line, fragment):
 def test_load_rejects_both_text_and_counts():
     line = record("a", text="x", term_counts={"x": 1})
     with pytest.raises(CorpusError, match="both"):
-        load_corpus(line, mode="text")
+        read_text(line, mode="text")
 
 
 def test_load_counts_mode_rejects_non_positive_counts():
     for bad in (0, -2, 1.5, "3"):
         line = record("a", term_counts={"fire": bad})
         with pytest.raises(CorpusError, match="line 1"):
-            load_corpus(line, mode="counts")
+            read_text(line, mode="counts")
 
 
 def test_counts_above_2_to_the_53_are_rejected_naming_line_and_term():
-    doc = load_corpus(record("a", term_counts={"fire": 2**53}), mode="counts").documents[0]
+    [doc] = read_text(record("a", term_counts={"fire": 2**53}), mode="counts")
     assert doc.term_counts == {"fire": 2**53} and float(doc.total_tokens) == 2**53
     for bad in (2**53 + 1, 10**400):
         line = record("a", term_counts={"calm": 1, "fire": bad})
         with pytest.raises(CorpusError) as excinfo:
-            load_corpus(line, mode="counts")
+            read_text(line, mode="counts")
         assert str(excinfo.value) == (
             f"line 1: document 'a': term 'fire' has count {bad!r}, which is more than 2**53"
         )
@@ -229,9 +227,9 @@ def test_int_subclass_counts_are_accepted():
 
 def test_load_document_errors_carry_line_number():
     with pytest.raises(CorpusError, match=r"^line 2: document id is empty$"):
-        load_corpus("\n".join([record("ok", text="x"), record("", text="y")]), mode="text")
+        read_text("\n".join([record("ok", text="x"), record("", text="y")]), mode="text")
     with pytest.raises(CorpusError) as excinfo:
-        load_corpus('{"id":"a","channel":"c","timestamp":"2013-01-07T00:00:00Z",'
+        read_text('{"id":"a","channel":"c","timestamp":"2013-01-07T00:00:00Z",'
                     '"term_counts":{"fire":1e3}}', mode="counts")
     message = str(excinfo.value)
     assert message.startswith("line 1: ") and "not a positive integer" in message
@@ -240,12 +238,12 @@ def test_load_document_errors_carry_line_number():
 
 def test_load_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
-        load_corpus("", mode="tokens")
+        read_text("", mode="tokens")
 
 
 def test_load_skips_blank_lines():
     text = record("a", text="x") + "\n\n" + record("b", text="y") + "\n"
-    assert len(load_corpus(text, mode="text")) == 2
+    assert len(read_text(text, mode="text")) == 2
 
 
 def test_text_and_file_sources_split_lines_alike(tmp_path):
@@ -254,9 +252,10 @@ def test_text_and_file_sources_split_lines_alike(tmp_path):
     text = first + "\r\n" + record("b", text="calm") + "\r\n"
     path = tmp_path / "corpus.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
-    from_file = load_corpus_file(str(path), "text")
-    assert load_corpus(text, "text") == from_file
-    assert [doc.term_counts for doc in from_file.documents] == [{"joy": 1, "fire": 1}, {"calm": 1}]
+    with open(path, encoding="utf-8") as handle:
+        from_file = list(read_documents(handle, "text"))
+    assert read_text(text, "text") == from_file
+    assert [doc.term_counts for doc in from_file] == [{"joy": 1, "fire": 1}, {"calm": 1}]
 
 
 def test_document_validation():
@@ -292,14 +291,14 @@ def test_loaded_and_filtered_corpora_equal_checked_construction():
             record("d", text="rare words", genre="rare"),
         ]
     )
-    loaded = load_corpus(text, "text")
-    assert loaded == checked_copy(loaded) and type(loaded.documents) is tuple
-    counts = load_corpus(corpus_to_jsonl(loaded), "counts")
+    loaded = read_text(text, "text")
+    assert loaded == checked_copy(loaded)
+    counts = read_text(to_jsonl(loaded), "counts")
     assert counts == checked_copy(counts) == loaded
-    merged = load_corpus(record("m", term_counts={"Fire": 2, "fire": 1, "calm": 4}), "counts")
+    merged = read_text(record("m", term_counts={"Fire": 2, "fire": 1, "calm": 4}), "counts")
     assert merged == checked_copy(merged)
-    filtered = filter_min_genre_support(loaded.documents, 2)
-    assert filtered == [loaded.documents[0], loaded.documents[2]]  # the loaded documents, kept
+    filtered = filter_min_genre_support(loaded, 2)
+    assert filtered == [loaded[0], loaded[2]]  # the loaded documents, kept
 
 
 def test_document_from_counts_merges_case():
@@ -320,22 +319,23 @@ def test_document_from_counts_merges_case():
 
 
 def test_corpus_rejects_duplicate_ids():
-    doc = make_doc("a", {"x": 1})
-    with pytest.raises(CorpusError, match="'a'"):
-        Corpus((doc, make_doc("a", {"y": 1})))
+    # rows built by hand skip read_documents' check; the fold assignment keeps one
+    ids_and_genres = [("b", "x"), ("a", "x"), ("c", "y"), ("a", "y")]
+    rows = [LabeledRow(doc_id, genre, [1.0]) for doc_id, genre in ids_and_genres]
+    with pytest.raises(ValueError, match=r"^id 'a' occurs more than once$"):
+        run_cv(rows, "meta", k=2, seed=1)
 
 
 def test_filter_min_genre_support_threshold():
     docs = [make_doc(f"x{i}", {"t": 1}, genre="x") for i in range(25)]
     docs += [make_doc(f"y{i}", {"t": 1}, genre="y") for i in range(10)]
     docs += [make_doc("u0", {"t": 1})]
-    corpus = Corpus(tuple(docs))
-    filtered = Corpus(tuple(filter_min_genre_support(corpus.documents, 20)))
-    assert filtered.label_set == {"x"}
+    filtered = filter_min_genre_support(docs, 20)
+    assert {doc.genre for doc in filtered} == {"x"}
     assert len(filtered) == 25
 
-    assert len(filter_min_genre_support(corpus.documents, 1)) == 35  # unlabeled still dropped
-    assert filter_min_genre_support(filtered.documents, 20) == list(filtered.documents)  # idempotent
+    assert len(filter_min_genre_support(docs, 1)) == 35  # unlabeled still dropped
+    assert filter_min_genre_support(filtered, 20) == filtered  # idempotent
 
 
 def test_filter_keeps_published_genre_distribution():
@@ -345,10 +345,9 @@ def test_filter_keeps_published_genre_distribution():
         for genre, size in sizes.items()
         for i in range(size)
     ]
-    corpus = Corpus(tuple(docs))
-    filtered = Corpus(tuple(filter_min_genre_support(corpus.documents, 20)))
+    filtered = filter_min_genre_support(docs, 20)
     assert len(filtered) == 343
-    assert filtered.label_set == set(sizes)
+    assert {doc.genre for doc in filtered} == set(sizes)
 
 
 def test_filter_rejects_bad_threshold():
@@ -362,7 +361,7 @@ def test_filter_preserves_order():
         make_doc("b", {"t": 1}, genre="rare"),
         make_doc("c", {"t": 1}, genre="g"),
     ]
-    filtered = filter_min_genre_support(Corpus(tuple(docs)).documents, 2)
+    filtered = filter_min_genre_support(docs, 2)
     assert [doc.id for doc in filtered] == ["a", "c"]
 
 
@@ -371,14 +370,11 @@ def test_jsonl_round_trip_and_determinism():
         make_doc("a", {"fire": 2, "calm": 1}, genre="newscast", timestamp=T0),
         make_doc("b", {"win": 4}, channel="fox", timestamp=T0),
     )
-    corpus = Corpus(docs)
-    text = corpus_to_jsonl(corpus)
-    assert corpus_to_jsonl(corpus) == text
-    reloaded = load_corpus(text, mode="counts")
-    assert reloaded == corpus
+    text = to_jsonl(docs)
+    assert to_jsonl(docs) == text
+    assert read_text(text, mode="counts") == list(docs)
 
 
 def test_jsonl_requires_timestamps():
-    corpus = Corpus((make_doc("a", {"x": 1}),))
     with pytest.raises(CorpusError, match="timestamp"):
-        corpus_to_jsonl(corpus)
+        document_to_jsonl(make_doc("a", {"x": 1}))

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvmood.affect import NoSignalError, score_counts
-from tvmood.corpus import Corpus
 from tvmood.features import (
     FEATURE_NAMES,
     _weighted_median,
@@ -189,14 +188,12 @@ def test_extract_meta_keeps_missing_slots():
 
 
 def test_features_csv_layout(small_lexicon):
-    corpus = Corpus(
-        (
-            make_doc("a", {"good": 2}, genre="newscast"),
-            make_doc("b", {"xyzzy": 1}),
-        )
+    docs = (
+        make_doc("a", {"good": 2}, genre="newscast"),
+        make_doc("b", {"xyzzy": 1}),
     )
     buffer = io.StringIO()
-    assert features_to_csv(corpus.documents, small_lexicon, buffer) == 2
+    assert features_to_csv(docs, small_lexicon, buffer) == 2
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "id,genre," + ",".join(FEATURE_NAMES)
     first = lines[1].split(",")

@@ -16,9 +16,9 @@ from tvmood.lexicon import (
     normalize_rating,
     normalize_sd,
     parse_lexicon,
-    serialize_lexicon,
 )
 
+from conftest import lexicon_csv
 from oracles import parse_lexicon_rows
 
 HEADER = "word,valence_mean,valence_sd,arousal_mean,arousal_sd,dominance_mean,dominance_sd"
@@ -218,7 +218,7 @@ def test_round_trip_is_identity(table):
         for word, (v, vs, a, as_, d, ds) in table.items()
     ]
     first = parse_lexicon(lexicon_text(*rows))
-    second = parse_lexicon(serialize_lexicon(first))
+    second = parse_lexicon(lexicon_csv(first))
     assert second == first
 
 

@@ -1,23 +1,25 @@
 """Memory pins: each command holds what its output needs, never the corpus.
 
-Each test runs the command in-process through ``cli.main`` under
-``tracemalloc`` on small generated corpora. Rows written as they are read
-keep the peak flat in the corpus size; ``evaluate`` keeps one labeled row
-per document, so its peak grows by about one row per document.
+Each test runs the command through ``cli.main`` under ``tracemalloc`` in a
+fresh interpreter, on small generated corpora, so that nothing the rest of
+the test suite allocated or frees can fall in the measured window. Rows
+written as they are read keep the peak flat in the corpus size;
+``evaluate`` keeps one labeled row per document, so its peak grows by
+about one row per document.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from tvmood.cli import main
+import tvmood
 
 VOCABULARY = [f"t{i:04d}" for i in range(2000)]
 LEXICON_WORDS = VOCABULARY[:400]  # about a fifth of each document's terms match
@@ -53,16 +55,31 @@ def inputs(tmp_path_factory):
     return lexicon, corpora, directory
 
 
+PEAK_SCRIPT = """
+import contextlib, io, sys, tracemalloc
+from tvmood.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])  # warm-up: imports and module caches are not the command's
+    tracemalloc.start()
+    status = main(sys.argv[1:])
+    peak = tracemalloc.get_traced_memory()[1]
+print(status, peak)
+"""
+
+
 def peak_bytes(argv):
-    """tracemalloc's peak over one in-process run of the command."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        main(argv)  # warm-up: imports and module caches are not the command's
-        tracemalloc.start()
-        try:
-            status = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    """tracemalloc's peak over one run of the command, after a warm-up run,
+    in a fresh interpreter that imports this ``tvmood``."""
+    source = os.path.dirname(os.path.dirname(tvmood.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_SCRIPT, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    status, peak = map(int, result.stdout.split())
     assert status == 0
     return peak
 

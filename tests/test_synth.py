@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvmood.affect import score_counts
-from tvmood.corpus import Corpus, corpus_to_jsonl, load_corpus
 from tvmood.synth import VALENCE_BAND, GenreProfile, generate
 
-from conftest import T0, checked_copy, make_lexicon, random_lexicon
+from conftest import T0, checked_copy, make_lexicon, random_lexicon, read_text, to_jsonl
 from oracles import generate_per_token
 
 
@@ -22,11 +21,11 @@ def test_generate_cardinality_and_labels():
     rng = random.Random(1)
     lexicon = random_lexicon(rng, 50)
     profile = GenreProfile("toons", 5, 1.0, (0.5, 0.5, 0.5), (10, 20))
-    corpus = Corpus(tuple(generate([profile], lexicon, seed=3)))
+    corpus = tuple(generate([profile], lexicon, seed=3))
     assert len(corpus) == 5
-    assert all(doc.genre == "toons" for doc in corpus.documents)
-    assert all(doc.channel == "toons" for doc in corpus.documents)
-    assert all(10 <= doc.total_tokens <= 20 for doc in corpus.documents)
+    assert all(doc.genre == "toons" for doc in corpus)
+    assert all(doc.channel == "toons" for doc in corpus)
+    assert all(10 <= doc.total_tokens <= 20 for doc in corpus)
 
 
 def test_generate_is_deterministic():
@@ -36,12 +35,12 @@ def test_generate_is_deterministic():
         GenreProfile("a", 4, 0.8, (0.3, 0.5, 0.5), (10, 30)),
         GenreProfile("b", 3, 0.8, (0.7, 0.5, 0.5), (10, 30)),
     ]
-    first = Corpus(tuple(generate(profiles, lexicon, seed=99)))
-    second = Corpus(tuple(generate(profiles, lexicon, seed=99)))
+    first = tuple(generate(profiles, lexicon, seed=99))
+    second = tuple(generate(profiles, lexicon, seed=99))
     assert first == second
-    assert corpus_to_jsonl(first) == corpus_to_jsonl(second)
-    different = Corpus(tuple(generate(profiles, lexicon, seed=100)))
-    assert corpus_to_jsonl(different) != corpus_to_jsonl(first)
+    assert to_jsonl(first) == to_jsonl(second)
+    different = tuple(generate(profiles, lexicon, seed=100))
+    assert to_jsonl(different) != to_jsonl(first)
 
 
 def test_generate_separates_valence_groups():
@@ -52,12 +51,12 @@ def test_generate_separates_valence_groups():
         GenreProfile("highv", 8, 1.0, (0.8, 0.5, 0.5), (30, 60)),
     ]
     for seed in range(10):
-        corpus = Corpus(tuple(generate(profiles, lexicon, seed=seed)))
+        corpus = tuple(generate(profiles, lexicon, seed=seed))
         means = {}
         for genre in ("lowv", "highv"):
             scores = [
                 score_counts(doc.term_counts, lexicon)[0].valence
-                for doc in corpus.documents
+                for doc in corpus
                 if doc.genre == genre
             ]
             means[genre] = sum(scores) / len(scores)
@@ -69,8 +68,7 @@ def test_generate_timestamps_are_evenly_spaced():
     lexicon = random_lexicon(rng, 40)
     profile = GenreProfile("g", 6, 1.0, (0.5, 0.5, 0.5), (5, 9))
     documents = generate([profile], lexicon, seed=0, start=T0, spacing=timedelta(hours=6))
-    corpus = Corpus(tuple(documents))
-    stamps = [doc.timestamp for doc in corpus.documents]
+    stamps = [doc.timestamp for doc in documents]
     assert stamps[0] == T0
     deltas = {b - a for a, b in zip(stamps, stamps[1:])}
     assert deltas == {timedelta(hours=6)}
@@ -83,13 +81,13 @@ def test_generate_output_is_loadable_and_valid():
         GenreProfile("x", 4, 0.7, (0.4, 0.5, 0.5), (10, 15), channel="chx"),
         GenreProfile("y", 4, 0.7, (0.6, 0.5, 0.5), (10, 15), channel="chy"),
     ]
-    corpus = Corpus(tuple(generate(profiles, lexicon, seed=12)))
-    assert corpus == checked_copy(corpus) and type(corpus.documents) is tuple
-    reloaded = load_corpus(corpus_to_jsonl(corpus), mode="counts")
+    corpus = list(generate(profiles, lexicon, seed=12))
+    assert corpus == checked_copy(corpus)
+    reloaded = read_text(to_jsonl(corpus), mode="counts")
     assert reloaded == corpus
-    assert reloaded.label_set == {"x", "y"}
-    assert reloaded.channels() == ["chx", "chy"]
-    for doc in reloaded.documents:
+    assert {doc.genre for doc in reloaded} == {"x", "y"}
+    assert sorted({doc.channel for doc in reloaded}) == ["chx", "chy"]
+    for doc in reloaded:
         assert doc.total_tokens == sum(doc.term_counts.values())
         assert all(count >= 1 for count in doc.term_counts.values())
 
@@ -135,9 +133,9 @@ def test_generate_bias_zero_uses_shared_pool():
         GenreProfile("a", 10, 0.0, (0.1, 0.5, 0.5), (50, 80)),
         GenreProfile("b", 10, 0.0, (0.9, 0.5, 0.5), (50, 80)),
     ]
-    corpus = Corpus(tuple(generate(profiles, lexicon, seed=21)))
+    corpus = tuple(generate(profiles, lexicon, seed=21))
     pooled = Counter()
-    for doc in corpus.documents:
+    for doc in corpus:
         pooled.update(doc.term_counts)
     # with no bias both genres draw from the whole lexicon
     assert len(pooled) > 30
@@ -178,12 +176,12 @@ def test_generate_equals_per_token_counter_loop(bias, data):
 
 def assert_equals_per_token(profiles, lexicon, seed):
     """``generate`` equals the ``rng.choice`` reference in bytes and term order."""
-    corpus = Corpus(tuple(generate(profiles, lexicon, seed)))
+    corpus = list(generate(profiles, lexicon, seed))
     reference = generate_per_token(profiles, lexicon, seed)
     assert corpus == checked_copy(corpus)  # the trusted path holds the checked invariants
-    assert corpus_to_jsonl(corpus) == corpus_to_jsonl(reference)
-    assert [list(doc.term_counts.items()) for doc in corpus.documents] == [
-        list(doc.term_counts.items()) for doc in reference.documents
+    assert to_jsonl(corpus) == to_jsonl(reference)
+    assert [list(doc.term_counts.items()) for doc in corpus] == [
+        list(doc.term_counts.items()) for doc in reference
     ]
 
 
@@ -235,6 +233,6 @@ def test_profile_accepts_int_bias_and_target():
     lexicon = random_lexicon(random.Random(10), 40)
     profile = GenreProfile("g", 2, 1, (0, 0, 1), (1, 3))
     exact = GenreProfile("g", 2, 1.0, (0.0, 0.0, 1.0), (1, 3))
-    assert corpus_to_jsonl(Corpus(tuple(generate([profile], lexicon, seed=5)))) == corpus_to_jsonl(
-        Corpus(tuple(generate([exact], lexicon, seed=5)))
+    assert to_jsonl(generate([profile], lexicon, seed=5)) == to_jsonl(
+        generate([exact], lexicon, seed=5)
     )
