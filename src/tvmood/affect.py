@@ -18,12 +18,12 @@ import math
 import operator
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
 from .corpus import Document, format_timestamp
 from .lexicon import AffectLexicon
+from .record import Record
 
 DIMENSIONS = ("valence", "arousal", "dominance")
 
@@ -47,8 +47,7 @@ class NoSignalError(ValueError):
     """No token matched the lexicon, so the weighted mean is undefined."""
 
 
-@dataclass(frozen=True, slots=True)
-class AffectScore:
+class AffectScore(NamedTuple):
     """Weighted-mean affect of one text, channel, or window."""
 
     valence: float
@@ -58,8 +57,7 @@ class AffectScore:
     matched_token_total: int
 
 
-@dataclass(frozen=True, slots=True)
-class AffectSpread:
+class AffectSpread(NamedTuple):
     """Per-dimension weighted population standard deviation."""
 
     valence: float
@@ -67,8 +65,7 @@ class AffectSpread:
     dominance: float
 
 
-@dataclass(frozen=True, slots=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     """One window of an affect series; ``score is None`` marks a gap."""
 
     start: datetime
@@ -80,20 +77,24 @@ class SeriesPoint:
         return self.score is None
 
 
-@dataclass(frozen=True, slots=True)
-class AffectSeries:
-    channel: str
-    window_length: timedelta
-    points: tuple[SeriesPoint, ...]
+class AffectSeries(Record):
+    """One channel's windows, strictly ordered by start."""
 
-    def __post_init__(self) -> None:
+    _fields = ("channel", "window_length", "points")
+    __slots__ = _fields
+
+    def __init__(
+        self, channel: str, window_length: timedelta, points: tuple[SeriesPoint, ...]
+    ) -> None:
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "window_length", window_length)
+        object.__setattr__(self, "points", points)
         starts = [point.start for point in self.points]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("series points must be strictly ordered by start")
 
 
-@dataclass(frozen=True, slots=True)
-class MatchStats:
+class MatchStats(NamedTuple):
     """The lexicon terms one term map matches, and their weighted statistics.
 
     ``counts[i]`` is the count of the i-th matched term (in map order) and

@@ -43,10 +43,11 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Callable, Hashable, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .record import Record
 
 # Variance floor scale, relative to the largest per-feature variance of the
 # training data. Keeps constant features from producing infinite densities.
@@ -58,8 +59,7 @@ Instance = Sequence[Optional[float]]
 Counts = Mapping[str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Posterior:
+class Posterior(NamedTuple):
     """Class probabilities in a fixed label order.
 
     ``predicted_label`` is the argmax; exact ties resolve to the first
@@ -192,8 +192,7 @@ def _bad_variance(
     raise AssertionError("every variance is positive and finite")
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianNbModel:
+class GaussianNbModel(Record):
     """Per class and feature: mean and floored variance of training values.
 
     ``means[c][f]`` is None when class ``c`` had no non-missing value for
@@ -207,21 +206,34 @@ class GaussianNbModel:
     the all-absent instance's log-likelihood.
     """
 
-    class_labels: tuple[str, ...]
-    log_priors: tuple[float, ...]
-    means: tuple[tuple[Optional[float], ...], ...]
-    variances: tuple[tuple[Optional[float], ...], ...]
-    variance_floor: float
-    feature_count: int
-    vocabulary: Optional[tuple[str, ...]] = None
-    term_index: dict[str | int, int] = field(init=False, repr=False, compare=False)
-    log_norms: tuple[tuple[Optional[float], ...], ...] = field(
-        init=False, repr=False, compare=False
+    _fields = (
+        "class_labels",
+        "log_priors",
+        "means",
+        "variances",
+        "variance_floor",
+        "feature_count",
+        "vocabulary",
     )
-    absent_terms: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    absent_partials: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = _fields + ("term_index", "log_norms", "absent_terms", "absent_partials")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        class_labels: tuple[str, ...],
+        log_priors: tuple[float, ...],
+        means: tuple[tuple[Optional[float], ...], ...],
+        variances: tuple[tuple[Optional[float], ...], ...],
+        variance_floor: float,
+        feature_count: int,
+        vocabulary: Optional[tuple[str, ...]] = None,
+    ) -> None:
+        object.__setattr__(self, "class_labels", class_labels)
+        object.__setattr__(self, "log_priors", log_priors)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "variance_floor", variance_floor)
+        object.__setattr__(self, "feature_count", feature_count)
+        object.__setattr__(self, "vocabulary", vocabulary)
         counts = self.vocabulary is not None
         features = self.vocabulary if counts else range(self.feature_count)
         # each derived float is computed once per distinct value and shared by
@@ -386,18 +398,25 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
     return _normalize_log_scores(model.class_labels, log_scores)
 
 
-@dataclass(frozen=True, slots=True)
-class MultinomialNbModel:
+class MultinomialNbModel(Record):
     """Smoothed per-class term distributions over the training vocabulary."""
 
-    class_labels: tuple[str, ...]
-    log_priors: tuple[float, ...]
-    vocabulary: tuple[str, ...]
-    log_term_probs: tuple[tuple[float, ...], ...]
-    alpha: float
-    term_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("class_labels", "log_priors", "vocabulary", "log_term_probs", "alpha")
+    __slots__ = _fields + ("term_index",)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        class_labels: tuple[str, ...],
+        log_priors: tuple[float, ...],
+        vocabulary: tuple[str, ...],
+        log_term_probs: tuple[tuple[float, ...], ...],
+        alpha: float,
+    ) -> None:
+        object.__setattr__(self, "class_labels", class_labels)
+        object.__setattr__(self, "log_priors", log_priors)
+        object.__setattr__(self, "vocabulary", vocabulary)
+        object.__setattr__(self, "log_term_probs", log_term_probs)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(
             self, "term_index", {term: i for i, term in enumerate(self.vocabulary)}
         )

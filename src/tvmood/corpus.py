@@ -14,10 +14,11 @@ import json
 import re
 from array import array
 from collections import Counter
-from dataclasses import InitVar, dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, TypeVar
+
+from .record import Record
 
 T = TypeVar("T")
 
@@ -99,27 +100,39 @@ def _check_counts(doc_id: str, term_counts: dict[str, int]) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(Record):
     """One transcript item with per-term counts.
 
-    Immutable after construction; terms are lowercase. ``timestamp`` may be
-    None for documents built programmatically; time-windowed operations
-    reject such documents, everything else accepts them.
+    Immutable after construction; terms are lowercase. ``id`` and, when
+    given, ``genre`` are non-empty. ``timestamp`` may be None for documents
+    built programmatically; time-windowed operations reject such
+    documents, everything else accepts them.
     """
 
-    id: str
-    channel: str
-    term_counts: dict[str, int]
-    total_tokens: int
-    genre: Optional[str] = None
-    timestamp: Optional[datetime] = None
-    # True only from a producer in this package that checked the terms and their total
-    _checked: InitVar[bool] = False
+    _fields = ("id", "channel", "term_counts", "total_tokens", "genre", "timestamp")
+    __slots__ = _fields
 
-    def __post_init__(self, _checked: bool) -> None:
+    def __init__(
+        self,
+        id: str,
+        channel: str,
+        term_counts: dict[str, int],
+        total_tokens: int,
+        genre: Optional[str] = None,
+        timestamp: Optional[datetime] = None,
+        # True only from a producer in this package that checked the terms and their total
+        _checked: bool = False,
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "term_counts", term_counts)
+        object.__setattr__(self, "total_tokens", total_tokens)
+        object.__setattr__(self, "genre", genre)
+        object.__setattr__(self, "timestamp", timestamp)
         if not self.id:
             raise ValueError("document id is empty")
+        if self.genre == "":
+            raise ValueError(f"document {self.id!r}: genre is empty")
         if not _checked:
             _check_counts(self.id, self.term_counts)
             if (joined := "".join(self.term_counts)) != joined.lower():  # one pass in C

@@ -20,12 +20,12 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import classify, features
 from .corpus import Document
 from .lexicon import AffectLexicon
+from .record import Record
 
 # representation -> the Naive Bayes variant used when none is chosen
 DEFAULT_NB = {"vsm": "multinomial", "meta": "gaussian"}
@@ -53,8 +53,7 @@ def labeled_rows(
     return (LabeledRow(doc.id, doc.genre, extract(doc, lexicon)) for doc in documents)
 
 
-@dataclass(frozen=True, slots=True)
-class FoldAssignment:
+class FoldAssignment(NamedTuple):
     """Maps each instance key to a fold index in ``[0, k)``."""
 
     k: int
@@ -62,8 +61,7 @@ class FoldAssignment:
     seed: int
 
 
-@dataclass(frozen=True, slots=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     label: str
     support: int
     tp_rate: float
@@ -71,25 +69,25 @@ class ClassMetrics:
     auc: float
 
 
-@dataclass(frozen=True, slots=True)
-class ClassifierConfig:
+class ClassifierConfig(Record):
     """Classifier choice for :func:`run_cv`.
 
     ``kind`` is ``gaussian`` or ``multinomial``; ``alpha`` is the smoothing
     weight and only applies to the multinomial variant.
     """
 
-    kind: str
-    alpha: float = 1.0
+    _fields = ("kind", "alpha")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, alpha: float = 1.0) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
         if self.kind not in ("gaussian", "multinomial"):
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         classify.check_alpha(self.alpha)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Cross-validation outcome in the shape of a per-genre results table."""
 
     class_metrics: tuple[ClassMetrics, ...]

@@ -19,9 +19,10 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import InitVar, dataclass
 from itertools import chain, cycle
 from typing import Iterable, TextIO
+
+from .record import Record
 
 RAW_MIN = 1.0
 RAW_MAX = 9.0
@@ -69,8 +70,7 @@ def _check_words(words: list[str]) -> None:
             raise ValueError(f"word {word!r} is not lowercase")
 
 
-@dataclass(frozen=True, slots=True)
-class AffectLexicon:
+class AffectLexicon(Record):
     """Immutable word tables; safe for unrestricted concurrent reads.
 
     ``table`` maps each word (non-empty, lowercase, no whitespace) to its
@@ -78,12 +78,18 @@ class AffectLexicon:
     maps the same words to their finite, non-negative normalized sds.
     """
 
-    table: dict[str, tuple[float, float, float]]
-    sds: dict[str, tuple[float, float, float]]
-    # True only from a producer in this package that checked the words and values
-    _checked: InitVar[bool] = False
+    _fields = ("table", "sds")
+    __slots__ = _fields
 
-    def __post_init__(self, _checked: bool) -> None:
+    def __init__(
+        self,
+        table: dict[str, tuple[float, float, float]],
+        sds: dict[str, tuple[float, float, float]],
+        # True only from a producer in this package that checked the words and values
+        _checked: bool = False,
+    ) -> None:
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "sds", sds)
         if _checked:
             return
         _check_words(list(self.table))

@@ -1,0 +1,51 @@
+"""The base of tvmood's validating records.
+
+A record that checks its fields or derives state from them is a plain
+slotted class on :class:`Record`; a plain value record is a
+``typing.NamedTuple``. Neither is a ``dataclasses`` class. Importing
+``dataclasses``, with the ``inspect``, ``ast`` and ``dis`` modules it
+loads, and processing the class bodies with it cost each tvmood process
+about 35 ms of CPU at start-up on a 2-vCPU VM with Python 3.11
+(``BENCH_17.json``).
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """An immutable slotted object, compared by the fields its constructor takes.
+
+    A subclass names those fields, in constructor order, in ``_fields``;
+    its ``__slots__`` holds them and any state it derives from them, and
+    its ``__init__`` sets each slot with ``object.__setattr__``. Equality,
+    hashing, the ``Name(field=value, ...)`` repr, copying and pickling
+    read ``_fields`` only, so derived state stays out of them. Setting or
+    deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__qualname__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Optional, Sequence
 
 from .corpus import Document
 from .lexicon import AffectLexicon
+from .record import Record
 
 VALENCE_BAND = 0.1
 
@@ -27,8 +27,7 @@ DEFAULT_START = datetime(2013, 1, 1, tzinfo=timezone.utc)
 DEFAULT_SPACING = timedelta(days=1)
 
 
-@dataclass(frozen=True, slots=True)
-class GenreProfile:
+class GenreProfile(Record):
     """Recipe for one genre's documents.
 
     ``bias`` is the probability that a token comes from the genre's own
@@ -37,14 +36,24 @@ class GenreProfile:
     selection. ``channel`` defaults to the label.
     """
 
-    label: str
-    document_count: int
-    bias: float
-    target: tuple[float, float, float]
-    token_range: tuple[int, int]
-    channel: Optional[str] = None
+    _fields = ("label", "document_count", "bias", "target", "token_range", "channel")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        label: str,
+        document_count: int,
+        bias: float,
+        target: tuple[float, float, float],
+        token_range: tuple[int, int],
+        channel: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "document_count", document_count)
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "token_range", token_range)
+        object.__setattr__(self, "channel", channel)
         for key, (_, _, what) in _FIELDS.items():
             if not _well_typed(key, getattr(self, key)):
                 what = what.removeprefix("a list of ")

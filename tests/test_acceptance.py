@@ -9,7 +9,6 @@ invariants, and synthetic reproductions of the qualitative claims.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
@@ -282,7 +281,10 @@ def test_criterion_07_label_shuffle_null(table3_setup):
         rng = random.Random(seed)
         genres = [doc.genre for doc in corpus]
         rng.shuffle(genres)
-        return tuple(dataclasses.replace(doc, genre=genre) for doc, genre in zip(corpus, genres))
+        return tuple(
+            Document(doc.id, doc.channel, doc.term_counts, doc.total_tokens, genre, doc.timestamp)
+            for doc, genre in zip(corpus, genres)
+        )
 
     means = {}
     for representation in ("vsm", "meta"):

@@ -564,6 +564,33 @@ def test_evaluate_empty_after_filter(tmp_path, capsys, lexicon_path, corpus_path
     assert "support" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["features"], ["evaluate", "--folds", "2", "--min-genre-support", "1"]],
+    ids=["features", "evaluate"],
+)
+def test_empty_genre_is_one_line_error_naming_its_line(tmp_path, capsys, lexicon_path, command):
+    """Half of 40 records have ``"genre": ""``: no command reads that as a
+    genre called "" or as an unlabeled document."""
+    lines = [
+        json.dumps({
+            "id": f"d{i:02d}",
+            "channel": "cnn",
+            "timestamp": "2013-01-07T00:00:00Z",
+            "genre": ("news", "")[i % 2],
+            "term_counts": {("good", "bad")[i % 2]: 1},
+        })
+        for i in range(40)
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, outputs = _outputs(command, tmp_path)
+    argv = [*command, "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 2: document 'd01': genre is empty\n"
+    assert not any(path.exists() for path in outputs)
+
+
 def test_over_long_count_is_one_line_error_naming_its_line(tmp_path, capsys, lexicon_path, corpus_path):
     # json.loads refuses an integer of more than 4,300 digits with a plain ValueError
     big = ('{"id":"big","channel":"cnn","timestamp":"2013-01-07T00:00:00Z",'

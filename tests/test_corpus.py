@@ -236,6 +236,15 @@ def test_load_document_errors_carry_line_number():
     assert "1000.0" in message and "non-positive" not in message
 
 
+@pytest.mark.parametrize("mode,body", [("text", "text"), ("counts", "term_counts")])
+def test_empty_genre_is_rejected_naming_its_line(mode, body):
+    """An empty genre is no genre at all, not a class called ""."""
+    content = "fire" if mode == "text" else {"fire": 1}
+    lines = [record("a", genre="news", **{body: content}), record("b", genre="", **{body: content})]
+    with pytest.raises(CorpusError, match=r"^line 2: document 'b': genre is empty$"):
+        read_text("\n".join(lines), mode=mode)
+
+
 def test_load_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         read_text("", mode="tokens")
@@ -267,6 +276,8 @@ def test_document_validation():
         Document("a", "cnn", {"x": 1}, 1, timestamp=datetime(2013, 1, 7))
     with pytest.raises(ValueError, match="id"):
         Document("", "cnn", {"x": 1}, 1)
+    with pytest.raises(ValueError, match=r"^document 'a': genre is empty$"):
+        Document("a", "cnn", {"x": 1}, 1, "")
     with pytest.raises(ValueError, match=r"^document 'a': term 'Fire' is not lowercase$"):
         Document("a", "cnn", {"calm": 1, "Fire": 2, "WIN": 1}, 4)
 

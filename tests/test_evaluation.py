@@ -6,7 +6,6 @@ import json
 import random
 import weakref
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 
@@ -220,7 +219,13 @@ def test_run_cv_keeps_one_gaussian_model_alive(monkeypatch, representation):
         assert [ref() for ref in trained] == [None] * len(trained)  # earlier models are gone
         model = train(instances, labels)
         tracked = _WeaklyReferencedModel(
-            **{f.name: getattr(model, f.name) for f in fields(model) if f.init}
+            model.class_labels,
+            model.log_priors,
+            model.means,
+            model.variances,
+            model.variance_floor,
+            model.feature_count,
+            model.vocabulary,
         )
         trained.append(weakref.ref(tracked))
         return tracked
