@@ -26,21 +26,13 @@ from .lexicon import AffectLexicon
 from .record import Record
 
 DIMENSIONS = ("valence", "arousal", "dominance")
+# the columns of value_fields: the three means, then the three sds
+VALUE_COLUMNS = (*DIMENSIONS, *(f"{dim}_sd" for dim in DIMENSIONS))
 
 K = TypeVar("K", bound=Hashable)
 _DAY = timedelta(days=1)
 
-SERIES_CSV_HEADER = (
-    "channel",
-    "window_start",
-    "valence",
-    "arousal",
-    "dominance",
-    "valence_sd",
-    "arousal_sd",
-    "dominance_sd",
-    "matched_tokens",
-)
+SERIES_CSV_HEADER = ("channel", "window_start", *VALUE_COLUMNS, "matched_tokens")
 
 
 class NoSignalError(ValueError):

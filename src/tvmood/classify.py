@@ -32,8 +32,9 @@ instance only corrects the features it has. Both use
 equals the model over the densified rows bit for bit, moments and
 posteriors alike.
 
-Models are immutable after training and serialize to a versioned JSON
-document that round-trips predictions bit-exactly.
+Models are immutable after training, check that their fields agree in
+shape, and serialize to a versioned JSON document of those fields that
+round-trips predictions bit-exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import NamedTuple, Optional
 
 from .record import Record
@@ -175,6 +176,23 @@ class _Table(dict):
         return value
 
 
+def _check_shape(model: Record, vocabulary: Optional[Sequence], width: int, *names: str) -> None:
+    """Raise ValueError, naming the field, unless ``vocabulary`` is None or
+    ``width`` distinct strings, the first named field holds one entry per
+    class, and each other named field one row per class, ``width`` wide."""
+    distinct = vocabulary is None or len(set(vocabulary)) == len(vocabulary) == width
+    if not distinct or set(map(type, vocabulary or ())) - {str}:
+        raise ValueError(f"vocabulary: not {width} distinct strings")
+    labels = model.class_labels
+    for index, name in enumerate(names):
+        rows = getattr(model, name)
+        if len(rows) != len(labels):
+            raise ValueError(f"{name}: {len(rows)} entries for {len(labels)} classes")
+        for label, row in zip(labels, rows if index else ()):
+            if len(row) != width:
+                raise ValueError(f"{name}: class {label!r} has {len(row)} entries, not {width}")
+
+
 def _bad_variance(
     class_labels: Sequence[str], variances: Sequence[Sequence], features: Sequence
 ) -> str:
@@ -236,6 +254,15 @@ class GaussianNbModel(Record):
         object.__setattr__(self, "vocabulary", vocabulary)
         counts = self.vocabulary is not None
         features = self.vocabulary if counts else range(self.feature_count)
+        _check_shape(self, vocabulary, feature_count, "log_priors", "means", "variances")
+        for label, means, variances in zip(self.class_labels, self.means, self.variances):
+            missing = list(map(is_, means, repeat(None)))  # C-level passes
+            if missing != list(map(is_, variances, repeat(None))) or counts and True in missing:
+                for feature, mean, v in zip(features, means, variances):
+                    if (mean is None) != (v is None) or counts and v is None:
+                        what = "a counts model has no None" if counts else "only one is None"
+                        pair = f"mean {mean!r}, variance {v!r}"
+                        raise ValueError(f"class {label!r}, feature {feature!r}: {pair}: {what}")
         # each derived float is computed once per distinct value and shared by
         # the entries equal to it: a pure function of values that compare equal
         log_norm_of = _Table(lambda v: None if v is None else math.log(2.0 * math.pi * v))
@@ -417,6 +444,7 @@ class MultinomialNbModel(Record):
         object.__setattr__(self, "vocabulary", vocabulary)
         object.__setattr__(self, "log_term_probs", log_term_probs)
         object.__setattr__(self, "alpha", alpha)
+        _check_shape(self, vocabulary, len(vocabulary), "log_priors", "log_term_probs")
         object.__setattr__(
             self, "term_index", {term: i for i, term in enumerate(self.vocabulary)}
         )
@@ -501,65 +529,53 @@ def predict_multinomial(
     return _normalize_log_scores(model.class_labels, log_scores)
 
 
+# each model class by the kind that its JSON, ClassifierConfig and --nb name
+MODEL_KINDS = {"gaussian": GaussianNbModel, "multinomial": MultinomialNbModel}
+
+
 def model_to_json(model: GaussianNbModel | MultinomialNbModel) -> str:
     """Serialize a trained model to versioned JSON.
 
+    The object holds ``format_version``, ``kind`` (a subclass's is its
+    base's) and then each field by name, in constructor order; a
+    ``vocabulary`` of None is left out.
     Floats are written in shortest round-trip form, so a reloaded model
     predicts bit-exactly like the original.
     """
-    if isinstance(model, GaussianNbModel):
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "gaussian",
-            "class_labels": list(model.class_labels),
-            "log_priors": list(model.log_priors),
-            "variance_floor": model.variance_floor,
-            "feature_count": model.feature_count,
-            "means": [list(row) for row in model.means],
-            "variances": [list(row) for row in model.variances],
-        }
-        if model.vocabulary is not None:
-            payload["vocabulary"] = list(model.vocabulary)
-    elif isinstance(model, MultinomialNbModel):
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "multinomial",
-            "class_labels": list(model.class_labels),
-            "log_priors": list(model.log_priors),
-            "alpha": model.alpha,
-            "vocabulary": list(model.vocabulary),
-            "log_term_probs": [list(row) for row in model.log_term_probs],
-        }
-    else:
+    kind = next((kind for kind, cls in MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise TypeError(f"not a model: {model!r}")
-    return json.dumps(payload, indent=2)
+    fields = {name: getattr(model, name) for name in MODEL_KINDS[kind]._fields}
+    payload = {"format_version": MODEL_FORMAT_VERSION, "kind": kind, **fields}
+    return json.dumps({name: v for name, v in payload.items() if v is not None}, indent=2)
+
+
+def _tuples(value: object) -> object:
+    """A JSON value with every array, nested or not, as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
-    """Reload a model serialized by :func:`model_to_json`."""
-    payload = json.loads(text)
-    version = payload.get("format_version")
+    """Reload a model serialized by :func:`model_to_json`, reading fields by name.
+
+    Raises ValueError, naming the field, for a payload that is not an
+    object, or whose version, kind or fields the model's class does not
+    take; the constructor then checks the values.
+    """
+    fields = json.loads(text)
+    if not isinstance(fields, dict):
+        raise ValueError(f"a model is a JSON object, not {type(fields).__name__}")
+    version, kind = fields.pop("format_version", None), fields.pop("kind", None)
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = payload.get("kind")
-    if kind == "gaussian":
-        return GaussianNbModel(
-            class_labels=tuple(payload["class_labels"]),
-            log_priors=tuple(payload["log_priors"]),
-            means=tuple(tuple(row) for row in payload["means"]),
-            variances=tuple(tuple(row) for row in payload["variances"]),
-            variance_floor=payload["variance_floor"],
-            feature_count=payload["feature_count"],
-            vocabulary=(
-                tuple(payload["vocabulary"]) if "vocabulary" in payload else None
-            ),
-        )
-    if kind == "multinomial":
-        return MultinomialNbModel(
-            class_labels=tuple(payload["class_labels"]),
-            log_priors=tuple(payload["log_priors"]),
-            vocabulary=tuple(payload["vocabulary"]),
-            log_term_probs=tuple(tuple(row) for row in payload["log_term_probs"]),
-            alpha=payload["alpha"],
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    init = cls.__init__  # the parameters without a default lead the fields
+    for name in cls._fields[: init.__code__.co_argcount - 1 - len(init.__defaults__ or ())]:
+        if name not in fields:
+            raise ValueError(f"{kind} model: missing field {name!r}")
+    for name in fields:
+        if name not in cls._fields:
+            raise ValueError(f"{kind} model: unknown field {name!r}")
+    return cls(**{name: _tuples(value) for name, value in fields.items()})

@@ -35,16 +35,7 @@ from .lexicon import AffectLexicon, load_lexicon
 
 _WINDOW_RE = re.compile(r"^(\d+)([dw])$")
 
-SCORE_VALUE_COLUMNS = (
-    "valence",
-    "arousal",
-    "dominance",
-    "valence_sd",
-    "arousal_sd",
-    "dominance_sd",
-    "matched_distinct_terms",
-    "matched_tokens",
-)
+SCORE_VALUE_COLUMNS = (*affect.VALUE_COLUMNS, "matched_distinct_terms", "matched_tokens")
 
 
 def parse_window(spec: str) -> timedelta:
@@ -223,7 +214,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             for doc in documents:
                 out.write(document_to_jsonl(doc))
                 written += 1
-    except OverflowError:  # from start + n * spacing, the timestamp of document n
+    except OverflowError:  # from start + n * SPACING, the timestamp of document n
         raise ValueError(
             f"--start {format_timestamp(start)}: the document timestamps run past "
             f"the datetime range"
@@ -320,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "lexicon-validate", help="parse a lexicon and print a summary"
     )
-    sub.add_argument("--lexicon", required=True, help="lexicon CSV path")
+    common(sub, corpus=False)
     sub.set_defaults(handler=cmd_lexicon_validate)
 
     sub = subparsers.add_parser(
@@ -367,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--nb",
-        choices=("gaussian", "multinomial"),
-        default=None,
+        choices=tuple(classify.MODEL_KINDS),
         help="classifier variant (default: "
         + ", ".join(f"{nb} for {rep}" for rep, nb in evaluation.DEFAULT_NB.items())
         + ")",

@@ -14,7 +14,7 @@ import json
 import re
 from array import array
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, TypeVar
 
@@ -27,6 +27,14 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:'+[^\W_]+)*")
 # character to a space: the characters _TOKEN_RE can take from ASCII text
 _ASCII_SEPARATORS = "".join(
     c if c.isalnum() or c == "'" else " " for c in map(chr, range(128))
+)
+
+
+# parse_timestamp's forms, which are those of datetime.fromisoformat on Python 3.10
+_TIMESTAMP_RE = re.compile(
+    r"(?s)([0-9]{4})-([0-9]{2})-([0-9]{2})(?:.([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?"
+    r"(?:(?(6)[.:]|\.)([0-9]{6}|[0-9]{3}))?(?:(?(7)|[\x00-\x2a\x2c\x2e-\x7f]?)"
+    r"([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:[.:]([0-9]{6}))?)?)?)?"
 )
 
 
@@ -59,14 +67,25 @@ def count_terms(tokens: Iterable[str]) -> tuple[dict[str, int], int]:
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp to an aware UTC datetime (seconds precision).
 
-    A trailing ``Z`` is accepted; naive timestamps are taken as UTC.
+    The forms are those ``datetime.fromisoformat`` takes on Python 3.10,
+    checked here so that every Python version gives the same verdict and
+    value (3.11 takes more): ``YYYY-MM-DD``, then optionally any one
+    character and ``hh[:mm[:ss]]``, a fraction of 3 or 6 digits after
+    ``.`` and a UTC offset ``Z`` or ``+hh:mm[:ss[.ffffff]]`` (or ``-``);
+    after seconds, ``:`` may stand for the ``.`` of either fraction. One
+    ASCII character other than ``+`` or ``-`` may stand between a time
+    with no fraction and its offset. A naive timestamp is taken as UTC.
     """
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    moment = datetime.fromisoformat(text)
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
+    match = _TIMESTAMP_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"Invalid isoformat string: {value!r}")
+    *fields, fraction, sign, hours, minutes, seconds, micros = match.groups("0")
+    offset = timedelta(0, int(hours) * 3600 + int(minutes) * 60 + int(seconds), int(micros))
+    zone = timezone(-offset if sign == "-" else offset)  # refuses 24 hours or more
+    moment = datetime(*map(int, fields), int(fraction.ljust(6, "0")), zone)
     try:
         return moment.astimezone(timezone.utc).replace(microsecond=0)
     except OverflowError:  # a UTC offset pushes it past year 1 or 9999

@@ -82,7 +82,7 @@ class ClassifierConfig(Record):
     def __init__(self, kind: str, alpha: float = 1.0) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "alpha", alpha)
-        if self.kind not in ("gaussian", "multinomial"):
+        if self.kind not in tuple(classify.MODEL_KINDS):  # refuses an unhashable kind too
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         classify.check_alpha(self.alpha)
 
@@ -331,16 +331,7 @@ def report_to_json(report: EvalReport) -> str:
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "config": report.config,
-        "classes": [
-            {
-                "label": m.label,
-                "support": m.support,
-                "tp_rate": m.tp_rate,
-                "fp_rate": m.fp_rate,
-                "auc": m.auc,
-            }
-            for m in report.class_metrics
-        ],
+        "classes": [m._asdict() for m in report.class_metrics],  # keys in field order
         "weighted_average": {
             "tp_rate": report.weighted_tp_rate,
             "fp_rate": report.weighted_fp_rate,

@@ -9,8 +9,8 @@ normalized to [0, 1]: means via ``(x - 1) / 8``, standard deviations via
 ``x / 8`` (sd is translation-invariant). ``parse_lexicon`` lowercases words
 and reads the file in one pass of rows; each error names the file line on
 which its row starts. A parsed lexicon is one flat ``table`` from word to
-(valence, arousal, dominance) means, all that scoring reads; ``sds`` holds
-the checked standard deviations, which no scoring or output reads.
+(valence, arousal, dominance) means. The standard deviations are checked
+but not kept: no feature, score or output reads them.
 """
 
 from __future__ import annotations
@@ -71,40 +71,34 @@ def _check_words(words: list[str]) -> None:
 
 
 class AffectLexicon(Record):
-    """Immutable word tables; safe for unrestricted concurrent reads.
+    """An immutable word table; safe for unrestricted concurrent reads.
 
     ``table`` maps each word (non-empty, lowercase, no whitespace) to its
-    normalized (valence, arousal, dominance) means in [0, 1], and ``sds``
-    maps the same words to their finite, non-negative normalized sds.
+    normalized (valence, arousal, dominance) means in [0, 1].
     """
 
-    _fields = ("table", "sds")
+    _fields = ("table",)
     __slots__ = _fields
 
     def __init__(
         self,
         table: dict[str, tuple[float, float, float]],
-        sds: dict[str, tuple[float, float, float]],
         # True only from a producer in this package that checked the words and values
         _checked: bool = False,
     ) -> None:
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "sds", sds)
         if _checked:
             return
         _check_words(list(self.table))
-        if self.sds.keys() != self.table.keys():
-            raise ValueError("the mean and sd tables hold different words")
-        for kind, rows, high in (("means", self.table, 1.0), ("sds", self.sds, math.inf)):
-            values = list(chain.from_iterable(rows.values()))
-            # a finite sum has only finite terms, so then min and max are reliable
-            fine = set(map(len, rows.values())) <= {3} and math.isfinite(sum(values))
-            if fine and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= high:
-                continue
-            for word, t in rows.items():
-                if len(t) != 3 or not all(0.0 <= x < math.inf and x <= high for x in t):
-                    what = f"three finite values in [0, {high:g}]"
-                    raise ValueError(f"word {word!r}: {kind} {t!r} are not {what}")
+        values = list(chain.from_iterable(self.table.values()))
+        # a finite sum has only finite terms, so then min and max are reliable
+        fine = set(map(len, self.table.values())) <= {3} and math.isfinite(sum(values))
+        if fine and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
+            return
+        for word, t in self.table.items():
+            if len(t) != 3 or not all(0.0 <= x <= 1.0 for x in t):
+                what = "three finite values in [0, 1]"
+                raise ValueError(f"word {word!r}: means {t!r} are not {what}")
 
     def __len__(self) -> int:
         return len(self.table)
@@ -141,7 +135,6 @@ def parse_lexicon(source: str | TextIO | Iterable[str]) -> AffectLexicon:
     """
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     table: dict[str, tuple[float, float, float]] = {}
-    sds: dict[str, tuple[float, float, float]] = {}
     starts = array("q")  # each word's line; a list's int objects would raise peak RSS
     line = 0  # lines read so far
     try:
@@ -178,12 +171,11 @@ def parse_lexicon(source: str | TextIO | Iterable[str]) -> AffectLexicon:
             table[word] = (
                 (v - RAW_MIN) / RAW_SPAN, (a - RAW_MIN) / RAW_SPAN, (d - RAW_MIN) / RAW_SPAN
             )
-            sds[word] = (vs / RAW_SPAN, as_ / RAW_SPAN, ds / RAW_SPAN)
     except csv.Error as exc:  # such as a field over the csv module's size limit
         raise LexiconError(f"line {line + 1}: {exc}") from None
     if not table:
         raise LexiconError("lexicon contains no entries")
-    return AffectLexicon(table, sds, True)
+    return AffectLexicon(table, True)
 
 
 def load_lexicon(path: str) -> AffectLexicon:

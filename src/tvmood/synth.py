@@ -24,7 +24,7 @@ from .record import Record
 VALENCE_BAND = 0.1
 
 DEFAULT_START = datetime(2013, 1, 1, tzinfo=timezone.utc)
-DEFAULT_SPACING = timedelta(days=1)
+SPACING = timedelta(days=1)
 
 
 class GenreProfile(Record):
@@ -123,13 +123,12 @@ def generate(
     lexicon: AffectLexicon,
     seed: int,
     start: datetime = DEFAULT_START,
-    spacing: timedelta = DEFAULT_SPACING,
 ) -> Iterator[Document]:
     """Draw a labeled corpus, one batch of documents per profile.
 
     Returns an iterator that draws each document when it is asked for, so
     a corpus need not be held; the documents' ids are distinct. Documents
-    receive evenly spaced timestamps (``start + n * spacing`` in generation
+    receive timestamps one day apart (``start + n * SPACING`` in generation
     order) and ids of the form ``<label>-<n>``. Raises ``ValueError`` at
     the call when a profile's valence band contains no lexicon word, naming
     the profile; a timestamp past the datetime range raises
@@ -149,7 +148,7 @@ def generate(
                 f"±{VALENCE_BAND} of target {target}"
             )
         pools.append(pool)
-    return _draw(profiles, pools, shared_pool, seed, start, spacing)
+    return _draw(profiles, pools, shared_pool, seed, start)
 
 
 def _draw(
@@ -158,7 +157,6 @@ def _draw(
     shared_pool: list[str],
     seed: int,
     start: datetime,
-    spacing: timedelta,
 ) -> Iterator[Document]:
     rng = random.Random(seed)
     draw, bits = rng.random, rng.getrandbits
@@ -183,7 +181,7 @@ def _draw(
                 term_counts=dict(Counter(tokens)),
                 total_tokens=token_count,
                 genre=profile.label,
-                timestamp=start + serial * spacing,
+                timestamp=start + serial * SPACING,
                 _checked=True,  # lowercase lexicon words, counts summing to token_count
             )
             serial += 1

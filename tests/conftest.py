@@ -18,9 +18,9 @@ UTC = timezone.utc
 T0 = datetime(2013, 1, 7, tzinfo=UTC)
 
 
-def make_lexicon(words: dict[str, tuple[float, float, float]], sd: float = 0.05) -> AffectLexicon:
+def make_lexicon(words: dict[str, tuple[float, float, float]]) -> AffectLexicon:
     """Lexicon from normalized (valence, arousal, dominance) means."""
-    return AffectLexicon(dict(words), {word: (sd, sd, sd) for word in words})
+    return AffectLexicon(dict(words))
 
 
 def random_lexicon(rng: random.Random, size: int = 60) -> AffectLexicon:
@@ -81,15 +81,16 @@ def lexicon_csv(lexicon: AffectLexicon) -> str:
 
     ``parse_lexicon(lexicon_csv(lex))`` reproduces ``lex`` exactly: the
     scale maps are affine with a power-of-two slope, so no precision is lost
-    in either direction.
+    in either direction. A lexicon keeps no standard deviations, so each
+    is written as 0.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(LEXICON_HEADER)
     for word, means in lexicon.table.items():
         fields = [word]
-        for mean, sd in zip(means, lexicon.sds[word]):
-            fields += (repr(mean * RAW_SPAN + RAW_MIN), repr(sd * RAW_SPAN))
+        for mean in means:
+            fields += (repr(mean * RAW_SPAN + RAW_MIN), "0.0")
         writer.writerow(fields)
     return buffer.getvalue()
 

@@ -42,7 +42,7 @@ from tvmood.affect import (
 from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel
 from tvmood.corpus import Document
 from tvmood.lexicon import LEXICON_HEADER, LexiconError
-from tvmood.synth import DEFAULT_SPACING, DEFAULT_START, VALENCE_BAND
+from tvmood.synth import DEFAULT_START, SPACING, VALENCE_BAND
 
 mpmath.mp.dps = 60
 
@@ -275,7 +275,7 @@ def _sd(raw_sd):
 
 
 def parse_lexicon_rows(text):
-    """The row-by-row lexicon parser: ``(table, sds)`` or a LexiconError.
+    """The row-by-row lexicon parser: the table of means, or a LexiconError.
 
     Each row is checked in column order (valence mean, valence sd, ...,
     dominance sd), then its word, then its uniqueness, so the first bad row
@@ -290,7 +290,7 @@ def parse_lexicon_rows(text):
             f"unexpected header {','.join(header)!r}; "
             f"expected {','.join(LEXICON_HEADER)!r}"
         )
-    table, sds, first_line = {}, {}, {}
+    table, first_line = {}, {}
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -320,11 +320,10 @@ def parse_lexicon_rows(text):
                 f"duplicate word {word!r} at lines {first_line[word]} and {line_no}"
             )
         table[word] = tuple(values[0::2])
-        sds[word] = tuple(values[1::2])
         first_line[word] = line_no
     if not table:
         raise LexiconError("lexicon contains no entries")
-    return table, sds
+    return table
 
 
 def match_stats_lookup(term_counts, lexicon):
@@ -367,7 +366,7 @@ def weighted_median_walk(values, counts, total):
     return value
 
 
-def generate_per_token(profiles, lexicon, seed, start=DEFAULT_START, spacing=DEFAULT_SPACING):
+def generate_per_token(profiles, lexicon, seed, start=DEFAULT_START):
     """``synth.generate`` drawing and counting one token at a time."""
     shared_pool = lexicon.words()
     pools = [
@@ -391,7 +390,7 @@ def generate_per_token(profiles, lexicon, seed, start=DEFAULT_START, spacing=DEF
                     term_counts=dict(counts),
                     total_tokens=token_count,
                     genre=profile.label,
-                    timestamp=start + serial * spacing,
+                    timestamp=start + serial * SPACING,
                 )
             )
             serial += 1

@@ -584,3 +584,201 @@ def test_model_json_rejects_bad_payloads():
         model_from_json(text.replace('"format_version": 1', '"format_version": 99'))
     with pytest.raises(ValueError, match="kind"):
         model_from_json(text.replace('"kind": "multinomial"', '"kind": "forest"'))
+
+
+# Written by model_to_json before it wrote each model's fields in constructor
+# order: format_version, kind, class_labels, log_priors, variance_floor,
+# feature_count, means, variances, then vocabulary when set. Fields are read by
+# name, so this still loads.
+_OLD_ORDER_GAUSSIAN = (
+    '{"format_version": 1, "kind": "gaussian", "class_labels": ["news", "sport"], '
+    '"log_priors": [-0.5, -1.0], "variance_floor": 1e-09, "feature_count": 2, '
+    '"means": [[0.5, 2.0], [1.5, -0.0]], "variances": [[0.25, 1.0], [1.0, 0.5]], '
+    '"vocabulary": ["calm", "fire"]}'
+)
+_OLD_ORDER_MULTINOMIAL = (
+    '{"format_version": 1, "kind": "multinomial", "class_labels": ["news", "sport"], '
+    '"log_priors": [-0.5, -1.0], "alpha": 0.5, "vocabulary": ["calm", "fire"], '
+    '"log_term_probs": [[-0.25, -1.5], [-2.0, -0.125]]}'
+)
+
+
+def test_model_json_in_the_old_key_order_still_loads():
+    gaussian = GaussianNbModel(
+        ("news", "sport"),
+        (-0.5, -1.0),
+        ((0.5, 2.0), (1.5, -0.0)),
+        ((0.25, 1.0), (1.0, 0.5)),
+        1e-9,
+        2,
+        ("calm", "fire"),
+    )
+    multinomial = MultinomialNbModel(
+        ("news", "sport"), (-0.5, -1.0), ("calm", "fire"), ((-0.25, -1.5), (-2.0, -0.125)), 0.5
+    )
+    for text, model in ((_OLD_ORDER_GAUSSIAN, gaussian), (_OLD_ORDER_MULTINOMIAL, multinomial)):
+        reloaded = model_from_json(text)
+        assert repr(reloaded) == repr(model)  # -0.0 stays -0.0
+        assert model_to_json(reloaded) == model_to_json(model)
+
+
+def test_model_json_holds_the_fields_in_constructor_order():
+    gaussian = model_from_json(_OLD_ORDER_GAUSSIAN)
+    assert list(json.loads(model_to_json(gaussian))) == [
+        "format_version", "kind", *GaussianNbModel._fields
+    ]
+    dense = train_gaussian([[0.0], [1.0], [2.0], [4.0]], ["a", "a", "b", "b"])
+    assert list(json.loads(model_to_json(dense))) == [
+        "format_version", "kind", *GaussianNbModel._fields[:-1]  # no vocabulary
+    ]
+    multinomial = model_from_json(_OLD_ORDER_MULTINOMIAL)
+    assert list(json.loads(model_to_json(multinomial))) == [
+        "format_version", "kind", *MultinomialNbModel._fields
+    ]
+
+
+_labels = st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True).map(tuple)
+_terms = st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=4, unique=True).map(tuple)
+_values = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+# a counts model's absent-feature term, mean**2 / variance, stays finite
+_variances = st.floats(1e-6, 1e300)
+
+
+@st.composite
+def models(draw):
+    """A dense or counts Gaussian model, or a multinomial model, built directly."""
+    labels = draw(_labels)
+    terms = draw(_terms)
+    priors = tuple(draw(_values) for _ in labels)
+    kind = draw(st.sampled_from(["dense", "counts", "multinomial"]))
+    if kind == "multinomial":
+        rows = tuple(tuple(draw(_values) for _ in terms) for _ in labels)
+        return MultinomialNbModel(labels, priors, terms, rows, draw(st.floats(1e-3, 1e3)))
+    means, variances = [], []
+    for _ in labels:
+        # a dense model may lack a (class, feature) pair; a counts model has them all
+        present = [kind == "counts" or draw(st.booleans()) for _ in terms]
+        means.append(tuple(draw(_values) if p else None for p in present))
+        variances.append(tuple(draw(_variances) if p else None for p in present))
+    vocabulary = terms if kind == "counts" else None
+    floor = draw(_variances)
+    return GaussianNbModel(
+        labels, priors, tuple(means), tuple(variances), floor, len(terms), vocabulary
+    )
+
+
+@given(models())
+def test_model_json_round_trip_keeps_every_field_bit_for_bit(model):
+    text = model_to_json(model)
+    reloaded = model_from_json(text)
+    assert type(reloaded) is type(model)
+    assert repr(reloaded) == repr(model)  # repr, unlike ==, tells -0.0 from 0.0
+    assert model_to_json(reloaded) == text
+
+
+_DROP = object()
+
+
+def _edited(text, **changes):
+    """The JSON ``text`` with fields set, or dropped where given ``_DROP``."""
+    payload = json.loads(text)
+    for name, value in changes.items():
+        if value is _DROP:
+            del payload[name]
+        else:
+            payload[name] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a counts model with a null mean: was a TypeError from the absent-term table
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, means=[[0.5, 2.0], [1.5, None]]),
+            "class 'sport', feature 'fire': mean None, variance 0.5: a counts model has no None",
+        ),
+        # feature_count 3 over two-wide rows: loaded, then prediction raised IndexError
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, feature_count=3, vocabulary=_DROP),
+            "means: class 'news' has 2 entries, not 3",
+        ),
+        # no means: was a KeyError
+        (_edited(_OLD_ORDER_GAUSSIAN, means=_DROP), "gaussian model: missing field 'means'"),
+        # not an object: was an AttributeError
+        ("[1]", "a model is a JSON object, not list"),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, vocabulary=["calm"]),
+            "vocabulary: not 2 distinct strings",
+        ),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, vocabulary=["calm", "calm"]),
+            "vocabulary: not 2 distinct strings",
+        ),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, vocabulary=["calm", 7]),
+            "vocabulary: not 2 distinct strings",
+        ),
+        (_edited(_OLD_ORDER_GAUSSIAN, log_priors=[-0.5]), "log_priors: 1 entries for 2 classes"),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, variances=[[0.25, 1.0]]),
+            "variances: 1 entries for 2 classes",
+        ),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, variances=[[0.25, 1.0], [1.0]]),
+            "variances: class 'sport' has 1 entries, not 2",
+        ),
+        # a dense model may miss a pair, but then both its mean and variance
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, vocabulary=_DROP, variances=[[0.25, None], [1.0, 0.5]]),
+            "class 'news', feature 1: mean 2.0, variance None: only one is None",
+        ),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, vocabulary=_DROP, means=[[0.5, 2.0], [None, 0.0]]),
+            "class 'sport', feature 0: mean None, variance 1.0: only one is None",
+        ),
+        (_edited(_OLD_ORDER_GAUSSIAN, alpha=1.0), "gaussian model: unknown field 'alpha'"),
+        (_edited(_OLD_ORDER_GAUSSIAN, kind=["gaussian"]), r"unknown model kind \['gaussian'\]"),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, log_term_probs=[[-0.25, -1.5], [-2.0]]),
+            "log_term_probs: class 'sport' has 1 entries, not 2",
+        ),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, log_priors=[-0.5, -1.0, -2.0]),
+            "log_priors: 3 entries for 2 classes",
+        ),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, vocabulary=["calm", "calm"]),
+            "vocabulary: not 2 distinct strings",
+        ),
+        (_edited(_OLD_ORDER_MULTINOMIAL, alpha=_DROP), "multinomial model: missing field 'alpha'"),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, variance_floor=1e-9),
+            "multinomial model: unknown field 'variance_floor'",
+        ),
+    ],
+    ids=[
+        "counts-null-mean",
+        "feature-count-3-over-2-wide-rows",
+        "no-means",
+        "top-level-list",
+        "short-vocabulary",
+        "repeated-term",
+        "non-string-term",
+        "short-log-priors",
+        "short-variances",
+        "short-variance-row",
+        "dense-null-variance-only",
+        "dense-null-mean-only",
+        "unknown-field",
+        "list-kind",
+        "multinomial-short-row",
+        "multinomial-long-log-priors",
+        "multinomial-repeated-term",
+        "multinomial-no-alpha",
+        "multinomial-unknown-field",
+    ],
+)
+def test_model_json_of_the_wrong_shape_is_a_value_error_naming_the_field(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model_from_json(text)

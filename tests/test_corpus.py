@@ -110,6 +110,96 @@ def test_parse_timestamp_variants():
     assert parse_timestamp("2013-01-07T12:00:00.750Z") == expected
 
 
+# (timestamp, its UTC reading, or None when it is refused). The accepted forms
+# are those datetime.fromisoformat takes on Python 3.10; some refused ones are
+# taken by it on 3.11 and later, so a corpus read alike only on some versions.
+TIMESTAMP_FORMS = [
+    ("2013-01-07", "2013-01-07T00:00:00+00:00"),
+    ("2013-01-07T12", "2013-01-07T12:00:00+00:00"),
+    ("2013-01-07T12:30", "2013-01-07T12:30:00+00:00"),
+    ("2013-01-07T12:30:45", "2013-01-07T12:30:45+00:00"),
+    (" 2013-01-07 12:30:45 ", "2013-01-07T12:30:45+00:00"),
+    ("2013-01-07x12:30", "2013-01-07T12:30:00+00:00"),
+    ("2013-01-07T12:30:45.123", "2013-01-07T12:30:45+00:00"),
+    ("2013-01-07T12:30:45.123456", "2013-01-07T12:30:45+00:00"),
+    ("2013-01-07T12:30:45:123", "2013-01-07T12:30:45+00:00"),
+    ("2013-01-07T12.500", "2013-01-07T12:00:00+00:00"),
+    ("2013-01-07T12:30:45Z", "2013-01-07T12:30:45+00:00"),
+    ("2013-01-07T12:30:45z", "2013-01-07T12:30:45+00:00"),
+    ("2013-01-07T12:30:45+01:00", "2013-01-07T11:30:45+00:00"),
+    ("2013-01-07T12:30:45-01:30", "2013-01-07T14:00:45+00:00"),
+    ("2013-01-07T12:30:45+01:00:30", "2013-01-07T11:30:15+00:00"),
+    ("2013-01-07T12:30:45+01:00:30:500000", "2013-01-07T11:30:14+00:00"),
+    ("2013-01-07T12:30:45.250000-00:00:00.750000", "2013-01-07T12:30:46+00:00"),
+    ("2013-01-07T12:30:45.123+01:00", "2013-01-07T11:30:45+00:00"),
+    ("2013-01-07T12:30:45 +01:00", "2013-01-07T11:30:45+00:00"),
+    ("2013-01-07T12:00+00:60", "2013-01-07T11:00:00+00:00"),
+    ("0001-01-01T00:00:00-01:00", "0001-01-01T01:00:00+00:00"),
+    ("20130101T000000", None),
+    ("2013-W01-1", None),
+    ("2013-001", None),
+    ("2013-01-07T12:00:00.5+00:00", None),
+    ("2013-01-07T12:00:00,123+00:00", None),
+    ("2013-01-07T12:30:45.1234", None),
+    ("2013-01-07T1230", None),
+    ("2013-01-07T12:00+0100", None),
+    ("2013-01-07T12:00+01", None),
+    ("2013-01-07T12:30:45.123 +01:00", None),
+    ("2013-01-07T12:30:45\u00e9+01:00", None),
+    ("2013-01-07T12:00:00+01:00Z", None),
+    ("2013-1-7", None),
+    ("\uff12\uff10\uff11\uff13-01-07", None),
+    ("2013-01-07T", None),
+    ("2013-01-07T24:00", None),
+    ("2013-02-30", None),
+    ("2013-01-07T12:00+24:00", None),
+    ("9999-12-31T23:59:59-01:00", None),
+    ("nope", None),
+    ("", None),
+]
+
+
+@pytest.mark.parametrize("text, utc", TIMESTAMP_FORMS)
+def test_parse_timestamp_forms(text, utc):
+    if utc is None:
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text).isoformat() == utc
+
+
+_TIMESPEC_KEEPS = {
+    "hours": dict(minute=0, second=0, microsecond=0),
+    "minutes": dict(second=0, microsecond=0),
+    "seconds": dict(microsecond=0),
+    "milliseconds": {},
+    "microseconds": {},
+}
+
+
+@given(
+    st.datetimes(
+        timezones=st.none()
+        | st.builds(timezone, st.timedeltas(timedelta(hours=-23.9), timedelta(hours=23.9)))
+    ),
+    st.sampled_from(sorted(_TIMESPEC_KEEPS)),
+    st.characters(),
+)
+def test_parse_timestamp_reads_what_isoformat_writes(moment, timespec, sep):
+    text = moment.isoformat(sep, timespec)
+    written = moment.replace(**_TIMESPEC_KEEPS[timespec])
+    if timespec == "milliseconds":
+        written = written.replace(microsecond=written.microsecond // 1000 * 1000)
+    offset = written.utcoffset() or timedelta(0)
+    try:
+        expected = (written.replace(tzinfo=timezone.utc) - offset).replace(microsecond=0)
+    except OverflowError:  # the offset moves it out of the datetime range
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+        return
+    assert parse_timestamp(text) == expected
+
+
 def test_load_text_mode_happy_path():
     lines = [
         record("a", text="Good news today"),

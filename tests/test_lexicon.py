@@ -66,46 +66,45 @@ def test_normalize_sd_scales_without_offset():
 def test_non_finite_sd_is_rejected(raw):
     with pytest.raises(LexiconError):
         normalize_sd(raw)
-    with pytest.raises(ValueError):
-        AffectLexicon({"joy": (0.5, 0.5, 0.5)}, {"joy": (raw, 0.1, 0.1)})
     with pytest.raises(LexiconError, match="line 2"):
         parse_lexicon(lexicon_text(f"joy,5,{raw},5,1,5,1"))
 
 
 @pytest.mark.parametrize(
-    "table, sds, message",
+    "table, message",
     [
-        ({"Joy": (0.5,) * 3}, {"Joy": (0.1,) * 3}, "word 'Joy' is not lowercase"),
-        ({"big joy": (0.5,) * 3}, {"big joy": (0.1,) * 3}, "word 'big joy' contains whitespace"),
-        ({"": (0.5,) * 3}, {"": (0.1,) * 3}, "word is empty"),
+        ({"Joy": (0.5,) * 3}, "word 'Joy' is not lowercase"),
+        ({"big joy": (0.5,) * 3}, "word 'big joy' contains whitespace"),
+        ({"": (0.5,) * 3}, "word is empty"),
         (
             {"joy": (0.5, 1.5, 0.5)},
-            {"joy": (0.1,) * 3},
             r"word 'joy': means \(0.5, 1.5, 0.5\) are not three finite values in \[0, 1\]",
         ),
         (
             {"joy": (0.5, 0.5)},
-            {"joy": (0.1,) * 3},
             r"word 'joy': means \(0.5, 0.5\) are not three finite values in \[0, 1\]",
         ),
-        ({"joy": (0.5,) * 3}, {"fun": (0.1,) * 3}, "the mean and sd tables hold different words"),
+        (
+            {"joy": (0.5, math.nan, 0.5)},
+            r"word 'joy': means \(0.5, nan, 0.5\) are not three finite values in \[0, 1\]",
+        ),
     ],
 )
-def test_direct_construction_checks_every_word_and_value(table, sds, message):
+def test_direct_construction_checks_every_word_and_value(table, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        AffectLexicon(table, sds)
+        AffectLexicon(table)
 
 
 def test_parsed_lexicon_equals_checked_construction():
     lexicon = parse_lexicon(lexicon_text("joy,8.21,1.02,5.98,2.54,7.00,1.80", "Fire,2,1,8,1,5,1"))
-    assert AffectLexicon(dict(lexicon.table), dict(lexicon.sds)) == lexicon
+    assert AffectLexicon(dict(lexicon.table)) == lexicon
 
 
 def test_parse_single_row_hand_values():
     lexicon = parse_lexicon(lexicon_text("joy,8.21,1.02,5.98,2.54,7.00,1.80"))
     means = lexicon.table.get("joy")
     assert means is not None
-    sds = lexicon.sds["joy"]
+    sds = [normalize_sd(raw) for raw in (1.02, 2.54, 1.80)]  # the lexicon keeps only means
     assert math.isclose(means[0], 0.90125, abs_tol=1e-12)
     assert math.isclose(sds[0], 0.1275, abs_tol=1e-12)
     assert math.isclose(means[1], 0.6225, abs_tol=1e-12)
@@ -196,7 +195,7 @@ def test_parse_accepts_blank_lines():
 def test_lookup_miss_and_empty():
     lexicon = parse_lexicon(lexicon_text("joy,5,1,5,1,5,1"))
     assert lexicon.table.get("xyzzy") is None
-    assert AffectLexicon({}, {}).table.get("joy") is None
+    assert AffectLexicon({}).table.get("joy") is None
     assert "JOY".lower() in lexicon.table and "xyzzy" not in lexicon.table
     # the case-folding lookup and membership test are gone: callers lowercase
     assert not hasattr(lexicon, "lookup")
@@ -231,12 +230,12 @@ def test_parsed_entries_satisfy_invariants(table):
     ]
     lexicon = parse_lexicon(lexicon_text(*rows))
     assert len(lexicon) == len(table)
-    assert lexicon.sds.keys() == lexicon.table.keys()
+    assert lexicon.table.keys() == table.keys()
     for word, means in lexicon.table.items():
         assert word and not any(c.isspace() for c in word)
         assert word == word.lower()
         assert all(0.0 <= mean <= 1.0 for mean in means)
-        assert all(sd >= 0.0 for sd in lexicon.sds[word])
+        assert all(normalize_sd(sd) >= 0.0 for sd in table[word][1::2])
 
 
 _good_cells = (
@@ -257,7 +256,7 @@ def _parse_outcome(source):
         lexicon = parse_lexicon(source)
     except LexiconError as exc:
         return str(exc)
-    return repr(lexicon.table), repr(lexicon.sds)
+    return repr(lexicon.table)
 
 
 @st.composite
@@ -292,7 +291,7 @@ def test_parse_matches_row_by_row_reference(text):
     """The parser gives the reference's table, or its error, also from a file."""
     assert _parse_outcome(io.StringIO(text, newline="")) == _parse_outcome(text)
     try:
-        table, sds = parse_lexicon_rows(text)
+        table = parse_lexicon_rows(text)
     except LexiconError as exc:
         with pytest.raises(LexiconError) as excinfo:
             parse_lexicon(text)
@@ -301,4 +300,3 @@ def test_parse_matches_row_by_row_reference(text):
     lexicon = parse_lexicon(text)
     # repr tells -0.0 from 0.0 and keeps the word order
     assert repr(lexicon.table) == repr(table)
-    assert repr(lexicon.sds) == repr(sds)

@@ -102,7 +102,7 @@ RECORDS = {
     ),
     "AffectLexicon": (
         AffectLexicon,
-        lambda: {"table": {"fire": (0.25, 0.75, 0.5)}, "sds": {"fire": (0.125, 0.125, 0.0)}},
+        lambda: {"table": {"fire": (0.25, 0.75, 0.5)}},
         False,
     ),
     "Posterior": (

@@ -67,11 +67,11 @@ def test_generate_timestamps_are_evenly_spaced():
     rng = random.Random(5)
     lexicon = random_lexicon(rng, 40)
     profile = GenreProfile("g", 6, 1.0, (0.5, 0.5, 0.5), (5, 9))
-    documents = generate([profile], lexicon, seed=0, start=T0, spacing=timedelta(hours=6))
+    documents = generate([profile], lexicon, seed=0, start=T0)
     stamps = [doc.timestamp for doc in documents]
     assert stamps[0] == T0
     deltas = {b - a for a, b in zip(stamps, stamps[1:])}
-    assert deltas == {timedelta(hours=6)}
+    assert deltas == {timedelta(days=1)}
 
 
 def test_generate_output_is_loadable_and_valid():
@@ -115,7 +115,7 @@ def test_generate_input_validation():
     with pytest.raises(ValueError, match="lexicon"):
         generate(
             [GenreProfile("g", 1, 1.0, (0.5, 0.5, 0.5), (5, 5))],
-            AffectLexicon({}, {}),
+            AffectLexicon({}),
             seed=1,
         )
     with pytest.raises(ValueError):
