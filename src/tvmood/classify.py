@@ -32,6 +32,11 @@ instance only corrects the features it has. Both use
 equals the model over the densified rows bit for bit, moments and
 posteriors alike.
 
+A multinomial model is a pure function of its per-class term counts and
+class sizes, so cross-validation counts each instance once per run
+(:func:`multinomial_fold_models`). Prediction looks up each known term's
+column of per-class log probabilities once.
+
 Models are immutable after training, check that their fields agree in
 shape, and serialize to a versioned JSON document of those fields that
 round-trips predictions bit-exactly.
@@ -43,7 +48,7 @@ import json
 import math
 import sys
 from collections import Counter
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 from operator import is_, itemgetter
 from typing import NamedTuple, Optional
@@ -210,6 +215,27 @@ def _bad_variance(
     raise AssertionError("every variance is positive and finite")
 
 
+def _bad_absent_term(model: Record, absent_terms: Sequence[Sequence], features: Sequence) -> str:
+    """The error for the first zero-count log-density that is not finite, else
+    for the first class whose sum of them runs past the float range, naming
+    its class and feature."""
+    rows = zip(model.class_labels, model.means, model.variances, absent_terms)
+    for label, means, variances, terms in rows:
+        for feature, mean, v, term in zip(features, means, variances, terms):
+            if not math.isfinite(term):
+                what = f"the log-density of a zero count is not finite for mean {mean!r}"
+                return f"class {label!r}, feature {feature!r}: {what}, variance {v!r}"
+    for label, terms in zip(model.class_labels, absent_terms):
+        partials: tuple[float, ...] = ()
+        for feature, term in zip(features, terms):
+            try:
+                partials = _exact_partials([*partials, term])
+            except OverflowError:
+                what = "the log-likelihood of an all-zero instance runs past the float range"
+                return f"class {label!r}, feature {feature!r}: {what}"
+    raise AssertionError("every zero-count log-density is finite, and so is each class's sum")
+
+
 class GaussianNbModel(Record):
     """Per class and feature: mean and floored variance of training values.
 
@@ -273,22 +299,32 @@ class GaussianNbModel(Record):
             finite = False
         if not finite:
             raise ValueError(_bad_variance(self.class_labels, self.variances, features))
-        # the expression predict_gaussian evaluates for a zero count
-        absent_term_of = _Table(
-            lambda pair: -0.5 * (log_norm_of[pair[1]] + (0.0 - pair[0]) ** 2 / pair[1])
-            if counts
-            else 0.0
-        )
+
+        def absent_term(pair: tuple[float, float]) -> float:
+            """The expression predict_gaussian evaluates for a zero count."""
+            try:
+                return -0.5 * (log_norm_of[pair[1]] + (0.0 - pair[0]) ** 2 / pair[1])
+            except OverflowError:  # the square ran past the float range
+                return -math.inf
+
+        absent_term_of = _Table(absent_term if counts else lambda pair: 0.0)
         absent_terms = tuple(
             tuple(map(absent_term_of.__getitem__, zip(means, variances)))
             for means, variances in zip(self.means, self.variances)
         )
+        # one C-level pass over the distinct terms, which a NaN fails too
+        finite = all(map(math.isfinite, absent_term_of.values()))
+        try:
+            if finite:
+                absent_partials = tuple(_exact_partials(list(row)) for row in absent_terms)
+        except OverflowError:  # a class's sum of them ran past the float range
+            finite = False
+        if not finite:
+            raise ValueError(_bad_absent_term(self, absent_terms, features))
         object.__setattr__(self, "term_index", {term: i for i, term in enumerate(features)})
         object.__setattr__(self, "log_norms", log_norms)
         object.__setattr__(self, "absent_terms", absent_terms)
-        object.__setattr__(
-            self, "absent_partials", tuple(_exact_partials(list(row)) for row in absent_terms)
-        )
+        object.__setattr__(self, "absent_partials", absent_partials)
 
 
 def train_gaussian(
@@ -426,10 +462,14 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
 
 
 class MultinomialNbModel(Record):
-    """Smoothed per-class term distributions over the training vocabulary."""
+    """Smoothed per-class term distributions over the training vocabulary.
+
+    The derived ``term_columns`` maps each term to its column: the term's
+    log probability in each class, in class order.
+    """
 
     _fields = ("class_labels", "log_priors", "vocabulary", "log_term_probs", "alpha")
-    __slots__ = _fields + ("term_index",)
+    __slots__ = _fields + ("term_index", "term_columns")
 
     def __init__(
         self,
@@ -448,6 +488,9 @@ class MultinomialNbModel(Record):
         object.__setattr__(
             self, "term_index", {term: i for i, term in enumerate(self.vocabulary)}
         )
+        object.__setattr__(
+            self, "term_columns", dict(zip(self.vocabulary, zip(*self.log_term_probs)))
+        )
 
 
 class AlphaError(ValueError):
@@ -458,6 +501,45 @@ def check_alpha(alpha: float) -> None:
     """Reject a smoothing weight that is not a positive finite number."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise AlphaError(f"alpha must be a positive finite number, got {alpha}")
+
+
+def _multinomial_model(
+    class_labels: tuple[str, ...],
+    class_sizes: Sequence[int],
+    class_counts: Sequence[Mapping[str, float]],
+    alpha: float,
+) -> MultinomialNbModel:
+    """The model of each class's instance count and term counts.
+
+    The vocabulary is every term of ``class_counts``. Raises ValueError for
+    an empty vocabulary, and :class:`AlphaError` when a class's smoothed
+    total is not a finite float.
+    """
+    vocabulary = tuple(sorted({term for counts in class_counts for term in counts}))
+    if not vocabulary:
+        raise ValueError("empty vocabulary: no training instance has any term")
+
+    log_term_probs = []
+    for counts in class_counts:
+        smoothed_total = sum(counts.values()) + alpha * len(vocabulary)
+        if math.isinf(smoothed_total):
+            raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
+        denominator = math.log(smoothed_total)
+        log_term_probs.append(
+            tuple(
+                math.log(counts.get(term, 0) + alpha) - denominator
+                for term in vocabulary
+            )
+        )
+
+    total = sum(class_sizes)
+    return MultinomialNbModel(
+        class_labels=class_labels,
+        log_priors=tuple(math.log(size / total) for size in class_sizes),
+        vocabulary=vocabulary,
+        log_term_probs=tuple(log_term_probs),
+        alpha=alpha,
+    )
 
 
 def train_multinomial(
@@ -480,35 +562,58 @@ def train_multinomial(
     if len(class_labels) < 2:
         raise ValueError("training data contains a single class")
     class_of = {label: index for index, label in enumerate(class_labels)}
+    class_sizes = [0] * len(class_labels)
     class_counts: list[dict[str, int]] = [{} for _ in class_labels]
     for vector, label in zip(instances, labels):
-        counts = class_counts[class_of[label]]
+        index = class_of[label]
+        class_sizes[index] += 1
+        counts = class_counts[index]
         for term, count in vector.items():
             counts[term] = counts.get(term, 0) + count
-    vocabulary = tuple(sorted({term for counts in class_counts for term in counts}))
-    if not vocabulary:
-        raise ValueError("empty vocabulary: no training instance has any term")
+    return _multinomial_model(class_labels, class_sizes, class_counts, alpha)
 
-    log_term_probs = []
-    for counts in class_counts:
-        smoothed_total = sum(counts.values()) + alpha * len(vocabulary)
-        if math.isinf(smoothed_total):
-            raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
-        denominator = math.log(smoothed_total)
-        log_term_probs.append(
-            tuple(
-                math.log(counts.get(term, 0) + alpha) - denominator
-                for term in vocabulary
-            )
-        )
 
-    return MultinomialNbModel(
-        class_labels=class_labels,
-        log_priors=_log_priors(labels, class_labels),
-        vocabulary=vocabulary,
-        log_term_probs=tuple(log_term_probs),
-        alpha=alpha,
-    )
+def multinomial_fold_models(
+    instances: Sequence[Mapping[str, int]],
+    labels: Sequence[str],
+    fold_of: Sequence[int],
+    k: int,
+    alpha: float,
+) -> Iterator[MultinomialNbModel]:
+    """Fold ``f``'s model for each ``f`` in ``range(k)``, one at a time: the
+    model :func:`train_multinomial` fits to the instances outside fold ``f``.
+
+    One pass counts each (fold, class)'s term counts and instance count.
+    Fold ``f``'s counts are then the run's totals minus its own; only the
+    positive ones are kept, so a term that only fold ``f`` holds is not in
+    its vocabulary. Integer counts add and subtract exactly, so each model
+    equals the retrained one bit for bit. The caller checks the folds: each
+    class must occur outside every fold.
+    """
+    check_alpha(alpha)
+    class_labels = tuple(sorted(set(labels)))
+    class_of = {label: index for index, label in enumerate(class_labels)}
+    sizes = [[0] * len(class_labels) for _ in range(k)]
+    counts: list[list[dict[str, int]]] = [[{} for _ in class_labels] for _ in range(k)]
+    for vector, label, fold in zip(instances, labels, fold_of):
+        index = class_of[label]
+        sizes[fold][index] += 1
+        own = counts[fold][index]
+        for term, count in vector.items():
+            own[term] = own.get(term, 0) + count
+    total_sizes = list(map(sum, zip(*sizes)))
+    totals: list[dict[str, int]] = [{} for _ in class_labels]
+    for per_class in counts:
+        for total, own in zip(totals, per_class):
+            for term, count in own.items():
+                total[term] = total.get(term, 0) + count
+    for fold in range(k):
+        rest_sizes = [size - own for size, own in zip(total_sizes, sizes[fold])]
+        rest = [
+            {term: left for term, n in total.items() if (left := n - own.get(term, 0)) > 0}
+            for total, own in zip(totals, counts[fold])
+        ]
+        yield _multinomial_model(class_labels, rest_sizes, rest, alpha)
 
 
 def predict_multinomial(
@@ -518,13 +623,20 @@ def predict_multinomial(
 
     Terms outside the training vocabulary are ignored; an empty instance
     yields the priors. A class's log-likelihood is one ``math.fsum`` of
-    count times log-probability over the instance's (column, count) pairs.
+    count times log-probability over the instance's known terms: each
+    term's class column is looked up once, and only a count other than 1
+    rescales it (``1 * x == x``).
     """
-    term_index = model.term_index
-    pairs = [(term_index[term], count) for term, count in instance.items() if term in term_index]
+    columns = model.term_columns
+    terms = list(filter(columns.__contains__, instance))
+    rows = list(map(columns.__getitem__, terms))
+    for position, count in enumerate(map(instance.__getitem__, terms)):
+        if count != 1:
+            rows[position] = [count * x for x in rows[position]]
+    if not rows:
+        return _normalize_log_scores(model.class_labels, model.log_priors)
     log_scores = [
-        prior + math.fsum([count * row[column] for column, count in pairs])
-        for prior, row in zip(model.log_priors, model.log_term_probs)
+        prior + math.fsum(column) for prior, column in zip(model.log_priors, zip(*rows))
     ]
     return _normalize_log_scores(model.class_labels, log_scores)
 
@@ -555,12 +667,40 @@ def _tuples(value: object) -> object:
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+_NUMBER = {int, float}
+# each model field's JSON type: how deep its arrays nest, the types its
+# leaves may have (None: any, which the model's constructor checks) and its name
+_JSON_TYPES = {
+    "class_labels": (1, {str}, "an array of strings"),
+    "log_priors": (1, _NUMBER, "an array of numbers"),
+    "means": (2, _NUMBER | {type(None)}, "an array of arrays of numbers and nulls"),
+    "variances": (2, _NUMBER | {type(None)}, "an array of arrays of numbers and nulls"),
+    "variance_floor": (0, _NUMBER, "a number"),
+    "feature_count": (0, {int}, "an integer"),
+    "vocabulary": (1, None, "an array"),
+    "log_term_probs": (2, _NUMBER, "an array of arrays of numbers"),
+    "alpha": (0, _NUMBER, "a number"),
+}
+
+
+def _has_json_type(value: object, depth: int, leaves: Optional[set]) -> bool:
+    """Whether ``value`` is arrays nested ``depth`` deep around leaves of the
+    given types (``bool`` is not ``int`` here)."""
+    values = [value]
+    for _ in range(depth):
+        if set(map(type, values)) - {list}:
+            return False
+        values = list(chain.from_iterable(values))
+    return leaves is None or set(map(type, values)) <= leaves
+
+
 def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
     """Reload a model serialized by :func:`model_to_json`, reading fields by name.
 
     Raises ValueError, naming the field, for a payload that is not an
     object, or whose version, kind or fields the model's class does not
-    take; the constructor then checks the values.
+    take, or a field of the wrong JSON type (an optional field may be
+    null); the constructor then checks the values.
     """
     fields = json.loads(text)
     if not isinstance(fields, dict):
@@ -572,10 +712,14 @@ def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
     if cls is None:
         raise ValueError(f"unknown model kind {kind!r}")
     init = cls.__init__  # the parameters without a default lead the fields
-    for name in cls._fields[: init.__code__.co_argcount - 1 - len(init.__defaults__ or ())]:
+    required = cls._fields[: init.__code__.co_argcount - 1 - len(init.__defaults__ or ())]
+    for name in required:
         if name not in fields:
             raise ValueError(f"{kind} model: missing field {name!r}")
-    for name in fields:
+    for name, value in fields.items():
         if name not in cls._fields:
             raise ValueError(f"{kind} model: unknown field {name!r}")
+        depth, leaves, json_type = _JSON_TYPES[name]
+        if not (value is None and name not in required or _has_json_type(value, depth, leaves)):
+            raise ValueError(f"{kind} model: field {name!r} is not {json_type}")
     return cls(**{name: _tuples(value) for name, value in fields.items()})

@@ -93,8 +93,10 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def format_timestamp(moment: datetime) -> str:
-    """Render an aware datetime as ISO-8601 UTC with a ``Z`` suffix."""
-    return moment.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render an aware datetime as ISO-8601 UTC with a ``Z`` suffix and a
+    4-digit year (``strftime``'s ``%Y`` drops the leading zeros on glibc)."""
+    m = moment.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (m.year, m.month, m.day, m.hour, m.minute, m.second)
 
 
 # The largest term count accepted: every count up to it is exact as a float.

@@ -236,7 +236,10 @@ def run_cv(
     outside it), so no information leaks from held-out documents. The
     per-document representations themselves are parameter-free, so they are
     made once, before the folds. One model is alive at a time: each fold's
-    is dropped before the next fold trains.
+    is dropped before the next fold's is made. A multinomial fold model
+    comes from per-fold class counts, counted in one pass
+    (:func:`classify.multinomial_fold_models`); a Gaussian one is trained
+    on the fold's training rows.
     """
     if representation not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
@@ -264,20 +267,25 @@ def run_cv(
     fold_of = [folds.assignment[doc_id] for doc_id in ids]
     instances = [row.row for row in rows]
 
+    def gaussian_models() -> Iterator[classify.GaussianNbModel]:
+        for fold in range(k):
+            train_idx = [i for i in range(len(rows)) if fold_of[i] != fold]
+            yield classify.train_gaussian(
+                [instances[i] for i in train_idx], [labels[i] for i in train_idx]
+            )
+
+    if config.kind == "multinomial":
+        models = classify.multinomial_fold_models(instances, labels, fold_of, k, config.alpha)
+        predict = classify.predict_multinomial
+    else:
+        models = gaussian_models()
+        predict = classify.predict_gaussian
     posteriors: list[Optional[classify.Posterior]] = [None] * len(rows)
     for fold in range(k):
-        train_idx = [i for i in range(len(rows)) if fold_of[i] != fold]
-        test_idx = [i for i in range(len(rows)) if fold_of[i] == fold]
-        train_rows = [instances[i] for i in train_idx]
-        train_labels = [labels[i] for i in train_idx]
-        if config.kind == "multinomial":
-            model = classify.train_multinomial(train_rows, train_labels, config.alpha)
-            predict = classify.predict_multinomial
-        else:
-            model = classify.train_gaussian(train_rows, train_labels)
-            predict = classify.predict_gaussian
-        for i in test_idx:
-            posteriors[i] = predict(model, instances[i])
+        model = next(models)  # an enumerate() tuple would hold the model past the fold
+        for i in range(len(rows)):
+            if fold_of[i] == fold:
+                posteriors[i] = predict(model, instances[i])
         del model
 
     predicted = [posterior.predicted_label for posterior in posteriors]

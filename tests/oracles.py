@@ -16,6 +16,8 @@ per-token ``Counter`` loop are the bit-exact references for
 ``features._weighted_median``, ``classify.predict_multinomial`` and
 ``synth.generate``. The resident per-channel window scorer, with its
 default origin, is the byte-exact reference for one-pass window scoring.
+Retraining a multinomial model on each fold's training rows is the
+bit-exact reference for ``classify.multinomial_fold_models``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from tvmood.affect import (
     SeriesPoint,
     match_stats,
 )
-from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel
+from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel, train_multinomial
 from tvmood.corpus import Document
 from tvmood.lexicon import LEXICON_HEADER, LexiconError
 from tvmood.synth import DEFAULT_START, SPACING, VALENCE_BAND
@@ -218,6 +220,17 @@ def predict_multinomial_lookup(model, instance):
     shifted = [math.exp(score - peak) for score in log_scores]
     total = math.fsum(shifted)
     return model.class_labels, tuple(value / total for value in shifted)
+
+
+def multinomial_fold_models_retrained(instances, labels, fold_of, k, alpha):
+    """Fold ``f``'s model for each ``f`` in ``range(k)``: ``train_multinomial``
+    run from scratch on the instances outside fold ``f``, the per-fold loop
+    that ``run_cv`` ran before it counted each document once."""
+    for fold in range(k):
+        train_idx = [i for i in range(len(instances)) if fold_of[i] != fold]
+        train_rows = [instances[i] for i in train_idx]
+        train_labels = [labels[i] for i in train_idx]
+        yield train_multinomial(train_rows, train_labels, alpha)
 
 
 def multinomial_posterior(instances, labels, alpha, query):

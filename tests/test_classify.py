@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from itertools import chain
 
 import pytest
@@ -450,7 +451,12 @@ def test_multinomial_matches_fraction_oracle():
 
 
 @given(
-    counts_problems(counts=st.one_of(st.integers(1, 9), st.integers(1, 2**53))),
+    counts_problems(
+        # a float count of 1.0 is left unscaled, as the int 1 is: 1.0 * x == x
+        counts=st.one_of(
+            st.integers(1, 9), st.integers(1, 2**53), st.sampled_from([1.0, 2.5])
+        )
+    ),
     st.sampled_from([1.0, 0.5, 1e-3, 7.25]),
 )
 def test_multinomial_equals_per_class_lookup_bit_for_bit(problem, alpha):
@@ -756,6 +762,41 @@ def _edited(text, **changes):
             _edited(_OLD_ORDER_MULTINOMIAL, variance_floor=1e-9),
             "multinomial model: unknown field 'variance_floor'",
         ),
+        # a field of the wrong JSON type: was a TypeError from the constructor
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, means=5),
+            "gaussian model: field 'means' is not an array of arrays of numbers and nulls",
+        ),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, variances=[[0.25, "1.0"], [1.0, 0.5]]),
+            "gaussian model: field 'variances' is not an array of arrays of numbers and nulls",
+        ),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, feature_count=True),
+            "gaussian model: field 'feature_count' is not an integer",
+        ),
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, class_labels="news"),
+            "gaussian model: field 'class_labels' is not an array of strings",
+        ),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, vocabulary=None),
+            "multinomial model: field 'vocabulary' is not an array",
+        ),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, log_term_probs=[-0.25, -1.5]),
+            "multinomial model: field 'log_term_probs' is not an array of arrays of numbers",
+        ),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, alpha=[0.5]),
+            "multinomial model: field 'alpha' is not a number",
+        ),
+        # a zero count's log-density overflows: was an OverflowError
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, means=[[0.5, 1e200], [1.5, -0.0]]),
+            "class 'news', feature 'fire': the log-density of a zero count is not finite "
+            "for mean 1e\\+200, variance 1.0",
+        ),
     ],
     ids=[
         "counts-null-mean",
@@ -777,8 +818,56 @@ def _edited(text, **changes):
         "multinomial-repeated-term",
         "multinomial-no-alpha",
         "multinomial-unknown-field",
+        "means-a-number",
+        "string-variance",
+        "boolean-feature-count",
+        "string-class-labels",
+        "multinomial-null-vocabulary",
+        "multinomial-flat-rows",
+        "multinomial-array-alpha",
+        "counts-absent-term-overflows",
     ],
 )
 def test_model_json_of_the_wrong_shape_is_a_value_error_naming_the_field(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         model_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "means, variances, message",
+    [
+        # the square overflowed: OverflowError (34, 'Numerical result out of range')
+        (
+            (1e200, 2.0, 0.0),
+            (1.0, 1.0, 1.0),
+            "class 'a', feature 'x': the log-density of a zero count is not finite "
+            "for mean 1e+200, variance 1.0",
+        ),
+        # the term was -inf, and then its fsum met +inf: '-inf + inf in fsum'
+        (
+            (0.0, 1e6, 0.0),
+            (1.0, 1e-300, 1.0),
+            "class 'a', feature 'y': the log-density of a zero count is not finite "
+            "for mean 1000000.0, variance 1e-300",
+        ),
+        # each term is finite, but their sum is not: 'intermediate overflow in fsum'
+        (
+            (1.3e154, 1.3e154, 1.3e154),
+            (1.0, 1.0, 1.0),
+            "class 'a', feature 'z': the log-likelihood of an all-zero instance "
+            "runs past the float range",
+        ),
+    ],
+    ids=["square-overflows", "term-is-minus-inf", "sum-overflows"],
+)
+def test_counts_model_refuses_an_absent_term_that_is_not_finite(means, variances, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GaussianNbModel(
+            ("a", "b"), (0.0, 0.0), (means, (0.0,) * 3), (variances, (1.0,) * 3),
+            1e-9, 3, ("x", "y", "z"),
+        )
+    # a dense model has no absent term: the same fields load and predict
+    dense = GaussianNbModel(
+        ("a", "b"), (0.0, 0.0), (means, (0.0,) * 3), (variances, (1.0,) * 3), 1e-9, 3
+    )
+    assert predict_gaussian(dense, [0.0, 0.0, 0.0]).predicted_label == "b"

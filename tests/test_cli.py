@@ -720,6 +720,25 @@ def test_synth_bad_start_is_one_line_error(tmp_path, capsys, lexicon_path, start
     assert not out.exists()
 
 
+def test_synth_before_year_1000_writes_a_corpus_that_features_reads(tmp_path, lexicon_path):
+    # the year was written without its leading zero, so features refused line 1
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(
+        json.dumps([{"label": "up", "document_count": 2, "target": [0.8, 0.5, 0.5]}]),
+        encoding="utf-8",
+    )
+    corpus = tmp_path / "synth.jsonl"
+    argv = ["synth", "--lexicon", lexicon_path, "--profiles", str(profiles), "--out", str(corpus)]
+    assert main([*argv, "--start", "0999-01-01"]) == 0
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    timestamps = [json.loads(line)["timestamp"] for line in lines]
+    assert timestamps[0] == "0999-01-01T00:00:00Z"
+    out = tmp_path / "features.csv"
+    argv = ["features", "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + len(timestamps) == 3
+
+
 @pytest.mark.parametrize(
     "flags,fragment",
     [

@@ -15,6 +15,7 @@ from tvmood.corpus import (
     count_terms,
     document_to_jsonl,
     filter_min_genre_support,
+    format_timestamp,
     parse_timestamp,
     read_documents,
     tokenize,
@@ -198,6 +199,22 @@ def test_parse_timestamp_reads_what_isoformat_writes(moment, timespec, sep):
             parse_timestamp(text)
         return
     assert parse_timestamp(text) == expected
+
+
+def test_format_timestamp_always_writes_four_year_digits():
+    # strftime's %Y wrote "1-01-01T00:00:00Z", which parse_timestamp refuses
+    assert format_timestamp(datetime(1, 1, 1, tzinfo=timezone.utc)) == "0001-01-01T00:00:00Z"
+    assert format_timestamp(datetime(999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)) == (
+        "0999-12-31T23:59:59Z"
+    )
+    assert format_timestamp(datetime(2013, 1, 7, 13, 0, 0, 750000, timezone(timedelta(hours=1)))) == (
+        "2013-01-07T12:00:00Z"
+    )
+
+
+@given(st.datetimes(timezones=st.just(timezone.utc)))
+def test_parse_timestamp_reads_what_format_timestamp_writes(moment):
+    assert parse_timestamp(format_timestamp(moment)) == moment.replace(microsecond=0)
 
 
 def test_load_text_mode_happy_path():

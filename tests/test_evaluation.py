@@ -6,22 +6,27 @@ import json
 import random
 import weakref
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvmood import classify
 from tvmood.evaluation import (
     ClassifierConfig,
+    LabeledRow,
     auc_one_vs_rest,
     confusion_and_rates,
     report_to_csv,
     report_to_json,
+    run_cv,
     stratified_folds,
 )
 from tvmood.synth import GenreProfile, generate
 
 from conftest import cross_validate, make_doc, make_lexicon, random_lexicon
-from oracles import trapezoid_auc
+from oracles import multinomial_fold_models_retrained, trapezoid_auc
 
 
 def fold_assignment_checks(labels, assignment, k):
@@ -209,33 +214,128 @@ class _WeaklyReferencedModel(classify.GaussianNbModel):
     """A model that takes weak references: a subclass without ``__slots__``."""
 
 
-@pytest.mark.parametrize("representation", ["vsm", "meta"])
-def test_run_cv_keeps_one_gaussian_model_alive(monkeypatch, representation):
+class _WeaklyReferencedMultinomialModel(classify.MultinomialNbModel):
+    """A multinomial model that takes weak references."""
+
+
+@pytest.mark.parametrize(
+    "representation, kind, maker, tracked_class",
+    [
+        pytest.param("vsm", "gaussian", "train_gaussian", _WeaklyReferencedModel, id="vsm"),
+        pytest.param("meta", "gaussian", "train_gaussian", _WeaklyReferencedModel, id="meta"),
+        # a multinomial fold model is made from the fold's class counts
+        pytest.param(
+            "vsm",
+            "multinomial",
+            "_multinomial_model",
+            _WeaklyReferencedMultinomialModel,
+            id="vsm-multinomial",
+        ),
+    ],
+)
+def test_run_cv_keeps_one_gaussian_model_alive(
+    monkeypatch, representation, kind, maker, tracked_class
+):
     corpus, lexicon = separable_corpus()
-    train = classify.train_gaussian
+    make = getattr(classify, maker)
     trained = []
 
-    def train_tracked(instances, labels):
+    def make_tracked(*args):
         assert [ref() for ref in trained] == [None] * len(trained)  # earlier models are gone
-        model = train(instances, labels)
-        tracked = _WeaklyReferencedModel(
-            model.class_labels,
-            model.log_priors,
-            model.means,
-            model.variances,
-            model.variance_floor,
-            model.feature_count,
-            model.vocabulary,
-        )
+        model = make(*args)
+        tracked = tracked_class(**{name: getattr(model, name) for name in model._fields})
         trained.append(weakref.ref(tracked))
         return tracked
 
-    monkeypatch.setattr(classify, "train_gaussian", train_tracked)
+    monkeypatch.setattr(classify, maker, make_tracked)
     report = cross_validate(
-        corpus, lexicon, representation, k=5, seed=7, config=ClassifierConfig(kind="gaussian")
+        corpus, lexicon, representation, k=5, seed=7, config=ClassifierConfig(kind=kind)
     )
     assert len(trained) == 5
     assert report.weighted_auc == pytest.approx(1.0)
+
+
+@st.composite
+def multinomial_cv_problems(draw):
+    """Labeled count rows with every class at least ``k`` strong, ``k`` and a
+    seed, plus the id of a row that alone holds the term ``solo``."""
+    k = draw(st.integers(2, 4))
+    classes = [f"c{c}" for c in range(draw(st.integers(2, 3)))]
+    labels = classes * k + draw(st.lists(st.sampled_from(classes), max_size=8))
+    counts = st.one_of(st.integers(1, 9), st.integers(1, 2**53))
+    vector = st.dictionaries(st.sampled_from(["t0", "t1", "t2", "t3", "t4"]), counts, max_size=4)
+    rows = [LabeledRow(f"d{i}", label, draw(vector)) for i, label in enumerate(labels)]
+    solo = draw(st.integers(0, len(rows) - 1))
+    rows[solo].row["solo"] = draw(counts)
+    return rows, k, draw(st.integers(0, 2**32)), rows[solo].id
+
+
+def _cv_outcome(rows, k, seed, config, retrained=False):
+    """The repr of ``run_cv``'s multinomial report, or of its error's type and
+    message; ``retrained`` makes each fold's model from scratch."""
+    make = multinomial_fold_models_retrained if retrained else classify.multinomial_fold_models
+    with mock.patch.object(classify, "multinomial_fold_models", make):
+        try:
+            return repr(run_cv(rows, "vsm", k, seed, config))  # repr tells every float apart
+        except ValueError as error:
+            return repr((type(error), str(error)))
+
+
+def _fold_models(make, *args):
+    """Per fold model: its repr and whether ``solo`` is in its vocabulary; then
+    the repr of the error's type and message, if one ends the folds."""
+    made = []
+    try:
+        for model in make(*args):
+            made.append((repr(model), "solo" in model.vocabulary))
+    except ValueError as error:
+        made.append(repr((type(error), str(error))))
+    return made
+
+
+@given(multinomial_cv_problems(), st.sampled_from([1.0, 0.5, 1e-3]))
+def test_run_cv_multinomial_equals_retraining_each_fold(problem, alpha):
+    rows, k, seed, solo_id = problem
+    config = ClassifierConfig("multinomial", alpha)
+    assert _cv_outcome(rows, k, seed, config) == _cv_outcome(rows, k, seed, config, True)
+    # the fold models themselves, bit for bit, and the term that one fold alone holds
+    ids = [row.id for row in rows]
+    labels = [row.genre for row in rows]
+    assignment = stratified_folds(labels, k, seed, ids).assignment
+    fold_of = [assignment[i] for i in ids]
+    args = ([row.row for row in rows], labels, fold_of, k, alpha)
+    made = _fold_models(classify.multinomial_fold_models, *args)
+    assert made == _fold_models(multinomial_fold_models_retrained, *args)
+    solo_fold = assignment[solo_id]
+    for fold, outcome in enumerate(made):
+        if isinstance(outcome, tuple):
+            assert outcome[1] == (fold != solo_fold)
+
+
+def _vsm_rows(vectors):
+    """Two classes of four rows each, over the given count maps."""
+    return [
+        LabeledRow(f"d{i}", "up" if i % 2 else "down", vector)
+        for i, vector in enumerate(vectors)
+    ]
+
+
+@pytest.mark.parametrize(
+    "vectors, alpha, message",
+    [
+        # the first fold's smoothed totals overflow
+        ([{"a": 1}, {"b": 2}] * 4, 1e308, "AlphaError'>, 'alpha 1e+308 times 2 terms overflows"),
+        # the rows outside one fold hold no term
+        ([{"a": 1}, {}] + [{}] * 6, 1.0, "ValueError'>, 'empty vocabulary: no training instance"),
+    ],
+    ids=["alpha-overflows", "empty-vocabulary"],
+)
+def test_run_cv_multinomial_errors_equal_retraining_each_fold(vectors, alpha, message):
+    rows = _vsm_rows(vectors)
+    config = ClassifierConfig("multinomial", alpha)
+    outcome = _cv_outcome(rows, 2, 3, config)
+    assert message in outcome
+    assert outcome == _cv_outcome(rows, 2, 3, config, True)
 
 
 def test_run_cv_rejects_low_support_naming_class():
