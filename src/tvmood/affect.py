@@ -128,7 +128,8 @@ def match_stats(
         mean = math.fsum(map(operator.mul, counts, column)) / total
         # the true mean lies within the matched value range; clamp float dust
         mean = min(max(mean, lo), hi)
-        squares = (count * (value - mean) ** 2 for count, value in zip(counts, column))
+        deviations = [value - mean for value in column]
+        squares = map(operator.mul, counts, map(operator.mul, deviations, deviations))
         variance = math.fsum(squares) / total
         means.append(mean)
         sds.append(math.sqrt(variance) if variance > 0 else 0.0)

@@ -34,7 +34,8 @@ posteriors alike.
 
 A multinomial model is a pure function of its per-class term counts and
 class sizes, so cross-validation counts each instance once per run
-(:func:`multinomial_fold_models`). Prediction looks up each known term's
+(:func:`multinomial_fold_models`), and :func:`train_multinomial` is the
+one-fold case of the same counting. Prediction looks up each known term's
 column of per-class log probabilities once.
 
 Models are immutable after training, check that their fields agree in
@@ -50,16 +51,17 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
-from operator import is_, itemgetter
+from operator import is_, itemgetter, mul
 from typing import NamedTuple, Optional
 
-from .record import Record
+from .record import Record, unique_keys
 
 # Variance floor scale, relative to the largest per-feature variance of the
 # training data. Keeps constant features from producing infinite densities.
 VARIANCE_FLOOR_SCALE = 1e-9
 
 MODEL_FORMAT_VERSION = 1
+DEFAULT_ALPHA = 1.0  # the multinomial smoothing weight when none is given
 
 Instance = Sequence[Optional[float]]
 Counts = Mapping[str, int]
@@ -121,14 +123,15 @@ def _moments(values: Sequence[float], zeros: int) -> tuple[Optional[float], Opti
     n = len(values) + zeros
     try:
         mean = math.fsum(values) / n
-        squares = [(value - mean) ** 2 for value in values]
+        deviations = [value - mean for value in values]
+        squares = list(map(mul, deviations, deviations))
         if zeros:
-            hi, lo = _split((0.0 - mean) ** 2)
+            hi, lo = _split(mean * mean)  # the square of a zero's deviation
             squares += (zeros * hi, zeros * lo)
         variance = math.fsum(squares) / n
-        if math.isfinite(variance):
+        if math.isfinite(variance):  # an overflowing square is inf
             return mean, variance
-    except OverflowError:  # a square or a sum ran past the float range
+    except OverflowError:  # a sum ran past the float range
         pass
     raise ValueError("the variance of its values is not finite")
 
@@ -198,42 +201,34 @@ def _check_shape(model: Record, vocabulary: Optional[Sequence], width: int, *nam
                 raise ValueError(f"{name}: class {label!r} has {len(row)} entries, not {width}")
 
 
-def _bad_variance(
-    class_labels: Sequence[str], variances: Sequence[Sequence], features: Sequence
-) -> str:
-    """The error for the first stored variance that is not positive, else the
-    first whose ``2*pi*variance`` is not finite, naming its class and feature."""
-    for label, row in zip(class_labels, variances):
-        for feature, v in zip(features, row):
-            if v is not None and v <= 0.0:  # a NaN passes here and fails below
-                return f"class {label!r}, feature {feature!r}: variance {v!r} is not positive"
-    for label, row in zip(class_labels, variances):
-        for feature, v in zip(features, row):
-            if v is not None and not math.isfinite(2.0 * math.pi * v):
-                what = f"2*pi*variance is not finite for variance {v!r}"
-                return f"class {label!r}, feature {feature!r}: {what}"
-    raise AssertionError("every variance is positive and finite")
-
-
-def _bad_absent_term(model: Record, absent_terms: Sequence[Sequence], features: Sequence) -> str:
-    """The error for the first zero-count log-density that is not finite, else
-    for the first class whose sum of them runs past the float range, naming
-    its class and feature."""
+def _faults(model: Record, features: Sequence, absent_terms: Sequence[Sequence]) -> Iterator[str]:
+    """The errors of the (class, feature) entries at fault, naming both: first
+    each variance that is not positive, then each whose ``2*pi*variance`` is
+    not finite, each zero-count log-density that is not finite, and each
+    at which its class's exact sum of those runs past the float range."""
     rows = zip(model.class_labels, model.means, model.variances, absent_terms)
-    for label, means, variances, terms in rows:
-        for feature, mean, v, term in zip(features, means, variances, terms):
-            if not math.isfinite(term):
-                what = f"the log-density of a zero count is not finite for mean {mean!r}"
-                return f"class {label!r}, feature {feature!r}: {what}, variance {v!r}"
-    for label, terms in zip(model.class_labels, absent_terms):
-        partials: tuple[float, ...] = ()
-        for feature, term in zip(features, terms):
-            try:
-                partials = _exact_partials([*partials, term])
-            except OverflowError:
-                what = "the log-likelihood of an all-zero instance runs past the float range"
-                return f"class {label!r}, feature {feature!r}: {what}"
-    raise AssertionError("every zero-count log-density is finite, and so is each class's sum")
+    entries = [
+        (f"class {label!r}, feature {feature!r}", label, mean, v, term)
+        for label, means, variances, terms in rows
+        for feature, mean, v, term in zip(features, means, variances, terms)
+    ]
+    for where, _, _, v, _ in entries:
+        if v is not None and v <= 0.0:  # a NaN passes here and fails below
+            yield f"{where}: variance {v!r} is not positive"
+    for where, _, _, v, _ in entries:
+        if v is not None and not math.isfinite(2.0 * math.pi * v):
+            yield f"{where}: 2*pi*variance is not finite for variance {v!r}"
+    for where, _, mean, v, term in entries:
+        if not math.isfinite(term):
+            what = f"the log-density of a zero count is not finite for mean {mean!r}"
+            yield f"{where}: {what}, variance {v!r}"
+    sums: dict[str, tuple[float, ...]] = {}  # per class, the exact partials so far
+    for where, label, _, _, term in entries:
+        try:
+            sums[label] = _exact_partials([*sums.get(label, ()), term])
+        except OverflowError:
+            yield f"{where}: the log-likelihood of an all-zero instance runs past the float range"
+    raise AssertionError("every variance and zero-count log-density is usable")
 
 
 class GaussianNbModel(Record):
@@ -290,37 +285,34 @@ class GaussianNbModel(Record):
                         pair = f"mean {mean!r}, variance {v!r}"
                         raise ValueError(f"class {label!r}, feature {feature!r}: {pair}: {what}")
         # each derived float is computed once per distinct value and shared by
-        # the entries equal to it: a pure function of values that compare equal
-        log_norm_of = _Table(lambda v: None if v is None else math.log(2.0 * math.pi * v))
-        try:
-            log_norms = tuple(tuple(map(log_norm_of.__getitem__, row)) for row in self.variances)
-            finite = math.isfinite(sum(filter(None, log_norm_of.values())))  # each log < 710
-        except ValueError:  # math.log of a variance that is not positive
-            finite = False
-        if not finite:
-            raise ValueError(_bad_variance(self.class_labels, self.variances, features))
+        # the entries equal to it: a pure function of values that compare equal.
+        # A variance that is not positive gets NaN, which fails the check below
+        log_norm_of = _Table(
+            lambda v: None if v is None else math.log(2.0 * math.pi * v) if v > 0 else math.nan
+        )
+        log_norms = tuple(tuple(map(log_norm_of.__getitem__, row)) for row in self.variances)
 
         def absent_term(pair: tuple[float, float]) -> float:
-            """The expression predict_gaussian evaluates for a zero count."""
-            try:
-                return -0.5 * (log_norm_of[pair[1]] + (0.0 - pair[0]) ** 2 / pair[1])
-            except OverflowError:  # the square ran past the float range
-                return -math.inf
+            """The expression predict_gaussian evaluates for a zero count: -inf
+            when the square overflows, NaN when the variance is not positive."""
+            mean, v = pair
+            d = 0.0 - mean
+            return -0.5 * (log_norm_of[v] + d * d / v) if v > 0 else math.nan
 
         absent_term_of = _Table(absent_term if counts else lambda pair: 0.0)
         absent_terms = tuple(
             tuple(map(absent_term_of.__getitem__, zip(means, variances)))
             for means, variances in zip(self.means, self.variances)
         )
-        # one C-level pass over the distinct terms, which a NaN fails too
-        finite = all(map(math.isfinite, absent_term_of.values()))
+        derived = chain(filter(None, log_norm_of.values()), absent_term_of.values())
+        finite = all(map(math.isfinite, derived))  # one C-level pass, which a NaN fails too
         try:
             if finite:
                 absent_partials = tuple(_exact_partials(list(row)) for row in absent_terms)
-        except OverflowError:  # a class's sum of them ran past the float range
+        except OverflowError:  # a class's sum of absent terms ran past the float range
             finite = False
         if not finite:
-            raise ValueError(_bad_absent_term(self, absent_terms, features))
+            raise ValueError(next(_faults(self, features, absent_terms)))
         object.__setattr__(self, "term_index", {term: i for i, term in enumerate(features)})
         object.__setattr__(self, "log_norms", log_norms)
         object.__setattr__(self, "absent_terms", absent_terms)
@@ -449,12 +441,11 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
                 mean = means[feature]
                 if mean is None:
                     continue
+                d = value - mean
                 terms.append(-absent_terms[feature])
-                terms.append(
-                    -0.5 * (log_norms[feature] + (value - mean) ** 2 / variances[feature])
-                )
+                terms.append(-0.5 * (log_norms[feature] + d * d / variances[feature]))
             log_scores.append(model.log_priors[index] + math.fsum(terms))
-        except OverflowError:  # a square or the sum ran past the float range
+        except OverflowError:  # a count or the sum ran past the float range
             log_scores.append(-math.inf)
     if max(log_scores) == -math.inf:
         log_scores = list(model.log_priors)
@@ -469,7 +460,7 @@ class MultinomialNbModel(Record):
     """
 
     _fields = ("class_labels", "log_priors", "vocabulary", "log_term_probs", "alpha")
-    __slots__ = _fields + ("term_index", "term_columns")
+    __slots__ = _fields + ("term_columns",)
 
     def __init__(
         self,
@@ -486,9 +477,6 @@ class MultinomialNbModel(Record):
         object.__setattr__(self, "alpha", alpha)
         _check_shape(self, vocabulary, len(vocabulary), "log_priors", "log_term_probs")
         object.__setattr__(
-            self, "term_index", {term: i for i, term in enumerate(self.vocabulary)}
-        )
-        object.__setattr__(
             self, "term_columns", dict(zip(self.vocabulary, zip(*self.log_term_probs)))
         )
 
@@ -503,74 +491,27 @@ def check_alpha(alpha: float) -> None:
         raise AlphaError(f"alpha must be a positive finite number, got {alpha}")
 
 
-def _multinomial_model(
-    class_labels: tuple[str, ...],
-    class_sizes: Sequence[int],
-    class_counts: Sequence[Mapping[str, float]],
-    alpha: float,
-) -> MultinomialNbModel:
-    """The model of each class's instance count and term counts.
-
-    The vocabulary is every term of ``class_counts``. Raises ValueError for
-    an empty vocabulary, and :class:`AlphaError` when a class's smoothed
-    total is not a finite float.
-    """
-    vocabulary = tuple(sorted({term for counts in class_counts for term in counts}))
-    if not vocabulary:
-        raise ValueError("empty vocabulary: no training instance has any term")
-
-    log_term_probs = []
-    for counts in class_counts:
-        smoothed_total = sum(counts.values()) + alpha * len(vocabulary)
-        if math.isinf(smoothed_total):
-            raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
-        denominator = math.log(smoothed_total)
-        log_term_probs.append(
-            tuple(
-                math.log(counts.get(term, 0) + alpha) - denominator
-                for term in vocabulary
-            )
-        )
-
-    total = sum(class_sizes)
-    return MultinomialNbModel(
-        class_labels=class_labels,
-        log_priors=tuple(math.log(size / total) for size in class_sizes),
-        vocabulary=vocabulary,
-        log_term_probs=tuple(log_term_probs),
-        alpha=alpha,
-    )
-
-
 def train_multinomial(
     instances: Sequence[Mapping[str, int]],
     labels: Sequence[str],
-    alpha: float = 1.0,
+    alpha: float = DEFAULT_ALPHA,
 ) -> MultinomialNbModel:
     """Fit smoothed term distributions per class.
 
     ``P(term | class) = (count + alpha) / (class total + alpha * |V|)`` with
-    the vocabulary V taken from the training instances only. Raises
-    :class:`AlphaError` when that denominator is not a finite float.
+    the vocabulary V taken from the training instances only: the terms whose
+    total count is positive. Raises :class:`AlphaError` when that
+    denominator is not a finite float.
     """
     if len(instances) != len(labels):
         raise ValueError("instances and labels have different lengths")
     if not instances:
         raise ValueError("no training instances")
     check_alpha(alpha)
-    class_labels = tuple(sorted(set(labels)))
-    if len(class_labels) < 2:
+    if len(set(labels)) < 2:
         raise ValueError("training data contains a single class")
-    class_of = {label: index for index, label in enumerate(class_labels)}
-    class_sizes = [0] * len(class_labels)
-    class_counts: list[dict[str, int]] = [{} for _ in class_labels]
-    for vector, label in zip(instances, labels):
-        index = class_of[label]
-        class_sizes[index] += 1
-        counts = class_counts[index]
-        for term, count in vector.items():
-            counts[term] = counts.get(term, 0) + count
-    return _multinomial_model(class_labels, class_sizes, class_counts, alpha)
+    # every instance in fold 1, so fold 0's model is fitted to all of them
+    return next(multinomial_fold_models(instances, labels, [1] * len(labels), 2, alpha))
 
 
 def multinomial_fold_models(
@@ -580,15 +521,18 @@ def multinomial_fold_models(
     k: int,
     alpha: float,
 ) -> Iterator[MultinomialNbModel]:
-    """Fold ``f``'s model for each ``f`` in ``range(k)``, one at a time: the
-    model :func:`train_multinomial` fits to the instances outside fold ``f``.
+    """Fold ``f``'s model for each ``f`` in ``range(k)``, one at a time,
+    fitted to the instances outside fold ``f``.
 
     One pass counts each (fold, class)'s term counts and instance count.
     Fold ``f``'s counts are then the run's totals minus its own; only the
-    positive ones are kept, so a term that only fold ``f`` holds is not in
-    its vocabulary. Integer counts add and subtract exactly, so each model
-    equals the retrained one bit for bit. The caller checks the folds: each
-    class must occur outside every fold.
+    positive ones are kept, so a term that only fold ``f`` holds, or whose
+    count is not positive, is in no vocabulary. Integer counts add and
+    subtract exactly, so each model equals the one counted from the fold's
+    training instances alone, bit for bit. The caller checks the folds:
+    each class must occur outside every fold. Raises ValueError for a fold
+    whose vocabulary is empty, and :class:`AlphaError` when a class's
+    smoothed total is not a finite float.
     """
     check_alpha(alpha)
     class_labels = tuple(sorted(set(labels)))
@@ -613,7 +557,26 @@ def multinomial_fold_models(
             {term: left for term, n in total.items() if (left := n - own.get(term, 0)) > 0}
             for total, own in zip(totals, counts[fold])
         ]
-        yield _multinomial_model(class_labels, rest_sizes, rest, alpha)
+        vocabulary = tuple(sorted({term for kept in rest for term in kept}))
+        if not vocabulary:
+            raise ValueError("empty vocabulary: no training instance has any term")
+        log_term_probs = []
+        for kept in rest:
+            smoothed_total = sum(kept.values()) + alpha * len(vocabulary)
+            if math.isinf(smoothed_total):
+                raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
+            denominator = math.log(smoothed_total)
+            log_term_probs.append(
+                tuple(math.log(kept.get(term, 0) + alpha) - denominator for term in vocabulary)
+            )
+        n = sum(rest_sizes)
+        yield MultinomialNbModel(
+            class_labels=class_labels,
+            log_priors=tuple(math.log(size / n) for size in rest_sizes),
+            vocabulary=vocabulary,
+            log_term_probs=tuple(log_term_probs),
+            alpha=alpha,
+        )
 
 
 def predict_multinomial(
@@ -698,11 +661,11 @@ def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
     """Reload a model serialized by :func:`model_to_json`, reading fields by name.
 
     Raises ValueError, naming the field, for a payload that is not an
-    object, or whose version, kind or fields the model's class does not
-    take, or a field of the wrong JSON type (an optional field may be
-    null); the constructor then checks the values.
+    object, or that repeats a key, or whose version, kind or fields the
+    model's class does not take, or a field of the wrong JSON type (an
+    optional field may be null); the constructor then checks the values.
     """
-    fields = json.loads(text)
+    fields = json.loads(text, object_pairs_hook=unique_keys)
     if not isinstance(fields, dict):
         raise ValueError(f"a model is a JSON object, not {type(fields).__name__}")
     version, kind = fields.pop("format_version", None), fields.pop("kind", None)

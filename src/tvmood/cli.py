@@ -32,6 +32,7 @@ from .corpus import (
     read_documents,
 )
 from .lexicon import AffectLexicon, load_lexicon
+from .record import unique_keys
 
 _WINDOW_RE = re.compile(r"^(\d+)([dw])$")
 
@@ -196,8 +197,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     lexicon = _lexicon(args)
     with open(args.profiles, encoding="utf-8") as handle:
         try:
-            raw = json.load(handle)
-        except (ValueError, RecursionError) as exc:  # also bad UTF-8 or too many nesting levels
+            raw = json.load(handle, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, a repeated key or nesting
             raise ValueError(f"--profiles {args.profiles}: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError(f"--profiles {args.profiles}: the file must hold a JSON array")
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         + ")",
     )
     sub.add_argument(
-        "--alpha", type=float, default=1.0, help="multinomial smoothing (default 1.0)"
+        "--alpha", type=float, default=classify.DEFAULT_ALPHA,
+        help=f"multinomial smoothing (default {classify.DEFAULT_ALPHA})",
     )
     sub.add_argument(
         "--folds", type=_int_at_least(2), default=5, help="fold count (default 5)"

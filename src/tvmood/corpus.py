@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, TypeVar
 
-from .record import Record
+from .record import Record, unique_keys
 
 T = TypeVar("T")
 
@@ -226,8 +226,8 @@ def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also too many digits or nesting levels
+            record = json.loads(line, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as exc:  # also repeated keys, huge ints, deep nesting
             problem = getattr(exc, "msg", exc)  # a JSONDecodeError's message has no position
             raise CorpusError(f"line {line_no}: invalid JSON ({problem})") from None
         if not isinstance(record, dict):

@@ -79,7 +79,7 @@ class ClassifierConfig(Record):
     _fields = ("kind", "alpha")
     __slots__ = _fields
 
-    def __init__(self, kind: str, alpha: float = 1.0) -> None:
+    def __init__(self, kind: str, alpha: float = classify.DEFAULT_ALPHA) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "alpha", alpha)
         if self.kind not in tuple(classify.MODEL_KINDS):  # refuses an unhashable kind too

@@ -7,6 +7,10 @@ slotted class on :class:`Record`; a plain value record is a
 loads, and processing the class bodies with it cost each tvmood process
 about 35 ms of CPU at start-up on a 2-vCPU VM with Python 3.11
 (``BENCH_17.json``).
+
+Every JSON object that tvmood reads (corpus records, genre profiles, saved
+models) goes through :func:`unique_keys`, so a repeated key is an error
+rather than a silent last-wins.
 """
 
 from __future__ import annotations
@@ -49,3 +53,14 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """``object_pairs_hook`` for ``json``: the object's pairs as a dict, or a
+    ValueError naming the first key that the object repeats."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen: set[str] = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"repeated key {repeated!r}")
+    return record

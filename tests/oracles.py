@@ -5,7 +5,9 @@ implementation under test: match-then-strip tokenizing, token expansion
 with plain numpy statistics for weighted scoring, direct density products in
 arbitrary precision (mpmath) for Gaussian Naive Bayes, exact rationals
 (Fraction) for multinomial Naive Bayes, and an explicit threshold-sweep ROC
-integration for AUC. The dense-row Gaussian Naive Bayes reference
+integration for AUC. Exact rationals that round each square once are the
+references for the moments of ``classify._moments`` and the sd of
+``affect.match_stats``. The dense-row Gaussian Naive Bayes reference
 (per-class rescans, two-pass moments) is the bit-exact reference for
 ``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows.
 The row-by-row lexicon parser and the per-term lookup loop are the
@@ -16,8 +18,9 @@ per-token ``Counter`` loop are the bit-exact references for
 ``features._weighted_median``, ``classify.predict_multinomial`` and
 ``synth.generate``. The resident per-channel window scorer, with its
 default origin, is the byte-exact reference for one-pass window scoring.
-Retraining a multinomial model on each fold's training rows is the
-bit-exact reference for ``classify.multinomial_fold_models``.
+Counting each class's terms in one pass over the training rows, and
+doing so again for each fold's training rows, are the bit-exact references
+for ``classify.train_multinomial`` and ``classify.multinomial_fold_models``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,12 @@ from tvmood.affect import (
     SeriesPoint,
     match_stats,
 )
-from tvmood.classify import VARIANCE_FLOOR_SCALE, GaussianNbModel, train_multinomial
+from tvmood.classify import (
+    VARIANCE_FLOOR_SCALE,
+    AlphaError,
+    GaussianNbModel,
+    MultinomialNbModel,
+)
 from tvmood.corpus import Document
 from tvmood.lexicon import LEXICON_HEADER, LexiconError
 from tvmood.synth import DEFAULT_START, SPACING, VALENCE_BAND
@@ -126,8 +134,54 @@ def gaussian_posterior(instances, labels, query):
 
 def _population_moments(values):
     mean = math.fsum(values) / len(values)
-    variance = math.fsum((value - mean) ** 2 for value in values) / len(values)
+    variance = math.fsum(d * d for d in [value - mean for value in values]) / len(values)
     return mean, variance
+
+
+def misrounded_by_pow(count, draws=200_000):
+    """Up to ``count`` doubles ``x``, drawn uniformly from [-1, 1] by
+    ``random.Random(0)``, for which ``x ** 2 != x * x``. C ``pow`` is not
+    correctly rounded on every C library (glibc 2.36 for one); an IEEE 754
+    product is, so on such a library this finds about 8 in 10,000."""
+    rng = random.Random(0)
+    found = []
+    for _ in range(draws):
+        x = rng.uniform(-1, 1)
+        if x ** 2 != x * x and len(found) < count:
+            found.append(x)
+    return found
+
+
+def rounded_square(d):
+    """``d`` squared exactly, then rounded to a float once."""
+    return float(Fraction(d) ** 2)
+
+
+def moments_rounding_each_square_once(values, zeros):
+    """Population mean and variance of ``values`` plus ``zeros`` zeros, in exact
+    rationals but for the roundings floats make: the sum, the mean, each
+    deviation and each square once."""
+    n = len(values) + zeros
+    mean = float(sum(map(Fraction, values))) / n
+    exact = sum(Fraction(rounded_square(value - mean)) for value in values)
+    exact += zeros * Fraction(rounded_square(0.0 - mean))
+    return mean, float(exact) / n
+
+
+def sd_rounding_each_square_once(counts, column):
+    """The count-weighted population sd of ``column``, clamping the mean into
+    its range, in exact rationals but for the roundings floats make: each
+    product, the sum, the mean, each deviation, square and weighted square."""
+    total = sum(counts)
+    products = (float(count * Fraction(value)) for count, value in zip(counts, column))
+    mean = float(sum(map(Fraction, products))) / total
+    mean = min(max(mean, min(column)), max(column))
+    weighted = [
+        float(count * Fraction(rounded_square(value - mean)))
+        for count, value in zip(counts, column)
+    ]
+    variance = float(sum(map(Fraction, weighted))) / total
+    return math.sqrt(variance) if variance > 0 else 0.0
 
 
 def train_gaussian_dense(instances, labels):
@@ -193,9 +247,8 @@ def predict_gaussian_dense(model, instance):
             if mean is None:
                 continue
             variance = model.variances[index][feature]
-            terms.append(
-                -0.5 * (math.log(2.0 * math.pi * variance) + (value - mean) ** 2 / variance)
-            )
+            d = value - mean
+            terms.append(-0.5 * (math.log(2.0 * math.pi * variance) + d * d / variance))
         log_scores.append(model.log_priors[index] + math.fsum(terms))
     peak = max(log_scores)
     shifted = [math.exp(score - peak) for score in log_scores]
@@ -206,14 +259,14 @@ def predict_gaussian_dense(model, instance):
 def predict_multinomial_lookup(model, instance):
     """``(labels, probabilities)``: per class, ``fsum`` of count times the
     class's log term probability over the instance's known terms, each term
-    looked up in the vocabulary index again, then log-sum-exp normalization."""
+    looked up in the vocabulary again, then log-sum-exp normalization."""
     log_scores = []
     for index in range(len(model.class_labels)):
         row = model.log_term_probs[index]
         terms = [
-            count * row[model.term_index[term]]
+            count * row[model.vocabulary.index(term)]
             for term, count in instance.items()
-            if term in model.term_index
+            if term in model.vocabulary
         ]
         log_scores.append(model.log_priors[index] + math.fsum(terms))
     peak = max(log_scores)
@@ -222,15 +275,51 @@ def predict_multinomial_lookup(model, instance):
     return model.class_labels, tuple(value / total for value in shifted)
 
 
+def train_multinomial_counted(instances, labels, alpha):
+    """The smoothed multinomial model of one pass that sums each class's term
+    counts and sizes; a term whose total count is not positive is in no
+    vocabulary, and counts as 0 in a class where its total is not positive."""
+    class_labels = tuple(sorted(set(labels)))
+    class_of = {label: index for index, label in enumerate(class_labels)}
+    class_sizes = [0] * len(class_labels)
+    class_counts = [{} for _ in class_labels]
+    for vector, label in zip(instances, labels):
+        index = class_of[label]
+        class_sizes[index] += 1
+        counts = class_counts[index]
+        for term, count in vector.items():
+            counts[term] = counts.get(term, 0) + count
+    positive = [{term: n for term, n in counts.items() if n > 0} for counts in class_counts]
+    vocabulary = tuple(sorted(set().union(*positive)))
+    if not vocabulary:
+        raise ValueError("empty vocabulary: no training instance has any term")
+    log_term_probs = []
+    for counts in positive:
+        smoothed_total = sum(counts.values()) + alpha * len(vocabulary)
+        if math.isinf(smoothed_total):
+            raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
+        denominator = math.log(smoothed_total)
+        log_term_probs.append(
+            tuple(math.log(counts.get(term, 0) + alpha) - denominator for term in vocabulary)
+        )
+    return MultinomialNbModel(
+        class_labels=class_labels,
+        log_priors=tuple(math.log(size / len(labels)) for size in class_sizes),
+        vocabulary=vocabulary,
+        log_term_probs=tuple(log_term_probs),
+        alpha=alpha,
+    )
+
+
 def multinomial_fold_models_retrained(instances, labels, fold_of, k, alpha):
-    """Fold ``f``'s model for each ``f`` in ``range(k)``: ``train_multinomial``
-    run from scratch on the instances outside fold ``f``, the per-fold loop
-    that ``run_cv`` ran before it counted each document once."""
+    """Fold ``f``'s model for each ``f`` in ``range(k)``, counted from scratch
+    on the instances outside fold ``f``: the per-fold loop that ``run_cv``
+    ran before it counted each document once."""
     for fold in range(k):
         train_idx = [i for i in range(len(instances)) if fold_of[i] != fold]
         train_rows = [instances[i] for i in train_idx]
         train_labels = [labels[i] for i in train_idx]
-        yield train_multinomial(train_rows, train_labels, alpha)
+        yield train_multinomial_counted(train_rows, train_labels, alpha)
 
 
 def multinomial_posterior(instances, labels, alpha, query):
@@ -359,7 +448,7 @@ def match_stats_lookup(term_counts, lexicon):
     for column, lo, hi in zip(values, low, high):
         mean = math.fsum(map(operator.mul, counts, column)) / total
         mean = min(max(mean, lo), hi)
-        squares = (count * (value - mean) ** 2 for count, value in zip(counts, column))
+        squares = (count * (d * d) for count, d in zip(counts, [value - mean for value in column]))
         variance = math.fsum(squares) / total
         means.append(mean)
         sds.append(math.sqrt(variance) if variance > 0 else 0.0)

@@ -21,7 +21,12 @@ from tvmood.affect import (
 )
 
 from conftest import T0, make_doc, make_lexicon, random_counts, random_lexicon, weekly_docs
-from oracles import expansion_stats, match_stats_lookup
+from oracles import (
+    expansion_stats,
+    match_stats_lookup,
+    misrounded_by_pow,
+    sd_rounding_each_square_once,
+)
 
 WEEK = timedelta(weeks=1)
 
@@ -243,6 +248,25 @@ def test_score_is_order_independent(small_lexicon):
 
 _terms = st.text(alphabet="abcdef", min_size=1, max_size=3)
 _means = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.1, 0.7, 5e-324])
+
+
+def test_match_stats_sd_rounds_each_square_once():
+    # values 0 and 2|x| in equal counts deviate from their mean by exactly |x|, and C
+    # pow squares these x wrongly (none on a C library whose pow rounds correctly)
+    problems = [
+        ({"low": (0.0,) * 3, "high": (2 * abs(x),) * 3}, {"low": 1, "high": 1})
+        for x in misrounded_by_pow(200)
+        if abs(x) <= 0.5
+    ]
+    rng = random.Random(5)
+    for _ in range(200):
+        table = random_lexicon(rng, 12).table
+        problems.append((table, random_counts(rng, list(table), max_terms=8)))
+    for means, counts in problems:
+        stats = match_stats(counts, make_lexicon(means))
+        for dim, sd in enumerate(stats.spread):
+            column = [means[term][dim] for term in counts]
+            assert sd == sd_rounding_each_square_once(list(counts.values()), column)
 
 
 @settings(max_examples=300)

@@ -16,8 +16,10 @@ from tvmood.classify import (
     VARIANCE_FLOOR_SCALE,
     GaussianNbModel,
     MultinomialNbModel,
+    _moments,
     model_from_json,
     model_to_json,
+    multinomial_fold_models,
     predict_gaussian,
     predict_multinomial,
     train_gaussian,
@@ -27,10 +29,13 @@ from tvmood.classify import (
 
 from oracles import (
     gaussian_posterior,
+    misrounded_by_pow,
+    moments_rounding_each_square_once,
     multinomial_posterior,
     predict_gaussian_dense,
     predict_multinomial_lookup,
     train_gaussian_dense,
+    train_multinomial_counted,
 )
 
 
@@ -377,6 +382,25 @@ def test_multinomial_hand_smoothing():
     assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_zero_count_terms_are_in_no_vocabulary():
+    # trained or per fold, a term whose total count is not positive is left out
+    rows = [{"x": 1, "q": 0}, {"x": 2}, {"x": 1}, {"x": 3}]
+    labels = ["a", "b", "a", "b"]
+    model = train_multinomial(rows, labels)
+    assert model.vocabulary == ("x",)
+    assert repr(model) == repr(train_multinomial_counted(rows, labels, 1.0))
+    folds = multinomial_fold_models(rows, labels, [0, 0, 1, 1], 2, 1.0)
+    assert [fold.vocabulary for fold in folds] == [("x",), ("x",)]
+
+
+def test_model_from_json_refuses_a_repeated_key():
+    text = model_to_json(train_multinomial([{"a": 1}, {"b": 1}], ["x", "y"]))
+    repeated = text.replace('"alpha": 1.0', '"alpha": 1.0, "alpha": 2.0')
+    assert repeated != text
+    with pytest.raises(ValueError, match=r"^repeated key 'alpha'$"):
+        model_from_json(repeated)
+
+
 def test_multinomial_large_alpha_approaches_uniform():
     model = train_multinomial([{"a": 5}, {"b": 5}], ["x", "y"], alpha=1e9)
     for row in model.log_term_probs:
@@ -499,7 +523,7 @@ def test_gaussian_variance_floor_stays_positive_for_tiny_variances():
 def test_gaussian_overflowing_terms_fall_back_to_priors():
     labels = ["a", "a", "b", "b", "b"]
     model = train_gaussian([[0.0], [1.0], [2.0], [3.0], [4.0]], labels)
-    posterior = predict_gaussian(model, [1e300])  # (value - mean) ** 2 overflows
+    posterior = predict_gaussian(model, [1e300])  # the square of value - mean overflows
     _assert_distribution(posterior)
     assert posterior.probabilities == pytest.approx((0.4, 0.6), abs=1e-12)
     # every term is finite, but their sum runs past the float range
@@ -522,6 +546,36 @@ def test_gaussian_overflowing_training_values_name_the_feature():
         assert "not finite" in str(excinfo.value)
     with pytest.raises(ValueError, match=r"^feature 1: "):
         train_gaussian([[0.0, 1e300], [1.0, 0.0], [2.0, 1.0], [3.0, 2.0]], labels)
+
+
+def test_gaussian_counts_absent_and_present_squares_overflow_apart():
+    # an absent term whose square overflows is refused, so prediction never adds
+    # its negation, +inf, to a present square's -inf (fsum raises on that mix)
+    message = (
+        "class 'a', feature 'x': the log-density of a zero count is not finite "
+        "for mean -1e+155, variance 1.0"
+    )
+    variances = ((1.0,), (1.0,))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GaussianNbModel(("a", "b"), (0.0, 0.0), ((-1e155,), (0.0,)), variances, 1e-9, 1, ("x",))
+    # class a's absent term, about -5e307, is finite; the present square of 2e154 is not
+    priors = (math.log(0.5),) * 2
+    model = GaussianNbModel(("a", "b"), priors, ((-1e154,), (0.0,)), variances, 1e-9, 1, ("x",))
+    assert model.absent_terms[0][0] == pytest.approx(-5e307)
+    assert predict_gaussian(model, {"x": 1e154}).probabilities == (0.0, 1.0)
+    # both classes' squares overflow: the priors
+    assert predict_gaussian(model, {"x": 1e160}).probabilities == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 3])
+def test_moments_round_each_square_once(zeros):
+    # x and -x have mean 0.0, so x is a deviation; C pow squares these x wrongly
+    # (none on a C library whose pow rounds correctly)
+    misrounded = misrounded_by_pow(60)
+    rng = random.Random(zeros)
+    drawn = [[rng.uniform(-1e3, 1e3) for _ in range(rng.randint(1, 6))] for _ in range(200)]
+    for values in [[x, -x] for x in misrounded] + drawn:
+        assert _moments(values, zeros) == moments_rounding_each_square_once(values, zeros)
 
 
 def test_gaussian_variance_with_infinite_log_norm_names_class_and_feature():

@@ -639,6 +639,31 @@ def test_synth_rejects_malformed_profile(tmp_path, capsys, lexicon_path, profile
     assert not out.exists()
 
 
+def test_repeated_keys_end_in_exit_2_naming_the_key(tmp_path, capsys, lexicon_path):
+    # json would keep the last value of each: id "b" and fire: 2
+    corpus = tmp_path / "repeated.jsonl"
+    corpus.write_text(
+        '{"id":"a","channel":"c","timestamp":"2013-01-07T00:00:00Z","id":"b",'
+        '"term_counts":{"fire":1,"fire":2}}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "scores.csv"
+    argv = ["score", "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 1: invalid JSON (repeated key 'fire')\n"
+    assert not out.exists()
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(
+        '[{"label": "up", "document_count": 2, "target": [0.8, 0.5, 0.5], "label": "down"}]',
+        encoding="utf-8",
+    )
+    out = tmp_path / "synth.jsonl"
+    argv = ["synth", "--lexicon", lexicon_path, "--profiles", str(profiles), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --profiles {profiles}: repeated key 'label'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "data,fragment",
     [

@@ -246,6 +246,29 @@ def test_load_duplicate_id_names_id():
         read_text("\n".join(lines), mode="text")
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        (
+            '{"id":"a","channel":"c","timestamp":"2013-01-07T00:00:00Z","id":"b",'
+            '"term_counts":{}}',
+            "id",
+        ),
+        # an inner object is decoded, and refused, before the record holding it
+        (
+            '{"id":"a","channel":"c","timestamp":"2013-01-07T00:00:00Z","id":"b",'
+            '"term_counts":{"fire":1,"fire":2}}',
+            "fire",
+        ),
+    ],
+    ids=["record", "term-counts"],
+)
+def test_read_documents_refuses_a_repeated_key_naming_line_and_key(line, key):
+    lines = [record("z", term_counts={"fire": 1}), line]
+    with pytest.raises(CorpusError, match=rf"^line 2: invalid JSON \(repeated key '{key}'\)$"):
+        list(read_documents(lines, "counts"))
+
+
 def test_read_documents_yields_each_document_before_reading_on():
     lines = iter([record("a", text="Good news"), "not json"])
     documents = read_documents(lines, "text")

@@ -223,11 +223,11 @@ class _WeaklyReferencedMultinomialModel(classify.MultinomialNbModel):
     [
         pytest.param("vsm", "gaussian", "train_gaussian", _WeaklyReferencedModel, id="vsm"),
         pytest.param("meta", "gaussian", "train_gaussian", _WeaklyReferencedModel, id="meta"),
-        # a multinomial fold model is made from the fold's class counts
+        # a multinomial fold model is constructed from the fold's class counts
         pytest.param(
             "vsm",
             "multinomial",
-            "_multinomial_model",
+            "MultinomialNbModel",
             _WeaklyReferencedMultinomialModel,
             id="vsm-multinomial",
         ),
@@ -240,9 +240,9 @@ def test_run_cv_keeps_one_gaussian_model_alive(
     make = getattr(classify, maker)
     trained = []
 
-    def make_tracked(*args):
+    def make_tracked(*args, **kwargs):
         assert [ref() for ref in trained] == [None] * len(trained)  # earlier models are gone
-        model = make(*args)
+        model = make(*args, **kwargs)
         tracked = tracked_class(**{name: getattr(model, name) for name in model._fields})
         trained.append(weakref.ref(tracked))
         return tracked
