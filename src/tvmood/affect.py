@@ -17,8 +17,7 @@ import io
 import math
 import operator
 import sys
-from collections import defaultdict
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
 from .corpus import Document, format_timestamp
@@ -30,7 +29,6 @@ DIMENSIONS = ("valence", "arousal", "dominance")
 VALUE_COLUMNS = (*DIMENSIONS, *(f"{dim}_sd" for dim in DIMENSIONS))
 
 K = TypeVar("K", bound=Hashable)
-_DAY = timedelta(days=1)
 
 SERIES_CSV_HEADER = ("channel", "window_start", *VALUE_COLUMNS, "matched_tokens")
 
@@ -202,52 +200,25 @@ def score_windows(
     documents: Iterable[Document],
     lexicon: AffectLexicon,
     window_length: timedelta,
-    origin: Optional[datetime] = None,
+    origin: datetime,
 ) -> list[AffectSeries]:
     """Score every channel over consecutive half-open time windows, in one pass.
 
-    Documents are bucketed into windows ``[origin + k*length, origin +
-    (k+1)*length)`` and each occupied window is scored from its pooled
-    counts. Windows between a channel's first and last occupied ones that
-    have no documents, or no lexicon matches, appear as gap points rather
-    than fabricated values. Series come in sorted channel order, one per
-    channel that has documents.
-
-    Without an origin, the origin is the earliest timestamp at midnight UTC,
-    which is known only once every document is read: the documents are
-    pooled per (channel, UTC day) and the days merged into their windows at
-    the end, so ``window_length`` must then be a whole number of days.
+    Documents are pooled per (channel, window index) into windows
+    ``[origin + k*length, origin + (k+1)*length)`` and each occupied window
+    is scored from its pooled counts. Windows between a channel's first and
+    last occupied ones that have no documents, or no lexicon matches,
+    appear as gap points rather than fabricated values. Series come in
+    sorted channel order, one per channel that has documents.
     """
     if window_length <= timedelta(0):
         raise ValueError("window_length must be positive")
-    if origin is not None:
-        pools = _pool_matched(
-            documents,
-            lexicon,
-            lambda doc: (doc.channel, (_timestamp(doc) - origin) // window_length),
-        )
-    else:
-        if window_length % _DAY:
-            raise ValueError("without an origin, window_length must be whole days")
-        days = _pool_matched(
-            documents, lexicon, lambda doc: (doc.channel, _timestamp(doc).toordinal())
-        )
-        if not days:
-            return []
-        first = min(day for _, day in days)
-        origin = datetime.fromordinal(first).replace(tzinfo=timezone.utc)
-        step = window_length.days
-        pools = {}
-        while days:  # each day's pool is merged, then freed
-            (channel, day), pool = days.popitem()
-            into = pools.setdefault((channel, (day - first) // step), pool)
-            if into is not pool:
-                for term, count in pool.items():
-                    into[term] = into.get(term, 0) + count
-
-    indices: dict[str, list[int]] = defaultdict(list)
+    pools = _pool_matched(
+        documents, lexicon, lambda doc: (doc.channel, (_timestamp(doc) - origin) // window_length)
+    )
+    indices: dict[str, list[int]] = {}
     for channel, index in pools:
-        indices[channel].append(index)
+        indices.setdefault(channel, []).append(index)
     series = []
     for channel in sorted(indices):
         points = []
@@ -259,8 +230,7 @@ def score_windows(
                     f"channel {channel!r}: window {index} from origin "
                     f"{format_timestamp(origin)} starts outside the datetime range"
                 ) from None
-            pool = pools.get((channel, index))
-            stats = None if pool is None else match_stats(pool, lexicon)
+            stats = match_stats(pools.get((channel, index), {}), lexicon)
             if stats is None:
                 points.append(SeriesPoint(start, None, None))
             else:

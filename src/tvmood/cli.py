@@ -16,10 +16,11 @@ import io
 import json
 import os
 import re
+import stat
 import sys
-from collections import Counter
+from collections import Counter, deque
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Iterator, NoReturn, TextIO
+from typing import Callable, Iterator, NoReturn, Optional, TextIO
 
 from . import affect, classify, evaluation, features, synth
 from .corpus import (
@@ -31,7 +32,7 @@ from .corpus import (
     parse_timestamp,
     read_documents,
 )
-from .lexicon import AffectLexicon, load_lexicon
+from .lexicon import AffectLexicon, load_lexicon, text_unmatchable
 from .record import unique_keys
 
 _WINDOW_RE = re.compile(r"^(\d+)([dw])$")
@@ -108,17 +109,46 @@ def _lexicon(args: argparse.Namespace) -> AffectLexicon:
         raise ValueError(f"--lexicon {args.lexicon}: {exc}") from None
 
 
-def _documents(args: argparse.Namespace) -> Iterator[Document]:
-    """The ``--corpus`` file's documents, each read when it is asked for.
-
-    A corpus error is raised when the pass reaches it; a file that is not
-    UTF-8 is named by its flag, wherever the bad byte lies.
-    """
+def _lines(args: argparse.Namespace) -> Iterator[str]:
+    """The ``--corpus`` lines, read lazily; bad UTF-8 is named by its flag, wherever it lies."""
     try:
         with open(args.corpus, encoding="utf-8") as handle:
-            yield from read_documents(handle, args.format)
+            yield from handle
     except UnicodeDecodeError as exc:  # its message names neither file nor flag
         raise CorpusError(f"--corpus {args.corpus}: {exc}") from None
+
+
+def _documents(args: argparse.Namespace) -> Iterator[Document]:
+    """The ``--corpus`` documents; a corpus error is raised when the pass reaches it."""
+    return read_documents(_lines(args), args.format)
+
+
+def _timestamp(line: str) -> Optional[datetime]:
+    """A corpus line's timestamp, or None when it cannot be read."""
+    try:
+        record = json.loads(line)
+        stamp = record.get("timestamp") if isinstance(record, dict) else None
+        return parse_timestamp(stamp) if isinstance(stamp, str) else None
+    except (ValueError, RecursionError):  # also huge ints and deep nesting
+        return None
+
+
+def _origin(args: argparse.Namespace) -> datetime:
+    """``--origin``, or else the earliest ``--corpus`` timestamp at midnight
+    UTC, from a pass that skips what it cannot read: the main pass reports that."""
+    if args.origin is not None:
+        return _parse_cli_timestamp(args.origin, "--origin")
+    mode = os.stat(args.corpus).st_mode  # a missing file is named here
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):  # a pipe cannot be read twice
+        raise ValueError(f"--corpus {args.corpus} is not a regular file, so --window needs --origin")
+    try:
+        earliest = min(filter(None, map(_timestamp, _lines(args))), default=None)
+    except CorpusError:  # a byte that is not UTF-8
+        earliest = None
+    if earliest is None:  # so no document either: read to the end, or to a fault
+        deque(_documents(args), maxlen=0)
+        raise ValueError("corpus has no documents, so --window needs --origin")
+    return earliest.replace(hour=0, minute=0, second=0)
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
@@ -126,6 +156,12 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
     columns = zip(affect.DIMENSIONS, zip(*lexicon.table.values()))
     ranges = [f"{dim} [{min(means):.4f}, {max(means):.4f}]" for dim, means in columns]
     print(f"{len(lexicon)} entries; " + "; ".join(ranges))
+    if unmatchable := text_unmatchable(lexicon):
+        entries = "entry" if len(unmatchable) == 1 else "entries"
+        print(
+            f"{len(unmatchable)} {entries} can never match a text token; "
+            f"first: {unmatchable[0]!r}"
+        )
     return 0
 
 
@@ -136,15 +172,13 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     if args.window is not None:
         window = parse_window(args.window)
-        origin = None if args.origin is None else _parse_cli_timestamp(args.origin, "--origin")
+        origin = _origin(args)
         try:
             series = affect.score_windows(_documents(args), lexicon, window, origin)
         except CorpusError:
             raise
         except ValueError as exc:  # loaded documents are timestamped: a window start failed
             raise ValueError(f"--window {args.window!r}: {exc}") from None
-        if origin is None and not series:
-            raise ValueError("corpus has no documents, so --window needs --origin")
         with _write_all(args.out) as (out,):
             out.write(affect.series_to_csv(series))
         points = sum(len(s.points) for s in series)
@@ -326,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--origin",
         help="window origin (ISO-8601), only with --window; default: earliest "
-        "timestamp at midnight UTC",
+        "timestamp at midnight UTC, found in a first pass over a regular --corpus file",
     )
     sub.set_defaults(handler=cmd_score)
 

@@ -22,6 +22,7 @@ from array import array
 from itertools import chain, cycle
 from typing import Iterable, TextIO
 
+from .corpus import tokenize
 from .record import Record
 
 RAW_MIN = 1.0
@@ -106,6 +107,16 @@ class AffectLexicon(Record):
     def words(self) -> list[str]:
         """All lexicon words in sorted order."""
         return sorted(self.table)
+
+
+def text_unmatchable(lexicon: AffectLexicon) -> list[str]:
+    """The words, in table order, that are not one text token, such as
+    ``well-being``, ``'tis`` or ``a_b``: :func:`~tvmood.corpus.tokenize`
+    splits or trims them, so only a counts-mode corpus can match them."""
+    words = list(lexicon.table)
+    if tokenize(" ".join(words)) == words:  # checked in C; the scan finds the words
+        return []
+    return [word for word in words if tokenize(word) != [word]]
 
 
 def _check_row(row: list[str], line: int) -> None:

@@ -72,6 +72,31 @@ def test_lexicon_validate_ok(lexicon_path, capsys):
     assert "valence" in out and "dominance" in out
 
 
+@pytest.mark.parametrize(
+    "words,line",
+    [
+        (["well-being"], "1 entry can never match a text token; first: 'well-being'\n"),
+        (["'tis"], "1 entry can never match a text token; first: \"'tis\"\n"),
+        (["a_b"], "1 entry can never match a text token; first: 'a_b'\n"),
+        (["well-being", "'tis", "a_b"], "3 entries can never match a text token; first: 'well-being'\n"),
+    ],
+    ids=["hyphen", "apostrophe", "underscore", "all-three"],
+)
+def test_lexicon_validate_counts_entries_text_never_matches(tmp_path, capsys, words, line):
+    """Such entries are kept, since a counts-mode corpus can match them, and
+    named on a second line."""
+    path = tmp_path / "lexicon.csv"
+    path.write_text(LEXICON_TEXT + "".join(f"{w},5,1,5,1,5,1\n" for w in words), encoding="utf-8")
+    assert main(["lexicon-validate", "--lexicon", str(path)]) == 0
+    first, second = capsys.readouterr().out.splitlines(keepends=True)
+    assert first.startswith(f"{4 + len(words)} entries; ") and second == line
+
+
+def test_lexicon_validate_prints_one_line_when_every_entry_is_a_token(capsys):
+    assert main(["lexicon-validate", "--lexicon", str(SAMPLE_DATA / "lexicon.csv")]) == 0
+    assert capsys.readouterr().out.count("\n") == 1
+
+
 def test_lexicon_validate_duplicate(tmp_path, capsys):
     path = tmp_path / "dup.csv"
     path.write_text(
@@ -210,8 +235,9 @@ def window_corpora(draw):
 @settings(max_examples=150, deadline=None)
 @given(corpus=window_corpora(), days=st.integers(1, 30))
 def test_window_without_origin_equals_resident_reference(corpus, days):
-    """Pooling per (channel, UTC day) and merging the days into windows writes
-    the bytes of the resident per-channel scorer from the default origin."""
+    """Without ``--origin``, the timestamp pre-pass finds the default origin
+    and the pooling per (channel, window) writes the bytes of the resident
+    per-channel scorer from that origin."""
     lexicon = parse_lexicon(LEXICON_TEXT)
     length = timedelta(days=days)
     origin = default_origin(corpus)
@@ -228,6 +254,104 @@ def test_window_without_origin_equals_resident_reference(corpus, days):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         assert Path(paths["w.csv"]).read_text(encoding="utf-8") == expected
+
+
+def _window_argv(lexicon_path, corpus, out):
+    return ["score", "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts",
+            "--out", str(out), "--window", "1w"]
+
+
+def test_score_window_on_a_fifo_needs_origin(lexicon_path, tmp_path, capsys):
+    """A FIFO cannot be read twice, so the default origin cannot be found; the
+    FIFO is refused before it is opened, so no writer is needed."""
+    fifo, out = tmp_path / "corpus.fifo", tmp_path / "series.csv"
+    os.mkfifo(fifo)
+    assert main(_window_argv(lexicon_path, fifo, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--origin" in err
+    assert not out.exists()
+
+
+def test_score_window_names_a_directory_corpus_with_or_without_origin(lexicon_path, tmp_path, capsys):
+    out = tmp_path / "series.csv"
+    argv = _window_argv(lexicon_path, tmp_path, out)
+    for flags in ([], ["--origin", "2013-01-07"]):
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert not out.exists()
+
+
+def test_score_window_reads_a_fifo_with_origin(lexicon_path, corpus_path, tmp_path, capsys):
+    regular, piped = tmp_path / "regular.csv", tmp_path / "piped.csv"
+    assert main(_window_argv(lexicon_path, corpus_path, regular) + ["--origin", "2013-01-07"]) == 0
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=lambda: fifo.write_bytes(Path(corpus_path).read_bytes()), daemon=True
+    )
+    writer.start()
+    try:
+        assert main(_window_argv(lexicon_path, fifo, piped) + ["--origin", "2013-01-07"]) == 0
+    finally:
+        writer.join(timeout=10)
+    assert piped.read_bytes() == regular.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b'{"id": "a", "channel": "c"}\n', "line 1: missing required field 'timestamp'"),
+        (b'{"id": "a", "timestamp": 123}\n', "line 1: missing required field 'channel'"),
+        (b'[1, 2]\n', "line 1: record is not a JSON object"),
+        (b'{"timestamp": "2013-01-07"\n', "line 1: invalid JSON"),
+        (b"[" * 100000 + b"\n", "line 1: invalid JSON"),
+    ],
+    ids=["no-timestamp", "non-string-timestamp", "not-an-object", "bad-json", "deep-nesting"],
+)
+def test_score_window_without_origin_reports_a_bad_only_line(
+    lexicon_path, tmp_path, capsys, content, message
+):
+    """The pre-pass finds no timestamp it can read, and the main pass still
+    reports the line rather than the missing ``--origin``."""
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "series.csv"
+    corpus.write_bytes(content)
+    assert main(_window_argv(lexicon_path, corpus, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def _counts_lines(count):
+    """``count`` one-term counts records, 1 to ``count`` days after 2013-01-07."""
+    return "".join(
+        json.dumps({"id": f"d{i}", "channel": "c", "timestamp": f"{T0 + timedelta(days=i)}",
+                    "term_counts": {"good": 1}}) + "\n"
+        for i in range(1, count + 1)
+    ).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"\xff\n", "--corpus {}: 'utf-8' codec can't decode"),
+        # past the first block that is decoded, so that documents are read before it
+        (_counts_lines(2000) + b"\xff\n", "--corpus {}: 'utf-8' codec can't decode"),
+        (b"[]\n" + _counts_lines(2000) + b"\xff\n", "line 1: record is not a JSON object"),
+    ],
+    ids=["only-line", "after-documents", "after-a-bad-record"],
+)
+def test_score_window_without_origin_reports_bad_utf8_in_file_order(
+    lexicon_path, tmp_path, capsys, content, message
+):
+    """A byte that is not UTF-8 stops the pre-pass; the main pass reports it,
+    named by ``--corpus``, or a bad record it reads before."""
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "series.csv"
+    corpus.write_bytes(content)
+    assert main(_window_argv(lexicon_path, corpus, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(corpus)) and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_score_window_on_an_empty_corpus_needs_origin(lexicon_path, tmp_path, capsys):
@@ -901,8 +1025,9 @@ def cli_cases(draw):
 
 
 def _run_sample(command, flags, line, lexicon=None, profiles=None):
-    """``main`` on sample_data with one line appended to the corpus, and on
-    the ``lexicon`` and ``profiles`` bytes when given: (exit, stderr)."""
+    """``main`` on sample_data with one line, text or bytes, appended to the
+    corpus, and on the ``lexicon`` and ``profiles`` bytes when given: (exit,
+    stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         lexicon_path = SAMPLE_DATA / "lexicon.csv"
         if lexicon is not None:
@@ -918,7 +1043,9 @@ def _run_sample(command, flags, line, lexicon=None, profiles=None):
             sample_lines = to_jsonl(read_text(sample.read_text(encoding="utf-8"), "text"))
         else:
             sample_lines = sample.read_text(encoding="utf-8")
-        corpus.write_text(sample_lines + line + "\n", encoding="utf-8")
+        if isinstance(line, str):
+            line = line.encode("utf-8")
+        corpus.write_bytes(sample_lines.encode("utf-8") + line + b"\n")
         argv = [command, "--lexicon", str(lexicon_path), "--out", f"{tmp}/out"]
         if command == "synth":
             argv += ["--profiles", str(profiles_path)]
@@ -942,6 +1069,7 @@ def _run_sample(command, flags, line, lexicon=None, profiles=None):
 )
 @example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], "", None, None))
 @example(("score", {"--window": "1w"}, {"--window": "1w"}, [], "", b"\xff", None))
+@example(("score", {"--window": "1w"}, {"--window": "1w"}, [], b"\xff", None, None))
 @example(  # a field over the csv module's size limit
     ("score", {"--window": "1w"}, {"--window": "1w"}, [], "",
      (_SAMPLE_LEXICON[0] + "\n" + "a" * 140000 + ",5,1,5,1,5,1\n").encode("utf-8"), None)

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tvmood.corpus import tokenize
 from tvmood.lexicon import (
     AffectLexicon,
     LexiconError,
     normalize_rating,
     normalize_sd,
     parse_lexicon,
+    text_unmatchable,
 )
 
 from conftest import lexicon_csv
@@ -300,3 +302,18 @@ def test_parse_matches_row_by_row_reference(text):
     lexicon = parse_lexicon(text)
     # repr tells -0.0 from 0.0 and keeps the word order
     assert repr(lexicon.table) == repr(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.text(alphabet="ab'_-\u00e9\u00df1", min_size=1, max_size=5).filter(lambda w: w == w.lower()),
+        unique=True, min_size=1, max_size=8,
+    )
+)
+@example(["well-being", "joy", "'tis", "a_b"])
+def test_text_unmatchable_equals_the_per_word_scan(words):
+    """The one comparison over the joined words finds exactly the words that
+    are not one text token, in table order."""
+    lexicon = AffectLexicon({word: (0.5, 0.5, 0.5) for word in words})
+    assert text_unmatchable(lexicon) == [w for w in words if tokenize(w) != [w]]

@@ -29,7 +29,9 @@ START = datetime(2013, 1, 7, tzinfo=timezone.utc)
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A 400-word lexicon and text corpora of 150, 200, 600 and 1,000
-    documents of 150 tokens, two genres on four channels."""
+    documents of 150 tokens, two genres on four channels, one document
+    every 7 hours; and the ``hourly`` corpus of 1,000 such documents, one
+    every hour, so six a day on each channel."""
     directory = tmp_path_factory.mktemp("memory")
     rng = random.Random(2013)
     lexicon = directory / "lexicon.csv"
@@ -39,19 +41,20 @@ def inputs(tmp_path_factory):
         rows.append(f"{word},{v},1.0,{a},1.0,{d},1.0")
     lexicon.write_text("\n".join(rows) + "\n", encoding="utf-8")
     corpora = {}
-    for size in (150, 200, 600, 1000):
+    for name, size, hours in [(150, 150, 7), (200, 200, 7), (600, 600, 7), (1000, 1000, 7),
+                              ("hourly", 1000, 1)]:
         lines = []
         for i in range(size):
             record = {
                 "id": f"doc-{i:05d}",
                 "channel": f"ch{i % 4}",
-                "timestamp": (START + timedelta(hours=7 * i)).strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "timestamp": (START + timedelta(hours=hours * i)).strftime("%Y-%m-%dT%H:%M:%SZ"),
                 "genre": ("comedy", "news")[i % 2],
                 "text": " ".join(rng.choices(VOCABULARY, k=150)),
             }
             lines.append(json.dumps(record))
-        corpora[size] = directory / f"corpus-{size}.jsonl"
-        corpora[size].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        corpora[name] = directory / f"corpus-{name}.jsonl"
+        corpora[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
     return lexicon, corpora, directory
 
 
@@ -107,3 +110,14 @@ def test_evaluate_peak_grows_by_one_row_per_document(inputs, rep, limit):
     small, large = run_peak(inputs, 200, command), run_peak(inputs, 1000, command)
     per_document = (large - small) / 800
     assert per_document < limit, per_document
+
+
+def test_window_default_origin_peaks_as_an_explicit_one(inputs):
+    """Without ``--origin``, ``score --window`` pools per (channel, window)
+    from the origin its timestamp pre-pass finds, as it does with the same
+    origin given. The hourly corpus has six documents a day on each
+    channel, so a pool per (channel, day) would show in the peak."""
+    command = ["score", "--window", "4w"]
+    default = run_peak(inputs, "hourly", command)
+    explicit = run_peak(inputs, "hourly", command + ["--origin", START.strftime("%Y-%m-%d")])
+    assert default < 1.05 * explicit, (default, explicit)
