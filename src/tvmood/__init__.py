@@ -9,7 +9,6 @@ classifies program genre with Naive Bayes under stratified cross-validation.
 from .affect import (
     AffectScore,
     AffectSeries,
-    AffectSpread,
     NoSignalError,
     SeriesPoint,
     pool_channels,

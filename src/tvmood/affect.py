@@ -3,9 +3,10 @@
 Every score is a weighted mean over the terms a text shares with the
 lexicon: each matched term contributes its lexicon mean once per
 occurrence. Channel and window scores pool term counts across documents
-first and score the pooled map, so longer documents weigh more, and the
-reported spread is the weighted population standard deviation of the
-term-value distribution (divide by total matched tokens, not n-1).
+first and score the pooled map, so longer documents weigh more. Each score
+also carries each dimension's sd: the weighted population standard
+deviation of the term-value distribution (divide by total matched tokens,
+not n-1).
 Pooling takes one pass over the documents and keeps only the pooled
 counts, never a document.
 """
@@ -25,12 +26,8 @@ from .lexicon import AffectLexicon
 from .record import Record
 
 DIMENSIONS = ("valence", "arousal", "dominance")
-# the columns of value_fields: the three means, then the three sds
-VALUE_COLUMNS = (*DIMENSIONS, *(f"{dim}_sd" for dim in DIMENSIONS))
 
 K = TypeVar("K", bound=Hashable)
-
-SERIES_CSV_HEADER = ("channel", "window_start", *VALUE_COLUMNS, "matched_tokens")
 
 
 class NoSignalError(ValueError):
@@ -38,21 +35,24 @@ class NoSignalError(ValueError):
 
 
 class AffectScore(NamedTuple):
-    """Weighted-mean affect of one text, channel, or window."""
+    """Weighted-mean affect of one text, channel, or window: the three means,
+    their weighted population sds, then the match counts, in the column
+    order of the ``score`` CSV."""
 
     valence: float
     arousal: float
     dominance: float
+    valence_sd: float
+    arousal_sd: float
+    dominance_sd: float
     matched_distinct_terms: int
     matched_token_total: int
 
 
-class AffectSpread(NamedTuple):
-    """Per-dimension weighted population standard deviation."""
+# the value columns of every score CSV: the three means, then the three sds
+VALUE_COLUMNS = AffectScore._fields[:6]
 
-    valence: float
-    arousal: float
-    dominance: float
+SERIES_CSV_HEADER = ("channel", "window_start", *VALUE_COLUMNS, "matched_tokens")
 
 
 class SeriesPoint(NamedTuple):
@@ -60,7 +60,6 @@ class SeriesPoint(NamedTuple):
 
     start: datetime
     score: Optional[AffectScore]
-    spread: Optional[AffectSpread]
 
     @property
     def is_gap(self) -> bool:
@@ -97,7 +96,6 @@ class MatchStats(NamedTuple):
     low: tuple[float, ...]
     high: tuple[float, ...]
     score: AffectScore
-    spread: AffectSpread
 
 
 def match_stats(
@@ -107,8 +105,8 @@ def match_stats(
 
     Terms must be lowercase, as a :class:`~tvmood.corpus.Document` keeps
     them: one membership pass over the lexicon's table finds the matches.
-    Each dimension's mean is sum(count * value) / sum(count) and its spread
-    the weighted population sd, both summed exactly with ``math.fsum``.
+    Each dimension's mean is sum(count * value) / sum(count) and its sd the
+    weighted population sd, both summed exactly with ``math.fsum``.
     Returns None when no term matches.
     """
     table = lexicon.table
@@ -131,8 +129,7 @@ def match_stats(
         variance = math.fsum(squares) / total
         means.append(mean)
         sds.append(math.sqrt(variance) if variance > 0 else 0.0)
-    score = AffectScore(*means, len(counts), total)
-    return MatchStats(counts, values, low, high, score, AffectSpread(*sds))
+    return MatchStats(counts, values, low, high, AffectScore(*means, *sds, len(counts), total))
 
 
 def _pool_matched(
@@ -158,19 +155,17 @@ def _pool_matched(
     return pools
 
 
-def score_counts(
-    term_counts: Mapping[str, int], lexicon: AffectLexicon
-) -> tuple[AffectScore, AffectSpread]:
-    """Score one term-count map; return the score and its weighted spread.
+def score_counts(term_counts: Mapping[str, int], lexicon: AffectLexicon) -> AffectScore:
+    """Score one term-count map: its means, their weighted sds and its match counts.
 
-    For each dimension the score is sum(count * lexicon mean) / sum(count)
+    For each dimension the mean is sum(count * lexicon mean) / sum(count)
     over the terms present in both the map and the lexicon. Raises
     :class:`NoSignalError` when nothing matches.
     """
     stats = match_stats(term_counts, lexicon)
     if stats is None:
         raise NoSignalError("no term matched the lexicon")
-    return stats.score, stats.spread
+    return stats.score
 
 
 def pool_channels(
@@ -231,21 +226,14 @@ def score_windows(
                     f"{format_timestamp(origin)} starts outside the datetime range"
                 ) from None
             stats = match_stats(pools.get((channel, index), {}), lexicon)
-            if stats is None:
-                points.append(SeriesPoint(start, None, None))
-            else:
-                points.append(SeriesPoint(start, stats.score, stats.spread))
+            points.append(SeriesPoint(start, None if stats is None else stats.score))
         series.append(AffectSeries(channel, window_length, tuple(points)))
     return series
 
 
-def value_fields(score: AffectScore, spread: AffectSpread) -> list[str]:
-    """The three means, then the three sds, as exact ``repr`` CSV fields."""
-    return [repr(getattr(part, dim)) for part in (score, spread) for dim in DIMENSIONS]
-
-
 def series_to_csv(series_list: list[AffectSeries]) -> str:
-    """Render affect series as CSV; gap windows emit empty value fields."""
+    """Render affect series as CSV, the values as exact ``repr`` fields; gap
+    windows emit empty value fields."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SERIES_CSV_HEADER)
@@ -255,7 +243,7 @@ def series_to_csv(series_list: list[AffectSeries]) -> str:
             if point.is_gap:
                 row.extend([""] * 7)
             else:
-                row.extend(value_fields(point.score, point.spread))
+                row.extend(map(repr, point.score[:6]))
                 row.append(str(point.score.matched_token_total))
             writer.writerow(row)
     return buffer.getvalue()

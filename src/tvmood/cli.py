@@ -101,6 +101,30 @@ def _write_all(*paths: str) -> Iterator[list[TextIO]]:
                 os.remove(temp)
 
 
+def _outputs(args: argparse.Namespace) -> tuple[str, ...]:
+    """The files a command writes: ``--out``, or evaluate's two report paths."""
+    if getattr(args, "out", None) is None:
+        return ()
+    if args.command != "evaluate":
+        return (args.out,)
+    prefix = args.out[:-5] if args.out.endswith(".json") else args.out
+    return (prefix + ".json", prefix + ".csv")
+
+
+def _refuse_overwriting_inputs(args: argparse.Namespace) -> None:
+    """Refuse an output that is an existing regular file the command reads.
+
+    A FIFO or device is not refused: ``/dev/stdin`` and ``/dev/stdout`` may
+    be one terminal.
+    """
+    for out in filter(os.path.isfile, _outputs(args)):
+        for flag in ("--corpus", "--lexicon", "--profiles"):
+            source = getattr(args, flag[2:], None)
+            with contextlib.suppress(OSError):  # a missing input is named when it is read
+                if source is not None and os.path.samefile(out, source):
+                    raise ValueError(f"--out {out} is the {flag} file")
+
+
 def _lexicon(args: argparse.Namespace) -> AffectLexicon:
     """The ``--lexicon`` file, named by its flag when it is not UTF-8."""
     try:
@@ -179,6 +203,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise
         except ValueError as exc:  # loaded documents are timestamped: a window start failed
             raise ValueError(f"--window {args.window!r}: {exc}") from None
+        if args.origin is None and any(s.points[0].start < origin for s in series):
+            raise ValueError(
+                f"--corpus {args.corpus} gained an earlier document after the pass "
+                f"that found the default --origin; give --origin"
+            )
         with _write_all(args.out) as (out,):
             out.write(affect.series_to_csv(series))
         points = sum(len(s.points) for s in series)
@@ -200,14 +229,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         writer.writerow(header + SCORE_VALUE_COLUMNS)
         for key, counts in scored:
             try:
-                score, spread = affect.score_counts(counts, lexicon)
+                score = affect.score_counts(counts, lexicon)
             except affect.NoSignalError:
                 skipped.append((key[0], "no lexicon matches"))
                 continue
-            writer.writerow(
-                [*key, *affect.value_fields(score, spread)]
-                + [str(score.matched_distinct_terms), str(score.matched_token_total)]
-            )
+            writer.writerow([*key, *map(repr, score)])  # repr of an int is its str
             rows += 1
         if rows == 0:
             raise ValueError("no document or channel matched the lexicon")
@@ -236,6 +262,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError(f"--profiles {args.profiles}: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError(f"--profiles {args.profiles}: the file must hold a JSON array")
+    if not raw:
+        raise ValueError(f"--profiles {args.profiles}: the file holds no profiles")
     profiles = [synth.profile_from_json(index, item) for index, item in enumerate(raw)]
     start = (
         synth.DEFAULT_START
@@ -260,7 +288,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     kind = args.nb or evaluation.DEFAULT_NB[args.rep]
-    evaluation.check_representation(args.rep, kind)
+    try:
+        evaluation.check_representation(args.rep, kind)
+    except ValueError as exc:  # only --nb can name a kind that --rep refuses
+        raise ValueError(f"--rep {args.rep} --nb {kind}: {exc}") from None
     config = evaluation.ClassifierConfig(kind=kind, alpha=args.alpha)
     lexicon = _lexicon(args)
     rows = evaluation.labeled_rows(_documents(args), lexicon, args.rep)
@@ -276,9 +307,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"--folds {args.folds} exceeds the smallest genre support, {smallest}")
     report = evaluation.run_cv(rows, args.rep, args.folds, args.seed, config)
 
-    prefix = args.out[:-5] if args.out.endswith(".json") else args.out
-    json_path = prefix + ".json"
-    csv_path = prefix + ".csv"
+    json_path, csv_path = _outputs(args)
     with _write_all(json_path, csv_path) as (json_out, csv_out):
         json_out.write(evaluation.report_to_json(report))
         csv_out.write(evaluation.report_to_csv(report))
@@ -419,6 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_overwriting_inputs(args)
         return args.handler(args)
     except classify.AlphaError as exc:  # only evaluate's --alpha sets the weight
         print(f"error: --alpha: {exc}", file=sys.stderr)

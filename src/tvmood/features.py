@@ -71,11 +71,10 @@ def extract_meta(doc: Document, lexicon: AffectLexicon) -> list[Optional[float]]
     stats = match_stats(doc.term_counts, lexicon)
     row: list[Optional[float]] = [None] * 15
     if stats is not None:
-        row, total = [], stats.score.matched_token_total
-        for d, dim in enumerate(DIMENSIONS):
-            mean, sd = getattr(stats.score, dim), getattr(stats.spread, dim)
-            median = _weighted_median(stats.values[d], stats.counts, total)
-            row += (stats.low[d], stats.high[d], mean, sd, median)
+        row, score = [], stats.score
+        for d in range(len(DIMENSIONS)):  # the score holds the means, then the sds
+            median = _weighted_median(stats.values[d], stats.counts, score.matched_token_total)
+            row += (stats.low[d], stats.high[d], score[d], score[3 + d], median)
     counts = doc.term_counts.values()
     matched = 0 if stats is None else len(stats.counts)
     stylistic = (doc.total_tokens, len(counts), matched, max(counts, default=0))

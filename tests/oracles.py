@@ -39,10 +39,8 @@ import numpy as np
 from tvmood.affect import (
     AffectScore,
     AffectSeries,
-    AffectSpread,
     MatchStats,
     SeriesPoint,
-    match_stats,
 )
 from tvmood.classify import (
     VARIANCE_FLOOR_SCALE,
@@ -452,8 +450,8 @@ def match_stats_lookup(term_counts, lexicon):
         variance = math.fsum(squares) / total
         means.append(mean)
         sds.append(math.sqrt(variance) if variance > 0 else 0.0)
-    score = AffectScore(*means, len(counts), total)
-    return MatchStats(counts, values, low, high, score, AffectSpread(*sds))
+    score = AffectScore(*means, *sds, len(counts), total)
+    return MatchStats(counts, values, low, high, score)
 
 
 def weighted_median_walk(values, counts, total):
@@ -507,8 +505,9 @@ def default_origin(documents):
 
 
 def score_windows_resident(documents, channel, lexicon, window_length, origin):
-    """One channel's series from resident documents, rescanned per channel and
-    pooled per window index from a known origin."""
+    """One channel's series from resident documents, rescanned per channel,
+    pooled per window index from a known origin and scored by
+    :func:`match_stats_lookup`."""
     table = lexicon.table
     buckets = defaultdict(dict)
     for doc in (doc for doc in documents if doc.channel == channel):
@@ -521,9 +520,6 @@ def score_windows_resident(documents, channel, lexicon, window_length, origin):
     points = []
     for index in range(min(buckets), max(buckets) + 1):
         start = origin + index * window_length
-        stats = match_stats(buckets[index], lexicon) if index in buckets else None
-        if stats is None:
-            points.append(SeriesPoint(start, None, None))
-        else:
-            points.append(SeriesPoint(start, stats.score, stats.spread))
+        stats = match_stats_lookup(buckets[index], lexicon) if index in buckets else None
+        points.append(SeriesPoint(start, None if stats is None else stats.score))
     return AffectSeries(channel, window_length, tuple(points))

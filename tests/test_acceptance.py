@@ -93,7 +93,7 @@ def test_criterion_01_scoring_oracle():
         # sprinkle unmatched terms without exceeding the 50-term cap
         for extra in range(rng.randint(0, min(3, 50 - n_terms))):
             counts[f"unmatched{extra}"] = rng.randint(1, 4)
-        score, _ = score_counts(counts, lexicon)
+        score = score_counts(counts, lexicon)
         for dim in DIMENSIONS:
             expected = expansion_stats(counts, lexicon, dim)["mean"]
             worst = max(worst, abs(getattr(score, dim) - expected))
@@ -321,7 +321,7 @@ def test_criterion_08_channel_groups_rank_by_valence():
     for seed in range(10):
         corpus = tuple(generate(profiles, lexicon, seed=seed))
         valence = {
-            channel: score_counts(pool, lexicon)[0].valence
+            channel: score_counts(pool, lexicon).valence
             for channel, pool in pool_channels(corpus, lexicon).items()
         }
         if max(valence[ch] for ch in low_channels) >= min(
@@ -427,7 +427,6 @@ def test_criterion_10_windowing_and_gaps():
     gaps_ok = (
         [point.is_gap for point in sparse.points] == [False, True, False]
         and sparse.points[1].score is None
-        and sparse.points[1].spread is None
     )
     _verdict(
         10,

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from tvmood.affect import (
     SERIES_CSV_HEADER,
+    VALUE_COLUMNS,
+    AffectScore,
     NoSignalError,
     match_stats,
     pool_channels,
@@ -31,16 +33,23 @@ from oracles import (
 WEEK = timedelta(weeks=1)
 
 
+def test_value_columns_are_the_score_record_fields():
+    """The CSV headers and the record share one definition: the means, then the sds."""
+    assert VALUE_COLUMNS == AffectScore._fields[:6]
+    means = ("valence", "arousal", "dominance")
+    assert VALUE_COLUMNS == (*means, "valence_sd", "arousal_sd", "dominance_sd")
+
+
 def test_score_single_term_equals_its_value():
     lexicon = make_lexicon({"w": (0.5, 0.5, 0.5)})
-    score, _ = score_counts({"w": 5}, lexicon)
+    score = score_counts({"w": 5}, lexicon)
     assert (score.valence, score.arousal, score.dominance) == (0.5, 0.5, 0.5)
     assert score.matched_distinct_terms == 1
     assert score.matched_token_total == 5
 
 
 def test_score_weighted_mean_hand_case(small_lexicon):
-    score, _ = score_counts({"good": 3, "bad": 1}, small_lexicon)
+    score = score_counts({"good": 3, "bad": 1}, small_lexicon)
     assert score.valence == pytest.approx(0.6875, abs=1e-15)
     assert score.matched_distinct_terms == 2
     assert score.matched_token_total == 4
@@ -53,9 +62,9 @@ def test_score_no_matches_raises(small_lexicon):
 
 def test_score_is_scale_invariant(small_lexicon):
     counts = {"good": 3, "bad": 1, "fire": 2}
-    base, _ = score_counts(counts, small_lexicon)
+    base = score_counts(counts, small_lexicon)
     for k in (2, 5, 17):
-        scaled, _ = score_counts({t: c * k for t, c in counts.items()}, small_lexicon)
+        scaled = score_counts({t: c * k for t, c in counts.items()}, small_lexicon)
         assert scaled.valence == pytest.approx(base.valence, abs=1e-12)
         assert scaled.arousal == pytest.approx(base.arousal, abs=1e-12)
         assert scaled.dominance == pytest.approx(base.dominance, abs=1e-12)
@@ -67,7 +76,7 @@ def test_score_stays_within_matched_value_range():
     vocabulary = lexicon.words()
     for _ in range(200):
         counts = random_counts(rng, vocabulary)
-        score, _ = score_counts(counts, lexicon)
+        score = score_counts(counts, lexicon)
         for d, dim in enumerate(("valence", "arousal", "dominance")):
             values = [lexicon.table.get(t.lower())[d] for t in counts]
             assert min(values) - 1e-12 <= getattr(score, dim) <= max(values) + 1e-12
@@ -84,22 +93,18 @@ def test_score_matches_expansion_oracle():
             with pytest.raises(NoSignalError):
                 score_counts(counts, lexicon)
             continue
-        score, spread = score_counts(counts, lexicon)
+        score = score_counts(counts, lexicon)
         for dim in ("valence", "arousal", "dominance"):
             stats = expansion_stats(counts, lexicon, dim)
             assert getattr(score, dim) == pytest.approx(stats["mean"], abs=1e-12)
-            assert getattr(spread, dim) == pytest.approx(stats["sd"], abs=1e-12)
+            assert getattr(score, f"{dim}_sd") == pytest.approx(stats["sd"], abs=1e-12)
 
 
 def test_channel_single_document_matches_score_counts(small_lexicon):
     counts = {"good": 3, "fire": 1}
     docs = (make_doc("a", counts, channel="cnn"),)
-    pooled_score, pooled_spread = score_counts(
-        pool_channels(docs, small_lexicon)["cnn"], small_lexicon
-    )
-    direct_score, direct_spread = score_counts(counts, small_lexicon)
-    assert pooled_score == direct_score
-    assert pooled_spread == direct_spread
+    pooled = score_counts(pool_channels(docs, small_lexicon)["cnn"], small_lexicon)
+    assert pooled == score_counts(counts, small_lexicon)
 
 
 def test_channel_pools_share_one_key_object_per_term(small_lexicon):
@@ -117,9 +122,9 @@ def test_channel_two_disjoint_documents_hand_case():
         make_doc("d1", {"a": 1}, channel="cnn"),
         make_doc("d2", {"b": 1}, channel="cnn"),
     )
-    score, spread = score_counts(pool_channels(docs, lexicon)["cnn"], lexicon)
+    score = score_counts(pool_channels(docs, lexicon)["cnn"], lexicon)
     assert score.valence == pytest.approx(0.5, abs=1e-15)
-    assert spread.valence == pytest.approx(0.3, abs=1e-15)
+    assert score.valence_sd == pytest.approx(0.3, abs=1e-15)
 
 
 def test_channel_zero_variance():
@@ -128,9 +133,9 @@ def test_channel_zero_variance():
         make_doc("d1", {"a": 2}, channel="cnn"),
         make_doc("d2", {"b": 3}, channel="cnn"),
     )
-    score, spread = score_counts(pool_channels(docs, lexicon)["cnn"], lexicon)
+    score = score_counts(pool_channels(docs, lexicon)["cnn"], lexicon)
     assert score.valence == pytest.approx(0.7, abs=1e-15)
-    assert spread.valence == 0.0
+    assert score.valence_sd == 0.0
 
 
 def test_channel_unknown_or_unmatched_raises(small_lexicon):
@@ -157,8 +162,8 @@ def test_channel_pooling_equals_summed_count_maps():
         pooled = Counter()
         for counts in doc_counts:
             pooled.update(counts)
-        channel_score, _ = score_counts(pool_channels(docs, lexicon)["ch"], lexicon)
-        assert channel_score == score_counts(dict(pooled), lexicon)[0]
+        channel_score = score_counts(pool_channels(docs, lexicon)["ch"], lexicon)
+        assert channel_score == score_counts(dict(pooled), lexicon)
 
 
 def test_windows_thirteen_four_week_periods(small_lexicon):
@@ -175,7 +180,7 @@ def test_windows_single_document_equals_its_score(small_lexicon):
     docs = (make_doc("a", counts, channel="cnn", timestamp=T0),)
     [series] = score_windows(docs, small_lexicon, 4 * WEEK, T0)
     assert len(series.points) == 1
-    assert series.points[0].score == score_counts(counts, small_lexicon)[0]
+    assert series.points[0].score == score_counts(counts, small_lexicon)
 
 
 def test_windows_emit_gap_for_empty_window(small_lexicon):
@@ -264,7 +269,7 @@ def test_match_stats_sd_rounds_each_square_once():
         problems.append((table, random_counts(rng, list(table), max_terms=8)))
     for means, counts in problems:
         stats = match_stats(counts, make_lexicon(means))
-        for dim, sd in enumerate(stats.spread):
+        for dim, sd in enumerate(stats.score[3:6]):
             column = [means[term][dim] for term in counts]
             assert sd == sd_rounding_each_square_once(list(counts.values()), column)
 
@@ -283,7 +288,7 @@ def test_match_stats_equals_lookup_loop_bit_for_bit(means, counts):
     if expected is None:
         assert stats is None
         return
-    assert repr((stats.score, stats.spread)) == repr((expected.score, expected.spread))
+    assert repr(stats.score) == repr(expected.score)
     assert repr((stats.low, stats.high)) == repr((expected.low, expected.high))
     assert repr(stats.counts) == repr(expected.counts)
     assert repr([list(column) for column in stats.values]) == repr(list(expected.values))

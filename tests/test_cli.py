@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -17,8 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tvmood.affect import series_to_csv
-from tvmood.cli import _write_all, main, parse_window
+from tvmood import cli
+from tvmood.affect import score_counts, series_to_csv
+from tvmood.cli import _refuse_overwriting_inputs, _write_all, main, parse_window
 from tvmood.lexicon import parse_lexicon
 from tvmood.synth import GenreProfile, generate
 
@@ -152,6 +155,24 @@ def test_score_per_document_lists_skipped(lexicon_path, corpus_path, tmp_path):
     assert any(row.startswith("a1,") for row in data_rows)
 
 
+def test_score_per_document_row_is_the_score_record(lexicon_path, corpus_path, tmp_path, capsys):
+    """A row is the id, the channel and each ``AffectScore`` field's ``repr``,
+    in field order."""
+    out = tmp_path / "docs.csv"
+    argv = ["score", "--lexicon", lexicon_path, "--corpus", corpus_path, "--format", "counts"]
+    assert main([*argv, "--out", str(out), "--per-document"]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+    lexicon = parse_lexicon(LEXICON_TEXT)
+    documents = read_text(Path(corpus_path).read_text(encoding="utf-8"), "counts")
+    expected = [
+        [doc.id, doc.channel, *map(repr, score_counts(doc.term_counts, lexicon))]
+        for doc in documents
+        if doc.id != "u1"  # it matches nothing, so it is listed as skipped
+    ]
+    assert rows[1:1 + len(expected)] == expected and rows[1 + len(expected)] == []
+    capsys.readouterr()
+
+
 def test_score_window_mode(lexicon_path, corpus_path, tmp_path):
     out_path = tmp_path / "series.csv"
     code = main(
@@ -259,6 +280,23 @@ def test_window_without_origin_equals_resident_reference(corpus, days):
 def _window_argv(lexicon_path, corpus, out):
     return ["score", "--lexicon", lexicon_path, "--corpus", str(corpus), "--format", "counts",
             "--out", str(out), "--window", "1w"]
+
+
+def test_score_window_refuses_a_corpus_that_gained_an_earlier_document(
+    monkeypatch, lexicon_path, corpus_path, tmp_path, capsys
+):
+    """The default origin comes from a first pass; a second pass that reads an
+    earlier document than the first found would start a window before it."""
+    lines = Path(corpus_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    early = make_doc("early", {"good": 1}, channel="cnn", timestamp=T0 - timedelta(days=3))
+    passes = iter([lines, [*lines, to_jsonl([early])]])
+    monkeypatch.setattr(cli, "_lines", lambda args: iter(next(passes)))
+    out = tmp_path / "series.csv"
+    assert main(_window_argv(lexicon_path, corpus_path, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --corpus {corpus_path} ") and err.count("\n") == 1
+    assert "--origin" in err
+    assert not out.exists()
 
 
 def test_score_window_on_a_fifo_needs_origin(lexicon_path, tmp_path, capsys):
@@ -518,8 +556,11 @@ def test_evaluate_rejects_meta_multinomial(tmp_path, capsys, lexicon_path, corpu
             "--min-genre-support", "1",
         ]
     )
-    assert code != 0
-    assert "gaussian" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rep meta --nb multinomial: ") and err.count("\n") == 1
+    assert "gaussian" in err
+    assert not any(tmp_path.glob("r.*"))
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
@@ -617,6 +658,61 @@ def test_bad_last_record_writes_nothing(tmp_path, capsys, lexicon_path, corpus_p
     assert all(path.read_bytes() == b"old bytes\n" for path in regular)
     expected = ["corpus.jsonl", "bad.jsonl", "lexicon.csv", *(path.name for path in outputs)]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+
+
+EVALUATE = ["evaluate", "--folds", "2", "--min-genre-support", "1"]
+
+
+@pytest.mark.parametrize(
+    "command,out,refused,flag",
+    [
+        (["features"], "corpus.json", "corpus.json", "--corpus"),
+        (["features"], "lexicon.csv", "lexicon.csv", "--lexicon"),
+        (["score", "--per-document"], "lexicon.csv", "lexicon.csv", "--lexicon"),
+        (["score"], "corpus.json", "corpus.json", "--corpus"),
+        (["score", "--window", "1w"], "corpus.json", "corpus.json", "--corpus"),
+        (EVALUATE, "corpus.json", "corpus.json", "--corpus"),
+        (EVALUATE, "lexicon", "lexicon.csv", "--lexicon"),  # its CSV report
+        (["synth"], "profiles.json", "profiles.json", "--profiles"),
+        (["synth"], "lexicon.csv", "lexicon.csv", "--lexicon"),
+        (["score"], "link.csv", "link.csv", "--corpus"),  # a symlink to the corpus
+    ],
+    ids=[
+        "features-corpus", "features-lexicon", "per-document", "channels", "window",
+        "evaluate-json", "evaluate-csv", "synth-profiles", "synth-lexicon", "symlink",
+    ],
+)
+def test_an_output_that_is_an_input_is_refused(
+    tmp_path, capsys, lexicon_path, corpus_path, command, out, refused, flag
+):
+    """Before anything is read or written: the inputs keep their bytes, and
+    no temporary is left."""
+    corpus = Path(corpus_path).rename(tmp_path / "corpus.json")
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(
+        json.dumps([{"label": "up", "document_count": 2, "target": [0.8, 0.5, 0.5]}]),
+        encoding="utf-8",
+    )
+    os.symlink(corpus, tmp_path / "link.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = [*command, "--lexicon", lexicon_path, "--out", str(tmp_path / out)]
+    if command[0] == "synth":
+        argv += ["--profiles", str(profiles)]
+    else:
+        argv += ["--corpus", str(corpus), "--format", "counts"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out {tmp_path / refused} is the {flag} file\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_an_output_fifo_or_device_is_not_refused(tmp_path):
+    """Only a regular file is refused: ``/dev/stdin`` and ``/dev/stdout``
+    may be one terminal."""
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    for path in (fifo, os.devnull):
+        args = argparse.Namespace(command="score", lexicon=path, corpus=path, out=path)
+        assert _refuse_overwriting_inputs(args) is None
 
 
 def test_write_all_writes_a_fifo_in_place(tmp_path):
@@ -795,8 +891,9 @@ def test_repeated_keys_end_in_exit_2_naming_the_key(tmp_path, capsys, lexicon_pa
         (b"[1, ]", "Expecting value: line 1 column 5 (char 4)"),
         (b"\xff[]", "'utf-8' codec can't decode byte 0xff"),
         (b"{}", "the file must hold a JSON array"),
+        (b"[]", "the file holds no profiles"),
     ],
-    ids=["deep-nesting", "bad-json", "bad-utf8", "not-array"],
+    ids=["deep-nesting", "bad-json", "bad-utf8", "not-array", "no-profiles"],
 )
 def test_synth_unreadable_profiles_name_the_flag(tmp_path, capsys, lexicon_path, data, fragment):
     profiles = tmp_path / "profiles.json"
@@ -1018,7 +1115,8 @@ def cli_cases(draw):
             "--min-genre-support": draw(count),
         }
         good = {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"}
-        other = draw(st.sampled_from([[], ["--rep=meta"], ["--nb=gaussian"]])) + corpus_format
+        variants = [[], ["--rep=meta"], ["--nb=gaussian"], ["--rep=meta", "--nb=multinomial"]]
+        other = draw(st.sampled_from(variants)) + corpus_format
     lexicon = draw(st.none() | _lexicon_bytes())
     profiles = draw(st.none() | _profile_bytes()) if command == "synth" else None
     return command, drawn, good, other, draw(_records | st.text(max_size=80)), lexicon, profiles
@@ -1067,6 +1165,9 @@ def _run_sample(command, flags, line, lexicon=None, profiles=None):
 @example(  # JSON nested too deeply for the decoder
     ("synth", {"--start": "2013-01-01"}, {"--start": "2013-01-01"}, [], "", None, b"[" * 100000)
 )
+@example(  # no profiles at all
+    ("synth", {"--start": "2013-01-01"}, {"--start": "2013-01-01"}, [], "", None, b"[]")
+)
 @example(("score", {"--window": "1w", "--origin": "nope"}, {"--window": "1w"}, [], "", None, None))
 @example(("score", {"--window": "1w"}, {"--window": "1w"}, [], "", b"\xff", None))
 @example(("score", {"--window": "1w"}, {"--window": "1w"}, [], b"\xff", None, None))
@@ -1092,6 +1193,17 @@ def _run_sample(command, flags, line, lexicon=None, profiles=None):
         {"--folds": "2", "--alpha": "1e308", "--min-genre-support": "1"},
         {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"},
         [],
+        "",
+        None,
+        None,
+    )
+)
+@example(  # a classifier variant the representation refuses
+    (
+        "evaluate",
+        {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"},
+        {"--folds": "2", "--alpha": "1", "--min-genre-support": "1"},
+        ["--rep=meta", "--nb=multinomial"],
         "",
         None,
         None,

@@ -20,7 +20,7 @@ from datetime import timedelta
 import pytest
 
 import tvmood
-from tvmood.affect import AffectScore, AffectSeries, AffectSpread, MatchStats, SeriesPoint
+from tvmood.affect import AffectScore, AffectSeries, MatchStats, SeriesPoint
 from tvmood.classify import (
     GaussianNbModel,
     MultinomialNbModel,
@@ -46,17 +46,16 @@ def _score():
         "valence": 0.5,
         "arousal": 0.25,
         "dominance": 0.75,
+        "valence_sd": 0.125,
+        "arousal_sd": 0.0,
+        "dominance_sd": 0.5,
         "matched_distinct_terms": 2,
         "matched_token_total": 3,
     }
 
 
-def _spread():
-    return {"valence": 0.125, "arousal": 0.0, "dominance": 0.5}
-
-
 def _point():
-    return {"start": T0, "score": AffectScore(**_score()), "spread": AffectSpread(**_spread())}
+    return {"start": T0, "score": AffectScore(**_score())}
 
 
 def _metrics():
@@ -67,14 +66,13 @@ def _metrics():
 # arguments by field name, in constructor order; whether its fields hash
 RECORDS = {
     "AffectScore": (AffectScore, _score, True),
-    "AffectSpread": (AffectSpread, _spread, True),
     "SeriesPoint": (SeriesPoint, _point, True),
     "AffectSeries": (
         AffectSeries,
         lambda: {
             "channel": "cnn",
             "window_length": timedelta(weeks=1),
-            "points": (SeriesPoint(**_point()), SeriesPoint(T0 + timedelta(weeks=1), None, None)),
+            "points": (SeriesPoint(**_point()), SeriesPoint(T0 + timedelta(weeks=1), None)),
         },
         True,
     ),
@@ -86,7 +84,6 @@ RECORDS = {
             "low": (0.25, 0.5, 0.0),
             "high": (0.75, 0.5, 1.0),
             "score": AffectScore(**_score()),
-            "spread": AffectSpread(**_spread()),
         },
         False,
     ),
@@ -172,7 +169,7 @@ RECORDS = {
 
 # the value records: as tuples they are iterable, indexable and orderable
 TUPLES = {
-    "AffectScore", "AffectSpread", "SeriesPoint", "MatchStats",
+    "AffectScore", "SeriesPoint", "MatchStats",
     "Posterior", "FoldAssignment", "ClassMetrics", "EvalReport",
 }
 

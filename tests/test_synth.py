@@ -55,7 +55,7 @@ def test_generate_separates_valence_groups():
         means = {}
         for genre in ("lowv", "highv"):
             scores = [
-                score_counts(doc.term_counts, lexicon)[0].valence
+                score_counts(doc.term_counts, lexicon).valence
                 for doc in corpus
                 if doc.genre == genre
             ]
