@@ -79,8 +79,7 @@ class Posterior(NamedTuple):
 
     @property
     def predicted_label(self) -> str:
-        best = max(range(len(self.labels)), key=lambda i: self.probabilities[i])
-        return self.labels[best]
+        return self.labels[self.probabilities.index(max(self.probabilities))]
 
     def probability(self, label: str) -> float:
         return self.probabilities[self.labels.index(label)]
@@ -442,7 +441,8 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
                 if mean is None:
                     continue
                 d = value - mean
-                terms.append(-absent_terms[feature])
+                if counts:  # takes back the zero count's term; a dense model's is 0.0
+                    terms.append(-absent_terms[feature])
                 terms.append(-0.5 * (log_norms[feature] + d * d / variances[feature]))
             log_scores.append(model.log_priors[index] + math.fsum(terms))
         except OverflowError:  # a count or the sum ran past the float range

@@ -4,7 +4,9 @@ Metrics are pooled: every document is predicted exactly once by the fold
 that holds it out, and TP rate, FP rate, AUC, and the confusion matrix are
 computed over the pooled predictions. AUC is the rank-statistic form (pairs
 won plus half the ties, over all positive-negative pairs), one class
-against the rest, scored by the posterior probability of that class.
+against the rest, scored by the posterior probability of that class. Each
+positive's midrank comes from two bisections of one sorted copy of the
+scores, and the confusion matrix from one count of (true, predicted) pairs.
 
 Fold shuffling uses Python's Mersenne Twister (``random.Random``) with a
 caller-supplied seed, so assignments are reproducible across runs and
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -145,7 +147,9 @@ def auc_one_vs_rest(scores: Sequence[float], is_positive: Sequence[bool]) -> flo
 
     Equals the fraction of (positive, negative) pairs where the positive
     outscores the negative, counting ties as half a win. Computed from
-    midranks, which is algebraically the same thing.
+    midranks, which is algebraically the same thing: a score's midrank is
+    the mean of the 1-based ranks its ties span, found by bisecting one
+    sorted copy of the scores. A NaN score has no rank and is refused.
     """
     if len(scores) != len(is_positive):
         raise ValueError("scores and is_positive have different lengths")
@@ -153,20 +157,15 @@ def auc_one_vs_rest(scores: Sequence[float], is_positive: Sequence[bool]) -> flo
     negatives = len(is_positive) - positives
     if positives == 0 or negatives == 0:
         raise ValueError("AUC is undefined without both positives and negatives")
+    nans = list(map(math.isnan, scores))
+    if True in nans:
+        raise ValueError(f"score at index {nans.index(True)} is NaN")
 
-    order = sorted(range(len(scores)), key=scores.__getitem__)
-    ranks = [0.0] * len(scores)
-    cursor = 0
-    for _, tied in itertools.groupby(order, key=scores.__getitem__):
-        tied = list(tied)
-        tie_end = cursor + len(tied) - 1
-        midrank = (cursor + tie_end) / 2.0 + 1.0
-        for index in tied:
-            ranks[index] = midrank
-        cursor = tie_end + 1
-
+    ordered = sorted(scores)
     positive_rank_sum = math.fsum(
-        rank for rank, flag in zip(ranks, is_positive) if flag
+        (bisect_left(ordered, score) + bisect_right(ordered, score) + 1) / 2.0
+        for score, flag in zip(scores, is_positive)
+        if flag
     )
     return (positive_rank_sum - positives * (positives + 1) / 2.0) / (
         positives * negatives
@@ -186,24 +185,24 @@ def confusion_and_rates(
     """
     if len(truth) != len(predicted):
         raise ValueError("truth and predicted have different lengths")
-    index = {label: i for i, label in enumerate(class_order)}
-    for label in list(truth) + list(predicted):
-        if label not in index:
+    known = set(class_order)
+    if len(known) != len(class_order):
+        raise ValueError("class_order repeats a label")
+    for label in (*truth, *predicted):
+        if label not in known:
             raise ValueError(f"label {label!r} is not in class_order")
 
-    size = len(class_order)
-    matrix = [[0] * size for _ in range(size)]
-    for true_label, predicted_label in zip(truth, predicted):
-        matrix[index[true_label]][index[predicted_label]] += 1
+    pairs = Counter(zip(truth, predicted))
+    matrix = [[pairs[true, guess] for guess in class_order] for true in class_order]
+    column_totals = list(map(sum, zip(*matrix)))
 
     total = len(truth)
     tp_rates: dict[str, float] = {}
     fp_rates: dict[str, float] = {}
     for i, label in enumerate(class_order):
         row_total = sum(matrix[i])
-        column_total = sum(matrix[j][i] for j in range(size))
         true_positives = matrix[i][i]
-        false_positives = column_total - true_positives
+        false_positives = column_totals[i] - true_positives
         tp_rates[label] = true_positives / row_total if row_total else 0.0
         rest = total - row_total
         fp_rates[label] = false_positives / rest if rest else 0.0
@@ -291,19 +290,18 @@ def run_cv(
     predicted = [posterior.predicted_label for posterior in posteriors]
     matrix, tp_rates, fp_rates = confusion_and_rates(labels, predicted, class_order)
 
-    metrics = []
-    for label in class_order:
-        scores = [posterior.probability(label) for posterior in posteriors]
-        flags = [value == label for value in labels]
-        metrics.append(
-            ClassMetrics(
-                label=label,
-                support=support[label],
-                tp_rate=tp_rates[label],
-                fp_rate=fp_rates[label],
-                auc=auc_one_vs_rest(scores, flags),
-            )
+    # every fold trains on every class, so each posterior is in class_order
+    columns = zip(*(posterior.probabilities for posterior in posteriors))
+    metrics = [
+        ClassMetrics(
+            label=label,
+            support=support[label],
+            tp_rate=tp_rates[label],
+            fp_rate=fp_rates[label],
+            auc=auc_one_vs_rest(scores, [value == label for value in labels]),
         )
+        for label, scores in zip(class_order, columns)
+    ]
 
     total = len(rows)
     weighted = {

@@ -21,11 +21,18 @@ default origin, is the byte-exact reference for one-pass window scoring.
 Counting each class's terms in one pass over the training rows, and
 doing so again for each fold's training rows, are the bit-exact references
 for ``classify.train_multinomial`` and ``classify.multinomial_fold_models``.
+Midranks from grouping the sorted indices by score, and a confusion matrix
+counted cell by cell with its columns summed in a nested loop, are the
+exact references for ``evaluation.auc_one_vs_rest`` and
+``evaluation.confusion_and_rates``. The Gaussian prediction loop that takes
+back every present feature's absent term (0.0 for dense rows) beside its
+density term is the bit-exact reference for ``classify.predict_gaussian``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 import random
@@ -360,6 +367,80 @@ def trapezoid_auc(scores, is_positive):
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def auc_midrank_groupby(scores, is_positive):
+    """Rank-sum AUC: each run of equal scores in sorted order shares the mean
+    of the 1-based ranks it spans; the positives' rank sum gives the AUC."""
+    positives = sum(1 for flag in is_positive if flag)
+    negatives = len(is_positive) - positives
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranks = [0.0] * len(scores)
+    cursor = 0
+    for _, tied in itertools.groupby(order, key=scores.__getitem__):
+        tied = list(tied)
+        tie_end = cursor + len(tied) - 1
+        midrank = (cursor + tie_end) / 2.0 + 1.0
+        for index in tied:
+            ranks[index] = midrank
+        cursor = tie_end + 1
+    positive_rank_sum = math.fsum(rank for rank, flag in zip(ranks, is_positive) if flag)
+    return (positive_rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
+
+
+def confusion_nested_loop(truth, predicted, class_order):
+    """``(matrix, tp_rates, fp_rates)``: each instance adds one to its cell;
+    each class's column total is summed down the rows."""
+    index = {label: i for i, label in enumerate(class_order)}
+    size = len(class_order)
+    matrix = [[0] * size for _ in range(size)]
+    for true_label, predicted_label in zip(truth, predicted):
+        matrix[index[true_label]][index[predicted_label]] += 1
+    tp_rates, fp_rates = {}, {}
+    for i, label in enumerate(class_order):
+        row_total = sum(matrix[i])
+        column_total = sum(matrix[j][i] for j in range(size))
+        false_positives = column_total - matrix[i][i]
+        tp_rates[label] = matrix[i][i] / row_total if row_total else 0.0
+        rest = len(truth) - row_total
+        fp_rates[label] = false_positives / rest if rest else 0.0
+    return matrix, tp_rates, fp_rates
+
+
+def predict_gaussian_absent_loop(model, instance):
+    """``(labels, probabilities)``: per class, the exact partials of the
+    all-absent log-likelihood, then for each present feature with a mean its
+    negated absent term and its density term; ``fsum``, with ``-inf`` for a
+    class that overflows and the priors when no class is left; log-sum-exp."""
+    if model.vocabulary is None:
+        present = [(feature, value) for feature, value in enumerate(instance) if value is not None]
+    else:
+        present = [
+            (model.term_index[term], value)
+            for term, value in instance.items()
+            if term in model.term_index
+        ]
+    log_scores = []
+    for index in range(len(model.class_labels)):
+        terms = list(model.absent_partials[index])
+        try:
+            for feature, value in present:
+                mean = model.means[index][feature]
+                if mean is None:
+                    continue
+                d = value - mean
+                terms.append(-model.absent_terms[index][feature])
+                log_norm = model.log_norms[index][feature]
+                terms.append(-0.5 * (log_norm + d * d / model.variances[index][feature]))
+            log_scores.append(model.log_priors[index] + math.fsum(terms))
+        except OverflowError:
+            log_scores.append(-math.inf)
+    if max(log_scores) == -math.inf:
+        log_scores = list(model.log_priors)
+    peak = max(log_scores)
+    shifted = [math.exp(score - peak) for score in log_scores]
+    total = math.fsum(shifted)
+    return model.class_labels, tuple(value / total for value in shifted)
 
 
 def _rating(raw):

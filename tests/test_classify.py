@@ -16,6 +16,7 @@ from tvmood.classify import (
     VARIANCE_FLOOR_SCALE,
     GaussianNbModel,
     MultinomialNbModel,
+    Posterior,
     _moments,
     model_from_json,
     model_to_json,
@@ -32,6 +33,7 @@ from oracles import (
     misrounded_by_pow,
     moments_rounding_each_square_once,
     multinomial_posterior,
+    predict_gaussian_absent_loop,
     predict_gaussian_dense,
     predict_multinomial_lookup,
     train_gaussian_dense,
@@ -58,6 +60,61 @@ def test_gaussian_pulls_toward_nearer_class():
     model = train_gaussian([[0.0], [2.0], [4.0], [6.0]], ["A", "A", "B", "B"])
     assert predict_gaussian(model, [1.0]).probability("A") > 0.5
     assert predict_gaussian(model, [5.0]).probability("B") > 0.5
+
+
+def test_predicted_label_takes_the_first_of_tied_maxima():
+    assert Posterior(("a", "b", "c", "d"), (0.1, 0.3, 0.3, 0.3)).predicted_label == "b"
+    assert Posterior(("a", "b", "c"), (1 / 3, 1 / 3, 1 / 3)).predicted_label == "a"
+    assert Posterior(("a", "b", "c"), (-0.0, 0.0, -0.0)).predicted_label == "a"
+    assert Posterior(("a", "b", "c"), (0.25, 0.25, 0.5)).predicted_label == "c"
+
+
+def _assert_predictions_equal_the_absent_term_loop(model, queries):
+    for query in queries:
+        posterior = predict_gaussian(model, query)
+        reference = predict_gaussian_absent_loop(model, query)
+        assert repr((posterior.labels, posterior.probabilities)) == repr(reference), query
+
+
+def test_gaussian_dense_prediction_equals_the_absent_term_loop():
+    # class a never has feature 1 and class c has it missing too: their means are None
+    rows = [[1.0, None, 2.0], [2.0, None, 3.0], [0.5, 4.0, None], [1.5, 5.0, 1.0], [3.0, None, 0.0]]
+    model = train_gaussian(rows, ["a", "a", "b", "b", "c"])
+    assert model.means[0][1] is None and model.means[2][1] is None
+    rng = random.Random(47)
+    drawn = [
+        [None if rng.random() < 0.3 else rng.uniform(-5.0, 10.0) for _ in range(3)]
+        for _ in range(300)
+    ]
+    special = [
+        [None, None, None],  # no usable feature: the priors
+        [1e300, 0.0, 0.0],  # a square overflows to inf: -inf terms
+        [10**400, 1.0, 1.0],  # a value past the float range in every class: the priors
+        [1.0, 10**400, 2.0],  # past the range only in class b, the one with a mean
+    ]
+    _assert_predictions_equal_the_absent_term_loop(model, special + drawn)
+
+
+def test_gaussian_counts_prediction_equals_the_absent_term_loop():
+    rng = random.Random(53)
+    labels = ["a", "b", "c"] * 8
+    instances = [
+        {term: rng.randint(1, 9) for term in TERMS if rng.random() < 0.4} for _ in labels
+    ]
+    model = train_gaussian(instances, labels)
+    terms = [*TERMS, "unseen"]
+    drawn = [
+        {term: rng.choice([0, rng.randint(1, 12), rng.uniform(0.0, 20.0)]) for term in terms
+         if rng.random() < 0.4}
+        for _ in range(300)
+    ]
+    special = [
+        {},  # only the all-absent log-likelihood
+        {"unseen": 4},  # outside the vocabulary: ignored
+        {model.vocabulary[0]: 10**400},  # a count past the float range: the priors
+        {model.vocabulary[0]: 1e200, model.vocabulary[-1]: 2},  # a square overflows to inf
+    ]
+    _assert_predictions_equal_the_absent_term_loop(model, special + drawn)
 
 
 def test_gaussian_all_missing_falls_back_to_priors():

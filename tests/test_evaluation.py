@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 import weakref
 from collections import Counter
@@ -26,7 +28,12 @@ from tvmood.evaluation import (
 from tvmood.synth import GenreProfile, generate
 
 from conftest import cross_validate, make_doc, make_lexicon, random_lexicon
-from oracles import multinomial_fold_models_retrained, trapezoid_auc
+from oracles import (
+    auc_midrank_groupby,
+    confusion_nested_loop,
+    multinomial_fold_models_retrained,
+    trapezoid_auc,
+)
 
 
 def fold_assignment_checks(labels, assignment, k):
@@ -130,6 +137,69 @@ def test_auc_matches_trapezoid_oracle():
         )
 
 
+def auc_cases():
+    """Tie-heavy draws, all-equal scores, 0.0 beside -0.0, every two-element
+    input, and 3,000 scores: (scores, flags) with both flags present."""
+    rng = random.Random(2024)
+    grid = [0.0, -0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 1.0]
+    for _ in range(500):
+        size = rng.randint(2, 60)
+        yield [rng.choice(grid) for _ in range(size)], [rng.random() < 0.5 for _ in range(size)]
+    yield [0.5] * 7, [True, False, False, True, False, True, True]
+    yield [0.0, -0.0, -0.0, 0.0, 0.1, -0.1], [True, False, True, False, False, True]
+    for scores in itertools.product([-0.0, 0.0, 0.3, 0.7], repeat=2):
+        yield list(scores), [True, False]
+        yield list(scores), [False, True]
+    for digits in (2, 17):  # 0.01 steps give ties among 3,000 scores; 17 digits hardly any
+        scores = [round(rng.random(), digits) for _ in range(3000)]
+        yield scores, [rng.random() < 0.2 for _ in scores]
+
+
+def test_auc_equals_the_groupby_midrank_reference():
+    cases = list(auc_cases())
+    assert all(any(flags) and not all(flags) for _, flags in cases[500:])
+    checked = 0
+    for scores, flags in cases:
+        if any(flags) and not all(flags):
+            assert auc_one_vs_rest(scores, flags) == auc_midrank_groupby(scores, flags)
+            checked += 1
+    assert checked > 450
+
+
+def test_auc_refuses_a_nan_score_whatever_the_order():
+    # these four pairs once gave 0.0, 0.25, 0.5 or 1.0, by their order
+    pairs = [(math.nan, True), (0.5, False), (0.2, True), (0.9, False)]
+    for order in itertools.permutations(pairs):
+        scores, flags = map(list, zip(*order))
+        at = [math.isnan(score) for score in scores].index(True)
+        with pytest.raises(ValueError, match=f"^score at index {at} is NaN$"):
+            auc_one_vs_rest(scores, flags)
+    with pytest.raises(ValueError, match="^score at index 1 is NaN$"):
+        auc_one_vs_rest([0.5, math.nan, math.nan, 0.1], [True, False, True, False])
+
+
+def test_auc_takes_infinite_scores():
+    scores = [math.inf, -math.inf, 0.5, math.inf, -math.inf, 0.5, 0.25]
+    flags = [True, False, True, False, True, False, False]
+    assert auc_one_vs_rest(scores, flags) == auc_midrank_groupby(scores, flags)
+    assert auc_one_vs_rest(scores, flags) == pytest.approx(
+        trapezoid_auc(scores, flags), abs=1e-12
+    )
+    assert auc_one_vs_rest([math.inf, -math.inf], [True, False]) == 1.0
+
+
+def test_confusion_equals_the_nested_loop_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        class_order = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+        size = rng.randint(0, 40)
+        truth = [rng.choice(class_order) for _ in range(size)]
+        predicted = [rng.choice(class_order) for _ in range(size)]
+        assert repr(confusion_and_rates(truth, predicted, class_order)) == repr(
+            confusion_nested_loop(truth, predicted, class_order)
+        )
+
+
 def test_confusion_perfect_predictions():
     truth = ["a", "b", "c", "a"]
     matrix, tp, fp = confusion_and_rates(truth, truth, ["a", "b", "c"])
@@ -160,6 +230,9 @@ def test_confusion_errors():
         confusion_and_rates(["A"], ["A", "B"], ["A", "B"])
     with pytest.raises(ValueError, match="class_order"):
         confusion_and_rates(["A"], ["Z"], ["A", "B"])
+    # a repeated label left a zero row or counted its cells twice
+    with pytest.raises(ValueError, match="^class_order repeats a label$"):
+        confusion_and_rates(["A", "B"], ["A", "B"], ["A", "A", "B"])
 
 
 def separable_corpus():
@@ -369,6 +442,34 @@ def test_run_cv_rejects_meta_with_multinomial():
 def test_classifier_config_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
         ClassifierConfig(kind="multinomial", alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "representation, kind", [("vsm", "multinomial"), ("vsm", "gaussian"), ("meta", "gaussian")]
+)
+def test_run_cv_posteriors_are_in_class_order(monkeypatch, representation, kind):
+    # run_cv reads each class's scores as a column of the posteriors' probabilities
+    seen = []
+    for name in ("predict_multinomial", "predict_gaussian"):
+
+        def recording(model, instance, predict=getattr(classify, name)):
+            seen.append(predict(model, instance))
+            return seen[-1]
+
+        monkeypatch.setattr(classify, name, recording)
+    rng = random.Random(89)
+    lexicon = random_lexicon(rng, 40)
+    profiles = [
+        GenreProfile("news", 5, 0.8, (0.25, 0.5, 0.5), (10, 20)),
+        GenreProfile("drama", 3, 0.8, (0.75, 0.5, 0.5), (10, 20)),
+        GenreProfile("sport", 9, 0.8, (0.5, 0.5, 0.5), (10, 20)),
+    ]
+    corpus = tuple(generate(profiles, lexicon, seed=2))
+    config = ClassifierConfig(kind=kind)
+    report = cross_validate(corpus, lexicon, representation, k=3, seed=4, config=config)
+    assert report.class_order == ("drama", "news", "sport")
+    assert len(seen) == len(corpus)
+    assert all(posterior.labels == report.class_order for posterior in seen)
 
 
 def test_run_cv_weighted_auc_survives_relabeling():
