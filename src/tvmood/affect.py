@@ -75,9 +75,7 @@ class AffectSeries(Record):
     def __init__(
         self, channel: str, window_length: timedelta, points: tuple[SeriesPoint, ...]
     ) -> None:
-        object.__setattr__(self, "channel", channel)
-        object.__setattr__(self, "window_length", window_length)
-        object.__setattr__(self, "points", points)
+        super().__init__(channel, window_length, points)
         starts = [point.start for point in self.points]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("series points must be strictly ordered by start")
@@ -239,11 +237,7 @@ def series_to_csv(series_list: list[AffectSeries]) -> str:
     writer.writerow(SERIES_CSV_HEADER)
     for series in series_list:
         for point in series.points:
-            row: list[str] = [series.channel, format_timestamp(point.start)]
-            if point.is_gap:
-                row.extend([""] * 7)
-            else:
-                row.extend(map(repr, point.score[:6]))
-                row.append(str(point.score.matched_token_total))
-            writer.writerow(row)
+            score = point.score
+            values = [None] * 7 if score is None else [*score[:6], score.matched_token_total]
+            writer.writerow([series.channel, format_timestamp(point.start), *values])
     return buffer.getvalue()

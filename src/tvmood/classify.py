@@ -265,13 +265,9 @@ class GaussianNbModel(Record):
         feature_count: int,
         vocabulary: Optional[tuple[str, ...]] = None,
     ) -> None:
-        object.__setattr__(self, "class_labels", class_labels)
-        object.__setattr__(self, "log_priors", log_priors)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "variance_floor", variance_floor)
-        object.__setattr__(self, "feature_count", feature_count)
-        object.__setattr__(self, "vocabulary", vocabulary)
+        super().__init__(
+            class_labels, log_priors, means, variances, variance_floor, feature_count, vocabulary
+        )
         counts = self.vocabulary is not None
         features = self.vocabulary if counts else range(self.feature_count)
         _check_shape(self, vocabulary, feature_count, "log_priors", "means", "variances")
@@ -470,11 +466,7 @@ class MultinomialNbModel(Record):
         log_term_probs: tuple[tuple[float, ...], ...],
         alpha: float,
     ) -> None:
-        object.__setattr__(self, "class_labels", class_labels)
-        object.__setattr__(self, "log_priors", log_priors)
-        object.__setattr__(self, "vocabulary", vocabulary)
-        object.__setattr__(self, "log_term_probs", log_term_probs)
-        object.__setattr__(self, "alpha", alpha)
+        super().__init__(class_labels, log_priors, vocabulary, log_term_probs, alpha)
         _check_shape(self, vocabulary, len(vocabulary), "log_priors", "log_term_probs")
         object.__setattr__(
             self, "term_columns", dict(zip(self.vocabulary, zip(*self.log_term_probs)))

@@ -35,7 +35,7 @@ from .corpus import (
 from .lexicon import AffectLexicon, load_lexicon, text_unmatchable
 from .record import unique_keys
 
-_WINDOW_RE = re.compile(r"^(\d+)([dw])$")
+_WINDOW_RE = re.compile(r"^([0-9]+)([dw])$")
 
 SCORE_VALUE_COLUMNS = (*affect.VALUE_COLUMNS, "matched_distinct_terms", "matched_tokens")
 
@@ -43,15 +43,14 @@ SCORE_VALUE_COLUMNS = (*affect.VALUE_COLUMNS, "matched_distinct_terms", "matched
 def parse_window(spec: str) -> timedelta:
     """Parse a window length such as ``7d`` or ``4w``."""
     match = _WINDOW_RE.match(spec.strip().lower())
-    if not match or int(match.group(1)) == 0:
+    count = match.group(1).lstrip("0") if match else ""
+    if not count:
         raise ValueError(f"--window {spec!r} is not a length such as '7d' or '4w'")
-    days = int(match.group(1)) * (1 if match.group(2) == "d" else 7)
-    try:
-        return timedelta(days=days)
-    except OverflowError:
-        raise ValueError(
-            f"--window {spec!r} is longer than {timedelta.max.days} days"
-        ) from None
+    # a count longer than the largest day count is out of range; int() refuses 4,301 digits
+    if len(count) <= len(str(timedelta.max.days)):
+        with contextlib.suppress(OverflowError):
+            return timedelta(days=int(count) * (1 if match.group(2) == "d" else 7))
+    raise ValueError(f"--window {spec!r} is longer than {timedelta.max.days} days")
 
 
 @contextlib.contextmanager
@@ -233,7 +232,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             except affect.NoSignalError:
                 skipped.append((key[0], "no lexicon matches"))
                 continue
-            writer.writerow([*key, *map(repr, score)])  # repr of an int is its str
+            writer.writerow([*key, *score])
             rows += 1
         if rows == 0:
             raise ValueError("no document or channel matched the lexicon")

@@ -144,12 +144,7 @@ class Document(Record):
         # True only from a producer in this package that checked the terms and their total
         _checked: bool = False,
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "channel", channel)
-        object.__setattr__(self, "term_counts", term_counts)
-        object.__setattr__(self, "total_tokens", total_tokens)
-        object.__setattr__(self, "genre", genre)
-        object.__setattr__(self, "timestamp", timestamp)
+        super().__init__(id, channel, term_counts, total_tokens, genre, timestamp)
         if not self.id:
             raise ValueError("document id is empty")
         if self.genre == "":

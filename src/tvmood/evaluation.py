@@ -82,8 +82,7 @@ class ClassifierConfig(Record):
     __slots__ = _fields
 
     def __init__(self, kind: str, alpha: float = classify.DEFAULT_ALPHA) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "alpha", alpha)
+        super().__init__(kind, alpha)
         if self.kind not in tuple(classify.MODEL_KINDS):  # refuses an unhashable kind too
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         classify.check_alpha(self.alpha)
@@ -357,13 +356,8 @@ def report_to_csv(report: EvalReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("genre", "tp_rate", "fp_rate", "auc"))
     for m in report.class_metrics:
-        writer.writerow((m.label, repr(m.tp_rate), repr(m.fp_rate), repr(m.auc)))
+        writer.writerow((m.label, m.tp_rate, m.fp_rate, m.auc))
     writer.writerow(
-        (
-            "weighted_average",
-            repr(report.weighted_tp_rate),
-            repr(report.weighted_fp_rate),
-            repr(report.weighted_auc),
-        )
+        ("weighted_average", report.weighted_tp_rate, report.weighted_fp_rate, report.weighted_auc)
     )
     return buffer.getvalue()

@@ -103,8 +103,6 @@ def features_to_csv(documents: Iterable[Document], lexicon: AffectLexicon, out: 
     rows = 0
     for doc in documents:
         row = extract_meta(doc, lexicon)
-        statistics = ["" if value is None else repr(value) for value in row[:15]]
-        counts = [str(int(value)) for value in row[15:]]
-        writer.writerow([doc.id, doc.genre or "", *statistics, *counts])
+        writer.writerow([doc.id, doc.genre, *row[:15], *map(int, row[15:])])
         rows += 1
     return rows

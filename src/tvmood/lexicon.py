@@ -87,7 +87,7 @@ class AffectLexicon(Record):
         # True only from a producer in this package that checked the words and values
         _checked: bool = False,
     ) -> None:
-        object.__setattr__(self, "table", table)
+        super().__init__(table)
         if _checked:
             return
         _check_words(list(self.table))

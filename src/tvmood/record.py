@@ -1,12 +1,12 @@
 """The base of tvmood's validating records.
 
 A record that checks its fields or derives state from them is a plain
-slotted class on :class:`Record`; a plain value record is a
-``typing.NamedTuple``. Neither is a ``dataclasses`` class. Importing
-``dataclasses``, with the ``inspect``, ``ast`` and ``dis`` modules it
-loads, and processing the class bodies with it cost each tvmood process
-about 35 ms of CPU at start-up on a 2-vCPU VM with Python 3.11
-(``BENCH_17.json``).
+slotted class on :class:`Record`, whose ``__init__`` sets the fields
+from its arguments; a plain value record is a ``typing.NamedTuple``.
+Neither is a ``dataclasses`` class. Importing ``dataclasses``, with the
+``inspect``, ``ast`` and ``dis`` modules it loads, and processing the
+class bodies with it cost each tvmood process about 35 ms of CPU at
+start-up on a 2-vCPU VM with Python 3.11 (``BENCH_17.json``).
 
 Every JSON object that tvmood reads (corpus records, genre profiles, saved
 models) goes through :func:`unique_keys`, so a repeated key is an error
@@ -15,20 +15,27 @@ rather than a silent last-wins.
 
 from __future__ import annotations
 
+_set = object.__setattr__
+
 
 class Record:
     """An immutable slotted object, compared by the fields its constructor takes.
 
     A subclass names those fields, in constructor order, in ``_fields``;
-    its ``__slots__`` holds them and any state it derives from them, and
-    its ``__init__`` sets each slot with ``object.__setattr__``. Equality,
-    hashing, the ``Name(field=value, ...)`` repr, copying and pickling
-    read ``_fields`` only, so derived state stays out of them. Setting or
-    deleting an attribute raises ``AttributeError``.
+    its ``__slots__`` holds them and any state it derives from them. Its
+    ``__init__`` passes the fields, in the order ``__reduce__`` rebuilds
+    with, to ``Record.__init__``, and sets each derived slot itself with
+    ``object.__setattr__``. Equality, hashing, the ``Name(field=value, ...)``
+    repr, copying and pickling read ``_fields`` only, so derived state stays
+    out of them. Setting or deleting an attribute raises ``AttributeError``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

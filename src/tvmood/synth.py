@@ -48,12 +48,7 @@ class GenreProfile(Record):
         token_range: tuple[int, int],
         channel: Optional[str] = None,
     ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "document_count", document_count)
-        object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "token_range", token_range)
-        object.__setattr__(self, "channel", channel)
+        super().__init__(label, document_count, bias, target, token_range, channel)
         for key, (_, _, what) in _FIELDS.items():
             if not _well_typed(key, getattr(self, key)):
                 what = what.removeprefix("a list of ")

@@ -27,11 +27,15 @@ exact references for ``evaluation.auc_one_vs_rest`` and
 ``evaluation.confusion_and_rates``. The Gaussian prediction loop that takes
 back every present feature's absent term (0.0 for dense rows) beside its
 density term is the bit-exact reference for ``classify.predict_gaussian``.
+CSV rows whose fields are formatted by hand (``repr`` of a float,
+``str(int(x))`` of a count, ``""`` of a missing value) are the byte-exact
+references for the four CSV writers, which hand ``csv.writer`` raw values.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -44,6 +48,7 @@ import mpmath
 import numpy as np
 
 from tvmood.affect import (
+    SERIES_CSV_HEADER,
     AffectScore,
     AffectSeries,
     MatchStats,
@@ -55,7 +60,8 @@ from tvmood.classify import (
     GaussianNbModel,
     MultinomialNbModel,
 )
-from tvmood.corpus import Document
+from tvmood.corpus import Document, format_timestamp
+from tvmood.features import FEATURE_NAMES, extract_meta
 from tvmood.lexicon import LEXICON_HEADER, LexiconError
 from tvmood.synth import DEFAULT_START, SPACING, VALENCE_BAND
 
@@ -604,3 +610,51 @@ def score_windows_resident(documents, channel, lexicon, window_length, origin):
         stats = match_stats_lookup(buckets[index], lexicon) if index in buckets else None
         points.append(SeriesPoint(start, None if stats is None else stats.score))
     return AffectSeries(channel, window_length, tuple(points))
+
+
+def _csv_text(rows):
+    """``rows`` of ready-formatted string fields, as the writers' CSV text."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def score_csv_formatted(header, keyed_scores):
+    """The ``score`` CSV of (leading fields, AffectScore) pairs, with no
+    skipped section; ``repr`` of an int count is its ``str``."""
+    return _csv_text([header, *([*key, *map(repr, score)] for key, score in keyed_scores)])
+
+
+def series_csv_formatted(series_list):
+    """Reference for ``affect.series_to_csv``."""
+    rows = [SERIES_CSV_HEADER]
+    for series in series_list:
+        for point in series.points:
+            row = [series.channel, format_timestamp(point.start)]
+            if point.score is None:
+                row.extend([""] * 7)
+            else:
+                row.extend(map(repr, point.score[:6]))
+                row.append(str(point.score.matched_token_total))
+            rows.append(row)
+    return _csv_text(rows)
+
+
+def features_csv_formatted(documents, lexicon):
+    """Reference for ``features.features_to_csv``'s text."""
+    rows = [("id", "genre") + FEATURE_NAMES]
+    for doc in documents:
+        row = extract_meta(doc, lexicon)
+        statistics = ["" if value is None else repr(value) for value in row[:15]]
+        counts = [str(int(value)) for value in row[15:]]
+        rows.append([doc.id, doc.genre or "", *statistics, *counts])
+    return _csv_text(rows)
+
+
+def report_csv_formatted(report):
+    """Reference for ``evaluation.report_to_csv``."""
+    rows = [("genre", "tp_rate", "fp_rate", "auc")]
+    rows += [(m.label, repr(m.tp_rate), repr(m.fp_rate), repr(m.auc)) for m in report.class_metrics]
+    weighted = (report.weighted_tp_rate, report.weighted_fp_rate, report.weighted_auc)
+    rows.append(("weighted_average", *map(repr, weighted)))
+    return _csv_text(rows)

@@ -196,10 +196,16 @@ def test_score_window_mode(lexicon_path, corpus_path, tmp_path):
     "window_flags,fragment",
     [
         (["--window", "9999999999d"], "--window '9999999999d' is longer than"),
+        # more digits than int() converts by default
+        (["--window", "9" * 4301 + "d"], f"--window '{'9' * 4301}d' is longer than 999999999 days"),
+        (["--window", "\u0667d"], "--window '\u0667d' is not a length such as '7d' or '4w'"),
         (["--window", "99999999d", "--origin", "2030-01-01"], "starts outside the datetime range"),
         (["--window", "1w", "--origin", "nope"], "--origin: Invalid isoformat string: 'nope'"),
     ],
-    ids=["window-too-long", "window-start-out-of-range", "bad-origin"],
+    ids=[
+        "window-too-long", "window-of-4301-digits", "window-arabic-indic-digit",
+        "window-start-out-of-range", "bad-origin",
+    ],
 )
 def test_score_oversized_window_is_one_line_error(
     lexicon_path, corpus_path, tmp_path, capsys, window_flags, fragment

@@ -33,7 +33,7 @@ from tvmood.classify import (
 from tvmood.corpus import Document
 from tvmood.evaluation import ClassifierConfig, ClassMetrics, EvalReport, FoldAssignment
 from tvmood.lexicon import AffectLexicon
-from tvmood.record import unique_keys
+from tvmood.record import Record, unique_keys
 from tvmood.synth import GenreProfile
 
 from conftest import T0
@@ -218,6 +218,19 @@ def test_record_contract(name):
 
     for duplicate in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(duplicate) is cls and duplicate == record
+
+
+def test_fields_are_the_leading_constructor_parameters_in_order():
+    """``Record.__init__`` sets, and ``__reduce__`` rebuilds, the fields by
+    position, so each subclass's ``__init__`` must take them first, in
+    ``_fields`` order; any parameter after them is private."""
+    records = {cls for cls, _, _ in RECORDS.values() if issubclass(cls, Record)}
+    assert set(Record.__subclasses__()) == records
+    for cls in records:
+        code = cls.__init__.__code__
+        parameters = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+        assert parameters[: len(cls._fields)] == cls._fields, cls.__name__
+        assert all(name.startswith("_") for name in parameters[len(cls._fields) :]), cls.__name__
 
 
 @pytest.mark.parametrize(
