@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 from operator import is_, itemgetter, mul
@@ -85,9 +84,10 @@ class Posterior(NamedTuple):
         return self.probabilities[self.labels.index(label)]
 
 
-def _log_priors(labels: Sequence[str], class_labels: tuple[str, ...]) -> tuple[float, ...]:
-    support = Counter(labels)
-    return tuple(math.log(support[label] / len(labels)) for label in class_labels)
+def _log_priors(sizes: Sequence[int]) -> tuple[float, ...]:
+    """Each class's log frequency, from the class sizes in class order."""
+    n = sum(sizes)
+    return tuple(math.log(size / n) for size in sizes)
 
 
 def _normalize_log_scores(
@@ -395,7 +395,7 @@ def train_gaussian(
 
     return GaussianNbModel(
         class_labels=class_labels,
-        log_priors=_log_priors(labels, class_labels),
+        log_priors=_log_priors(class_sizes),
         means=tuple(means),
         variances=tuple(variances),
         variance_floor=variance_floor,
@@ -499,7 +499,6 @@ def train_multinomial(
         raise ValueError("instances and labels have different lengths")
     if not instances:
         raise ValueError("no training instances")
-    check_alpha(alpha)
     if len(set(labels)) < 2:
         raise ValueError("training data contains a single class")
     # every instance in fold 1, so fold 0's model is fitted to all of them
@@ -561,10 +560,9 @@ def multinomial_fold_models(
             log_term_probs.append(
                 tuple(math.log(kept.get(term, 0) + alpha) - denominator for term in vocabulary)
             )
-        n = sum(rest_sizes)
         yield MultinomialNbModel(
             class_labels=class_labels,
-            log_priors=tuple(math.log(size / n) for size in rest_sizes),
+            log_priors=_log_priors(rest_sizes),
             vocabulary=vocabulary,
             log_term_probs=tuple(log_term_probs),
             alpha=alpha,

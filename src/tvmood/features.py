@@ -66,7 +66,7 @@ def extract_meta(doc: Document, lexicon: AffectLexicon) -> list[Optional[float]]
     Min, max, mean, sd and median of valence, then arousal, then dominance;
     these fifteen slots are None when the document shares no term with the
     lexicon, so classifiers can skip them. Then the four stylistic counts,
-    as floats.
+    as ints.
     """
     stats = match_stats(doc.term_counts, lexicon)
     row: list[Optional[float]] = [None] * 15
@@ -77,8 +77,7 @@ def extract_meta(doc: Document, lexicon: AffectLexicon) -> list[Optional[float]]
             row += (stats.low[d], stats.high[d], score[d], score[3 + d], median)
     counts = doc.term_counts.values()
     matched = 0 if stats is None else len(stats.counts)
-    stylistic = (doc.total_tokens, len(counts), matched, max(counts, default=0))
-    return row + [float(n) for n in stylistic]
+    return row + [doc.total_tokens, len(counts), matched, max(counts, default=0)]
 
 
 def extract_vsm(doc: Document, lexicon: AffectLexicon) -> VsmVector:
@@ -103,6 +102,6 @@ def features_to_csv(documents: Iterable[Document], lexicon: AffectLexicon, out: 
     rows = 0
     for doc in documents:
         row = extract_meta(doc, lexicon)
-        writer.writerow([doc.id, doc.genre, *row[:15], *map(int, row[15:])])
+        writer.writerow([doc.id, doc.genre, *row])
         rows += 1
     return rows

@@ -790,6 +790,26 @@ def test_evaluate_empty_after_filter(tmp_path, capsys, lexicon_path, corpus_path
     assert "support" in capsys.readouterr().err
 
 
+def test_evaluate_folds_above_the_smallest_support_is_one_line_error(
+    tmp_path, capsys, lexicon_path, corpus_path
+):
+    out = tmp_path / "r"
+    argv = ["evaluate", "--lexicon", lexicon_path, "--corpus", corpus_path, "--format", "counts",
+            "--folds", "3", "--min-genre-support", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --folds 3 exceeds the smallest genre support, 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lexicon.csv"]
+
+
+def test_out_in_a_missing_directory_names_the_target(tmp_path, capsys, lexicon_path, corpus_path):
+    """The message names the --out path, not the temporary beside it."""
+    out = tmp_path / "missing" / "features.csv"
+    argv = ["features", "--lexicon", lexicon_path, "--corpus", corpus_path, "--format", "counts"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lexicon.csv"]
+
+
 @pytest.mark.parametrize(
     "command",
     [["features"], ["evaluate", "--folds", "2", "--min-genre-support", "1"]],

@@ -87,8 +87,8 @@ def test_report_csv_equals_the_fields_formatted_by_hand(metrics, weighted):
 )
 def test_features_csv_equals_the_fields_formatted_by_hand(means, documents):
     """Real feature rows, on a lexicon of extreme means and term counts up
-    to 2**53, so that statistics are ``None`` or extreme and the stylistic
-    counts are floats past 2**53."""
+    to 2**53, so that statistics are ``None`` or extreme and a document's
+    token count, an int like the other stylistic counts, can pass 2**53."""
     lexicon = make_lexicon({f"w{i}": value for i, value in enumerate(means)})
     docs = [make_doc(f"d{i}", c, genre=g) for i, (c, g) in enumerate(documents)]
     out = io.StringIO()

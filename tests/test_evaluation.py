@@ -11,7 +11,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvmood import classify
@@ -20,6 +20,7 @@ from tvmood.evaluation import (
     LabeledRow,
     auc_one_vs_rest,
     confusion_and_rates,
+    labeled_rows,
     report_to_csv,
     report_to_json,
     run_cv,
@@ -518,3 +519,37 @@ def test_report_serializations():
     assert lines[0] == "genre,tp_rate,fp_rate,auc"
     assert lines[1].startswith("down,")
     assert lines[-1].startswith("weighted_average,")
+
+
+@st.composite
+def meta_cv_problems(draw):
+    """Labeled documents with term counts up to 2**53, so that a document's
+    token count can pass it, every class at least ``k`` strong; ``k`` and a
+    seed."""
+    k = draw(st.integers(2, 3))
+    classes = [f"c{c}" for c in range(draw(st.integers(2, 3)))]
+    labels = classes * k + draw(st.lists(st.sampled_from(classes), max_size=6))
+    counts = st.sampled_from([1, 2, 2**53 - 1, 2**53]) | st.integers(1, 2**53)
+    terms = st.dictionaries(st.sampled_from(["a", "b", "c", "oov"]), counts, min_size=1, max_size=4)
+    docs = [make_doc(f"d{i}", draw(terms), genre=label) for i, label in enumerate(labels)]
+    return docs, k, draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None)
+@given(meta_cv_problems())
+def test_meta_rows_with_int_counts_equal_rows_with_float_counts(problem):
+    """A meta row keeps its stylistic counts as ints. Gaussian models,
+    posteriors and cross-validation reports over such rows equal, by repr,
+    those over the same rows with ``float()`` counts."""
+    docs, k, seed = problem
+    lexicon = make_lexicon({"a": (0.1, 0.9, 0.5), "b": (0.7, 0.2, 0.3), "c": (0.4, 0.4, 1.0)})
+    rows = list(labeled_rows(docs, lexicon, "meta"))
+    assert all(type(n) is int for row in rows for n in row.row[15:])
+    floated = [row._replace(row=row.row[:15] + [float(n) for n in row.row[15:]]) for row in rows]
+    labels = [row.genre for row in rows]
+    model, twin = (classify.train_gaussian([r.row for r in rs], labels) for rs in (rows, floated))
+    assert repr(model) == repr(twin)
+    for row, float_row in zip(rows, floated):
+        posterior = classify.predict_gaussian(model, row.row)
+        assert repr(posterior) == repr(classify.predict_gaussian(twin, float_row.row))
+    assert repr(run_cv(rows, "meta", k, seed)) == repr(run_cv(floated, "meta", k, seed))

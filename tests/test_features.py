@@ -204,3 +204,20 @@ def test_features_csv_layout(small_lexicon):
     assert second[1] == ""  # unlabeled genre
     assert second[2:17] == [""] * 15  # sentinel affect block
     assert second[-4:] == ["1", "1", "0", "1"]
+
+
+def test_extract_meta_keeps_the_stylistic_counts_as_ints():
+    lexicon = make_lexicon({"a": (0.5, 0.5, 0.5)})
+    row = extract_meta(make_doc("d", {"a": 2**53, "b": 1}), lexicon)
+    assert row[15:] == [2**53 + 1, 2, 1, 2**53]
+    assert all(type(n) is int for n in row[15:])
+
+
+def test_features_csv_writes_a_total_past_2_53_exactly():
+    """float(2**53 + 1) is 2**53; the CSV keeps the true token count."""
+    lexicon = make_lexicon({"a": (0.5, 0.5, 0.5)})
+    buffer = io.StringIO()
+    assert features_to_csv([make_doc("d", {"a": 2**53, "b": 1})], lexicon, buffer) == 1
+    fields = buffer.getvalue().splitlines()[1].split(",")
+    assert fields[2 + FEATURE_NAMES.index("num_words")] == "9007199254740993"
+    assert fields[-4:] == ["9007199254740993", "2", "1", "9007199254740992"]
