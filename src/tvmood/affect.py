@@ -202,10 +202,13 @@ def score_windows(
     is scored from its pooled counts. Windows between a channel's first and
     last occupied ones that have no documents, or no lexicon matches,
     appear as gap points rather than fabricated values. Series come in
-    sorted channel order, one per channel that has documents.
+    sorted channel order, one per channel that has documents. ``origin``
+    must be timezone-aware, as every document timestamp is.
     """
     if window_length <= timedelta(0):
         raise ValueError("window_length must be positive")
+    if origin.tzinfo is None:
+        raise ValueError("origin is naive")
     pools = _pool_matched(
         documents, lexicon, lambda doc: (doc.channel, (_timestamp(doc) - origin) // window_length)
     )

@@ -304,7 +304,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     smallest = min(support.values())
     if args.folds > smallest:
         raise ValueError(f"--folds {args.folds} exceeds the smallest genre support, {smallest}")
-    report = evaluation.run_cv(rows, args.rep, args.folds, args.seed, config)
+    report = evaluation.run_cv(rows, args.folds, args.seed, config)
 
     json_path, csv_path = _outputs(args)
     with _write_all(json_path, csv_path) as (json_out, csv_out):

@@ -127,24 +127,24 @@ class Document(Record):
     Immutable after construction; terms are lowercase. ``id`` and, when
     given, ``genre`` are non-empty. ``timestamp`` may be None for documents
     built programmatically; time-windowed operations reject such
-    documents, everything else accepts them.
+    documents, everything else accepts them. ``total_tokens`` is derived:
+    the exact integer sum of the term counts.
     """
 
-    _fields = ("id", "channel", "term_counts", "total_tokens", "genre", "timestamp")
-    __slots__ = _fields
+    _fields = ("id", "channel", "term_counts", "genre", "timestamp")
+    __slots__ = (*_fields, "total_tokens")
 
     def __init__(
         self,
         id: str,
         channel: str,
         term_counts: dict[str, int],
-        total_tokens: int,
         genre: Optional[str] = None,
         timestamp: Optional[datetime] = None,
-        # True only from a producer in this package that checked the terms and their total
+        # True only from a producer in this package that checked the terms
         _checked: bool = False,
     ) -> None:
-        super().__init__(id, channel, term_counts, total_tokens, genre, timestamp)
+        super().__init__(id, channel, term_counts, genre, timestamp)
         if not self.id:
             raise ValueError("document id is empty")
         if self.genre == "":
@@ -154,11 +154,7 @@ class Document(Record):
             if (joined := "".join(self.term_counts)) != joined.lower():  # one pass in C
                 term = next(t for t in self.term_counts if t != t.lower())
                 raise ValueError(f"document {self.id!r}: term {term!r} is not lowercase")
-            if self.total_tokens != sum(self.term_counts.values()):
-                raise ValueError(
-                    f"document {self.id!r}: total_tokens {self.total_tokens} does "
-                    f"not equal the sum of term counts"
-                )
+        object.__setattr__(self, "total_tokens", sum(self.term_counts.values()))
         if self.timestamp is not None:
             if self.timestamp.tzinfo is None:
                 raise ValueError(f"document {self.id!r}: timestamp is naive")
@@ -174,9 +170,8 @@ class Document(Record):
         genre: Optional[str] = None,
         timestamp: Optional[datetime] = None,
     ) -> "Document":
-        # positive int counts of lowercase tokens, and their sum, by construction
-        counts, total = count_terms(tokenize(text))
-        return cls(id, channel, counts, total, genre, timestamp, True)
+        # positive int counts of lowercase tokens, by construction
+        return cls(id, channel, count_terms(tokenize(text))[0], genre, timestamp, True)
 
     @classmethod
     def from_counts(
@@ -196,7 +191,7 @@ class Document(Record):
             for term, count in term_counts.items():
                 merged[term.lower()] = merged.get(term.lower(), 0) + count
         # merged counts are checked again, since a sum can pass 2**53
-        return cls(id, channel, merged, sum(merged.values()), genre, timestamp, lowercase)
+        return cls(id, channel, merged, genre, timestamp, lowercase)
 
 
 def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:

@@ -22,6 +22,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import classify, features
@@ -219,15 +220,16 @@ def check_representation(representation: str, kind: str) -> None:
 
 def run_cv(
     rows: Sequence[LabeledRow],
-    representation: str,
     k: int,
     seed: int,
     config: Optional[ClassifierConfig] = None,
 ) -> EvalReport:
     """Stratified k-fold cross-validation over fully labeled rows.
 
-    ``rows`` come from :func:`labeled_rows` with the same representation.
-    Each fold trains on the remaining folds and predicts its held-out rows;
+    ``rows`` come from :func:`labeled_rows`, all of one representation: a
+    ``Mapping`` row is ``vsm``, any other row ``meta``. The report echoes
+    it, and it picks the default classifier (:data:`DEFAULT_NB`). Each
+    fold trains on the remaining folds and predicts its held-out rows;
     metrics are computed over the pooled predictions. Any vocabulary fitting
     happens inside training (both classifiers over term counts take their
     vocabulary from the training folds only, and ignore held-out terms
@@ -239,8 +241,11 @@ def run_cv(
     (:func:`classify.multinomial_fold_models`); a Gaussian one is trained
     on the fold's training rows.
     """
-    if representation not in REPRESENTATIONS:
-        raise ValueError(f"unknown representation {representation!r}")
+    vsm = [isinstance(row.row, Mapping) for row in rows]
+    representation = "vsm" if vsm and vsm[0] else "meta"
+    if len(set(vsm)) > 1:
+        mixed = rows[vsm.index(not vsm[0])].id
+        raise ValueError(f"row {mixed!r} is not a {representation} row, as the first row is")
     if config is None:
         config = ClassifierConfig(DEFAULT_NB[representation])
     check_representation(representation, config.kind)

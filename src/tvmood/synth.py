@@ -51,7 +51,6 @@ class GenreProfile(Record):
         super().__init__(label, document_count, bias, target, token_range, channel)
         for key, (_, _, what) in _FIELDS.items():
             if not _well_typed(key, getattr(self, key)):
-                what = what.removeprefix("a list of ")
                 raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
         if not self.label:
             raise ValueError("profile label is empty")
@@ -66,13 +65,13 @@ class GenreProfile(Record):
             raise ValueError(f"token_range {self.token_range!r} is invalid")
 
 
-# GenreProfile field -> (types of the value or its items, item count, what it must be in JSON)
+# GenreProfile field -> (types of the value or its items, item count, what it must be)
 _FIELDS = {
     "label": ((str,), None, "a string"),
     "document_count": ((int,), None, "an integer"),
     "bias": ((int, float), None, "a number"),
-    "target": ((int, float), 3, "a list of three numbers"),
-    "token_range": ((int,), 2, "a list of two integers"),
+    "target": ((int, float), 3, "three numbers"),
+    "token_range": ((int,), 2, "two integers"),
     "channel": ((str, type(None)), None, "a string or null"),
 }
 
@@ -91,8 +90,9 @@ def profile_from_json(index: int, item: object) -> GenreProfile:
     """Build a profile from item ``index`` of a JSON profiles array.
 
     ``bias``, ``token_range`` and ``channel`` default to 1.0, [30, 80] and
-    null; any other key is an error. Every error names the index, and a bad
-    value or an unknown key also its field.
+    null; any other key is an error. JSON lists become tuples, and
+    :class:`GenreProfile` checks every value. Every error names the index,
+    and a bad value or an unknown key also its field.
     """
     if not isinstance(item, dict):
         raise ValueError(f"profile {index}: not a JSON object")
@@ -100,15 +100,11 @@ def profile_from_json(index: int, item: object) -> GenreProfile:
     if unknown:
         raise ValueError(f"profile {index}: unknown field {unknown[0]!r}")
     item = {"bias": 1.0, "token_range": [30, 80], "channel": None, **item}
-    fields = {}
-    for key, (_, length, what) in _FIELDS.items():
-        if key not in item:
-            raise ValueError(f"profile {index}: missing required field {key!r}")
-        if not _well_typed(key, item[key]):
-            raise ValueError(f"profile {index}: field {key!r} must be {what}")
-        fields[key] = tuple(item[key]) if length else item[key]
+    missing = [key for key in _FIELDS if key not in item]
+    if missing:
+        raise ValueError(f"profile {index}: missing required field {missing[0]!r}")
     try:
-        return GenreProfile(**fields)
+        return GenreProfile(**{k: tuple(v) if isinstance(v, list) else v for k, v in item.items()})
     except ValueError as exc:
         raise ValueError(f"profile {index}: {exc}") from None
 
@@ -174,9 +170,8 @@ def _draw(
                 id=f"{profile.label}-{serial:05d}",
                 channel=profile.channel or profile.label,
                 term_counts=dict(Counter(tokens)),
-                total_tokens=token_count,
                 genre=profile.label,
                 timestamp=start + serial * SPACING,
-                _checked=True,  # lowercase lexicon words, counts summing to token_count
+                _checked=True,  # lowercase lexicon words with positive int counts
             )
             serial += 1

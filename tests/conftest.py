@@ -52,7 +52,6 @@ def make_doc(
         id=doc_id,
         channel=channel,
         term_counts=counts,
-        total_tokens=sum(counts.values()),
         genre=genre,
         timestamp=timestamp,
     )
@@ -61,7 +60,7 @@ def make_doc(
 def checked_copy(documents: Iterable[Document]) -> list[Document]:
     """``documents`` rebuilt through the fully checked constructor."""
     return [
-        Document(d.id, d.channel, dict(d.term_counts), d.total_tokens, d.genre, d.timestamp)
+        Document(d.id, d.channel, dict(d.term_counts), d.genre, d.timestamp)
         for d in documents
     ]
 
@@ -100,7 +99,7 @@ def cross_validate(
 ) -> EvalReport:
     """``run_cv`` on the documents' labeled rows of the given representation."""
     rows = list(labeled_rows(documents, lexicon, representation))
-    return run_cv(rows, representation, **kwargs)
+    return run_cv(rows, **kwargs)
 
 
 def weekly_docs(count: int, counts: dict[str, int], channel: str = "cnn") -> tuple[Document, ...]:

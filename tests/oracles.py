@@ -575,7 +575,6 @@ def generate_per_token(profiles, lexicon, seed, start=DEFAULT_START):
                     id=f"{profile.label}-{serial:05d}",
                     channel=profile.channel or profile.label,
                     term_counts=dict(counts),
-                    total_tokens=token_count,
                     genre=profile.label,
                     timestamp=start + serial * SPACING,
                 )

@@ -282,7 +282,7 @@ def test_criterion_07_label_shuffle_null(table3_setup):
         genres = [doc.genre for doc in corpus]
         rng.shuffle(genres)
         return tuple(
-            Document(doc.id, doc.channel, doc.term_counts, doc.total_tokens, genre, doc.timestamp)
+            Document(doc.id, doc.channel, doc.term_counts, genre, doc.timestamp)
             for doc, genre in zip(corpus, genres)
         )
 

@@ -865,7 +865,10 @@ def test_lexicon_validate_rejects_non_finite_sd(tmp_path, capsys):
     [
         ("not an object", "profile 1: not a JSON object"),
         ({"document_count": 3, "target": [0.8, 0.5, 0.5]}, "profile 1: missing required field 'label'"),
-        ({"label": "x", "document_count": "3", "target": [0.8, 0.5, 0.5]}, "profile 1: field 'document_count'"),
+        (
+            {"label": "x", "document_count": "3", "target": [0.8, 0.5, 0.5]},
+            "profile 1: document_count must be an integer, got '3'",
+        ),
         (
             {"label": "a", "document_count": 3, "target": [0.5, 0.5, 0.5], "bais": 0.2},
             "profile 1: unknown field 'bais'\n",

@@ -335,7 +335,7 @@ class _Count(int):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda counts: Document("a", "cnn", counts, 3),
+        lambda counts: Document("a", "cnn", counts),
         lambda counts: Document.from_counts("a", "cnn", counts),
     ],
     ids=["Document", "from_counts"],
@@ -349,7 +349,7 @@ def test_bad_count_is_rejected_naming_the_term(build, bad):
 
 
 def test_int_subclass_counts_are_accepted():
-    doc = Document("a", "cnn", {"fire": _Count(2), "calm": 1}, 3)
+    doc = Document("a", "cnn", {"fire": _Count(2), "calm": 1})
     assert doc.term_counts == {"fire": 2, "calm": 1}
     merged = Document.from_counts("a", "cnn", {"Fire": _Count(2), "fire": _Count(1)})
     assert merged.term_counts == {"fire": 3} and merged.total_tokens == 3
@@ -399,25 +399,53 @@ def test_text_and_file_sources_split_lines_alike(tmp_path):
 
 def test_document_validation():
     with pytest.raises(ValueError, match="count"):
-        Document("a", "cnn", {"x": 0}, 0)
-    with pytest.raises(ValueError, match="total_tokens"):
-        Document("a", "cnn", {"x": 2}, 3)
+        Document("a", "cnn", {"x": 0})
+    # total_tokens is derived, and exact where a float sum would round
+    doc = Document.from_counts("a", "cnn", {"a": 2**53, "b": 1})
+    assert doc.total_tokens == 9007199254740993 and type(doc.total_tokens) is int
+    assert Document("a", "cnn", {"x": 2}).total_tokens == 2
+    with pytest.raises(AttributeError):
+        doc.total_tokens = 1
     with pytest.raises(ValueError, match="naive"):
-        Document("a", "cnn", {"x": 1}, 1, timestamp=datetime(2013, 1, 7))
+        Document("a", "cnn", {"x": 1}, timestamp=datetime(2013, 1, 7))
     with pytest.raises(ValueError, match="id"):
-        Document("", "cnn", {"x": 1}, 1)
+        Document("", "cnn", {"x": 1})
     with pytest.raises(ValueError, match=r"^document 'a': genre is empty$"):
-        Document("a", "cnn", {"x": 1}, 1, "")
+        Document("a", "cnn", {"x": 1}, "")
     with pytest.raises(ValueError, match=r"^document 'a': term 'Fire' is not lowercase$"):
-        Document("a", "cnn", {"calm": 1, "Fire": 2, "WIN": 1}, 4)
+        Document("a", "cnn", {"calm": 1, "Fire": 2, "WIN": 1})
+
+
+@given(st.dictionaries(st.text("aAbB", min_size=1, max_size=2), st.integers(1, 2**53), max_size=6))
+def test_from_counts_total_is_the_exact_sum_of_the_given_counts(counts):
+    """Merging case never changes the total, and no float rounds it."""
+    merged: dict[str, int] = {}
+    for term, count in counts.items():
+        merged[term.lower()] = merged.get(term.lower(), 0) + count
+    if max(merged.values(), default=0) > 2**53:
+        with pytest.raises(ValueError, match="more than 2\\*\\*53"):
+            Document.from_counts("a", "cnn", counts)
+        return
+    doc = Document.from_counts("a", "cnn", counts)
+    assert type(doc.total_tokens) is int and doc.total_tokens == sum(counts.values())
+    [read] = read_text(record("a", term_counts=counts), "counts")
+    assert read.total_tokens == doc.total_tokens
+
+
+@given(st.text("ab C'.\u00e9", max_size=40))
+def test_from_text_total_is_the_token_count(text):
+    doc = Document.from_text("a", "cnn", text)
+    assert type(doc.total_tokens) is int and doc.total_tokens == len(tokenize(text))
+    [read] = read_text(record("a", text=text), "text")
+    assert read.total_tokens == doc.total_tokens
 
 
 def test_document_from_text_equals_checked_construction():
     doc = Document.from_text("a", "cnn", "Fire, fire and CALM's calm", "news", T0)
     assert list(doc.term_counts.items()) == [("fire", 2), ("and", 1), ("calm's", 1), ("calm", 1)]
-    assert doc == Document("a", "cnn", dict(doc.term_counts), 5, "news", T0)
+    assert doc == Document("a", "cnn", dict(doc.term_counts), "news", T0)
     lowercase = Document.from_counts("b", "cnn", {"fire": 2, "calm": 1}, "news", T0)
-    assert lowercase == Document("b", "cnn", {"fire": 2, "calm": 1}, 3, "news", T0)
+    assert lowercase == Document("b", "cnn", {"fire": 2, "calm": 1}, "news", T0)
     assert Document.from_text("b", "cnn", "").total_tokens == 0
     with pytest.raises(ValueError, match="^document id is empty$"):
         Document.from_text("", "cnn", "fire")
@@ -464,7 +492,7 @@ def test_corpus_rejects_duplicate_ids():
     ids_and_genres = [("b", "x"), ("a", "x"), ("c", "y"), ("a", "y")]
     rows = [LabeledRow(doc_id, genre, [1.0]) for doc_id, genre in ids_and_genres]
     with pytest.raises(ValueError, match=r"^id 'a' occurs more than once$"):
-        run_cv(rows, "meta", k=2, seed=1)
+        run_cv(rows, k=2, seed=1)
 
 
 def test_filter_min_genre_support_threshold():

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 import weakref
 from collections import Counter
 from unittest import mock
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from tvmood import classify
 from tvmood.evaluation import (
+    DEFAULT_NB,
+    REPRESENTATIONS,
     ClassifierConfig,
     LabeledRow,
     auc_one_vs_rest,
@@ -350,7 +353,7 @@ def _cv_outcome(rows, k, seed, config, retrained=False):
     make = multinomial_fold_models_retrained if retrained else classify.multinomial_fold_models
     with mock.patch.object(classify, "multinomial_fold_models", make):
         try:
-            return repr(run_cv(rows, "vsm", k, seed, config))  # repr tells every float apart
+            return repr(run_cv(rows, k, seed, config))  # repr tells every float apart
         except ValueError as error:
             return repr((type(error), str(error)))
 
@@ -437,6 +440,44 @@ def test_run_cv_rejects_meta_with_multinomial():
             seed=1,
             config=ClassifierConfig(kind="multinomial"),
         )
+
+
+@st.composite
+def lexicon_cv_problems(draw):
+    """Labeled documents over the words of ``CV_LEXICON``, every class at
+    least ``k`` strong; ``k`` and a seed."""
+    k = draw(st.integers(2, 3))
+    classes = [f"c{c}" for c in range(draw(st.integers(2, 3)))]
+    labels = classes * k + draw(st.lists(st.sampled_from(classes), max_size=6))
+    terms = st.dictionaries(st.sampled_from(["a", "b", "c"]), st.integers(1, 9), min_size=1)
+    docs = [make_doc(f"d{i}", draw(terms), genre=label) for i, label in enumerate(labels)]
+    return docs, k, draw(st.integers(0, 2**32))
+
+
+CV_LEXICON = make_lexicon({"a": (0.1, 0.9, 0.5), "b": (0.7, 0.2, 0.3), "c": (0.4, 0.4, 1.0)})
+
+
+@settings(deadline=None)
+@given(lexicon_cv_problems(), st.sampled_from(REPRESENTATIONS))
+def test_run_cv_reads_the_representation_from_its_rows(problem, representation):
+    """vsm rows give a vsm report and meta rows a meta report, each with its
+    default classifier, whatever the documents."""
+    docs, k, seed = problem
+    rows = list(labeled_rows(docs, CV_LEXICON, representation))
+    report = run_cv(rows, k, seed)
+    assert report.config["representation"] == representation
+    assert report.config["model"] == DEFAULT_NB[representation]
+
+
+@given(st.lists(st.booleans(), min_size=2).filter(lambda kinds: len(set(kinds)) == 2))
+def test_run_cv_refuses_mixed_rows_naming_the_first_row_of_the_other_kind(kinds):
+    rows = [
+        LabeledRow(f"r{i}", "g", {"a": 1} if vsm else [0.5]) for i, vsm in enumerate(kinds)
+    ]
+    first = "vsm" if kinds[0] else "meta"
+    message = f"row 'r{kinds.index(not kinds[0])}' is not a {first} row, as the first row is"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_cv(rows, 2, 0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf"), float("-inf")])
@@ -552,4 +593,4 @@ def test_meta_rows_with_int_counts_equal_rows_with_float_counts(problem):
     for row, float_row in zip(rows, floated):
         posterior = classify.predict_gaussian(model, row.row)
         assert repr(posterior) == repr(classify.predict_gaussian(twin, float_row.row))
-    assert repr(run_cv(rows, "meta", k, seed)) == repr(run_cv(floated, "meta", k, seed))
+    assert repr(run_cv(rows, k, seed)) == repr(run_cv(floated, k, seed))

@@ -93,7 +93,6 @@ RECORDS = {
             "id": "a",
             "channel": "cnn",
             "term_counts": {"fire": 2, "calm": 1},
-            "total_tokens": 3,
             "genre": "news",
             "timestamp": T0,
         },

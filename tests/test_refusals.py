@@ -4,15 +4,16 @@ message: mismatched or empty inputs, unknown names and malformed records."""
 from __future__ import annotations
 
 import re
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 
-from tvmood.affect import AffectSeries, SeriesPoint
+from tvmood.affect import AffectSeries, SeriesPoint, score_windows
 from tvmood.classify import model_to_json, train_gaussian, train_multinomial
 from tvmood.corpus import CorpusError, read_documents
 from tvmood.evaluation import (
     ClassifierConfig,
+    LabeledRow,
     auc_one_vs_rest,
     labeled_rows,
     run_cv,
@@ -91,9 +92,17 @@ REFUSALS = {
         lambda: auc_one_vs_rest([0.5], [True, False]),
         ValueError, "scores and is_positive have different lengths",
     ),
-    "run-cv-unknown-representation": (
-        lambda: run_cv([], "bow", 2, 0),
-        ValueError, "unknown representation 'bow'",
+    "run-cv-mixed-representations": (
+        lambda: run_cv([LabeledRow("a", "g", {"x": 1}), LabeledRow("b", "g", [0.5])], 2, 0),
+        ValueError, "row 'b' is not a vsm row, as the first row is",
+    ),
+    "run-cv-no-rows": (
+        lambda: run_cv([], 2, 0),
+        ValueError, "k=2 exceeds the instance count 0",
+    ),
+    "score-windows-naive-origin": (
+        lambda: score_windows([], make_lexicon({"x": TARGET}), timedelta(days=7), datetime(2013, 1, 7)),
+        ValueError, "origin is naive",
     ),
 }
 
