@@ -9,12 +9,15 @@ saw, while a term absent from a count mapping counts 0. Both variants
 predict through log space with log-sum-exp normalization, so posteriors
 are always finite and sum to one.
 
-Gaussian training makes one pass over the instances, collecting each
-feature's present values per class, and costs O(nnz + F*C) for nnz
-present values, F features (for counts, the training vocabulary) and C
-classes; the zero counts are never materialised. Fits live in one table
-per class size (and one for the whole training set), keyed by the tuple of
-present values, which sparse counts repeat often: each distinct pattern's
+Gaussian training makes one pass over the instances that collects per
+class: each class keeps one dict from feature to the list of its present
+values, with a list only where the class has values. It costs O(nnz + F*C)
+for nnz present values, F features (for counts, the training vocabulary)
+and C classes; the zero counts are never materialised. A class's key for a
+feature is the tuple of its values (empty where it has none), and the whole
+training set's key chains the class keys in class order. Fits live in one
+table per class size (and one for the whole training set), keyed by such a
+tuple, which sparse counts repeat often: each distinct pattern's
 moments and floored variance are computed once, and a class's rows are
 gathered from its table in C-level ``map`` passes. The model likewise
 derives ``log(2*pi*variance)`` once per distinct variance and the
@@ -48,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 from operator import is_, itemgetter, mul
@@ -187,8 +191,9 @@ def _check_shape(model: Record, vocabulary: Optional[Sequence], width: int, *nam
     """Raise ValueError, naming the field, unless ``vocabulary`` is None or
     ``width`` distinct strings, the first named field holds one entry per
     class, and each other named field one row per class, ``width`` wide."""
-    distinct = vocabulary is None or len(set(vocabulary)) == len(vocabulary) == width
-    if not distinct or set(map(type, vocabulary or ())) - {str}:
+    if vocabulary is not None and (  # the types first: a dict entry cannot be hashed
+        set(map(type, vocabulary)) - {str} or not len(set(vocabulary)) == len(vocabulary) == width
+    ):
         raise ValueError(f"vocabulary: not {width} distinct strings")
     labels = model.class_labels
     for index, name in enumerate(names):
@@ -340,22 +345,20 @@ def train_gaussian(
     mix = "training instances mix term counts and dense rows"
     class_of = {label: index for index, label in enumerate(class_labels)}
     class_sizes = [0] * len(class_labels)
-    # feature -> per-class lists of the feature's present values
-    present: dict[str | int, list[list[float]]] = {}
+    # per class, feature -> the present values; a list only where the class has values
+    by_class: list[defaultdict[str | int, list[float]]] = [defaultdict(list) for _ in class_labels]
     for instance, label in zip(instances, labels):
         index = class_of[label]
         class_sizes[index] += 1
+        lists = by_class[index]
         for feature, value in _present(instance, counts, feature_count, mix).items():
-            per_class = present.get(feature)
-            if per_class is None:
-                per_class = present[feature] = [[] for _ in class_labels]
-            per_class[index].append(value)
-    if counts and not present:
+            lists[feature].append(value)
+    vocabulary = tuple(sorted(set().union(*by_class))) if counts else None
+    if counts and not vocabulary:
         raise ValueError("empty vocabulary: no training instance has any term")
-    vocabulary = tuple(sorted(present)) if counts else None
     features = vocabulary or range(feature_count)
-    unseen: list[list[float]] = [[] for _ in class_labels]
-    per_feature = list(map(present.get, features, repeat(unseen)))
+    # per class, each feature's values in instance order; () where it has none
+    class_keys = [list(map(tuple, map(lists.get, features, repeat(())))) for lists in by_class]
 
     def fit_table(size: int, floor: float) -> _Table:
         """Each pattern's (mean, variance floored at ``floor``) among ``size`` instances."""
@@ -376,7 +379,7 @@ def train_gaussian(
     # a fit is a pure function of the values and the size: equal keys, equal bits.
     # A variance is never below 0.0, so the global pass leaves it unfloored
     global_fits = fit_table(len(instances), 0.0)
-    lookup(global_fits, list(map(tuple, map(chain.from_iterable, per_feature))))
+    lookup(global_fits, list(map(tuple, map(chain, *class_keys))))
     global_max_variance = max([0.0, *filter(None, map(itemgetter(1), global_fits.values()))])
     variance_floor = (
         # at least the smallest normal float, so log(2*pi*variance) is finite
@@ -388,8 +391,8 @@ def train_gaussian(
     fits_by_size = _Table(lambda size: fit_table(size, variance_floor))  # size -> its fits
     means = []
     variances = []
-    for index, size in enumerate(class_sizes):
-        pairs = lookup(fits_by_size[size], list(map(tuple, map(itemgetter(index), per_feature))))
+    for size, keys in zip(class_sizes, class_keys):
+        pairs = lookup(fits_by_size[size], keys)
         means.append(tuple(map(itemgetter(0), pairs)))
         variances.append(tuple(map(itemgetter(1), pairs)))
 

@@ -4,6 +4,15 @@ Subcommands: ``lexicon-validate``, ``score``, ``features``, ``synth``,
 ``evaluate``. All randomness flows from ``--seed`` (default 42), so every
 invocation is replayable. Exit status is 0 exactly when all requested
 outputs were fully written.
+
+:func:`main` pauses automatic garbage collection for the whole command and
+restores the caller's setting on the way out. tvmood's working set holds no
+reference cycles: documents, rows, pools, fit tables and models are
+acyclic, and each command leaves the same few hundred unreachable objects
+(the argument parser's, and the report encoder's) at any corpus size. So
+the collector would find nothing. On perfbench's cv-gauss-wide
+``evaluate``, where Gaussian training collects each class's values in
+fresh lists and tuples, its 280 collections took about 6% of the CPU.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -444,17 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command with automatic garbage collection paused, argument
+    parsing included; the caller's setting is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()  # no cycles to find: the garbage per command is a constant few hundred objects
     try:
-        _refuse_overwriting_inputs(args)
-        return args.handler(args)
-    except classify.AlphaError as exc:  # only evaluate's --alpha sets the weight
-        print(f"error: --alpha: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:  # bad input data, flag or file
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        try:
+            _refuse_overwriting_inputs(args)
+            return args.handler(args)
+        except classify.AlphaError as exc:  # only evaluate's --alpha sets the weight
+            print(f"error: --alpha: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError) as exc:  # bad input data, flag or file
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ integration for AUC. Exact rationals that round each square once are the
 references for the moments of ``classify._moments`` and the sd of
 ``affect.match_stats``. The dense-row Gaussian Naive Bayes reference
 (per-class rescans, two-pass moments) is the bit-exact reference for
-``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows.
+``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows,
+and the trainer that collects values per feature, not per class, is the
+bit-exact reference for ``classify.train_gaussian`` on any input.
 The row-by-row lexicon parser and the per-term lookup loop are the
 references for ``lexicon.parse_lexicon`` (same table or same error
 message) and ``affect.match_stats`` (bit-identical statistics). The walk
@@ -41,7 +43,9 @@ import math
 import operator
 import random
 import re
+import sys
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 
 import mpmath
@@ -59,6 +63,10 @@ from tvmood.classify import (
     AlphaError,
     GaussianNbModel,
     MultinomialNbModel,
+    _log_priors,
+    _moments,
+    _present,
+    _Table,
 )
 from tvmood.corpus import Document, format_timestamp
 from tvmood.features import FEATURE_NAMES, extract_meta
@@ -241,6 +249,78 @@ def train_gaussian_dense(instances, labels):
         variances=tuple(variances),
         variance_floor=variance_floor,
         feature_count=feature_count,
+    )
+
+
+def train_gaussian_per_feature(instances, labels):
+    """Gaussian NB that collects values per feature: a dict from each feature
+    to one list of values per class, read back column by column. Otherwise
+    ``classify.train_gaussian``'s fits, floor and error messages; the
+    bit-exact reference for its per-class collecting."""
+    if len(instances) != len(labels):
+        raise ValueError("instances and labels have different lengths")
+    if not instances:
+        raise ValueError("no training instances")
+    class_labels = tuple(sorted(set(labels)))
+    if len(class_labels) < 2:
+        raise ValueError("training data contains a single class")
+    counts = isinstance(instances[0], Mapping)
+    feature_count = len(instances[0])
+    mix = "training instances mix term counts and dense rows"
+    class_of = {label: index for index, label in enumerate(class_labels)}
+    class_sizes = [0] * len(class_labels)
+    present = {}  # feature -> per-class lists of the feature's present values
+    for instance, label in zip(instances, labels):
+        index = class_of[label]
+        class_sizes[index] += 1
+        for feature, value in _present(instance, counts, feature_count, mix).items():
+            per_class = present.get(feature)
+            if per_class is None:
+                per_class = present[feature] = [[] for _ in class_labels]
+            per_class[index].append(value)
+    if counts and not present:
+        raise ValueError("empty vocabulary: no training instance has any term")
+    vocabulary = tuple(sorted(present)) if counts else None
+    features = vocabulary or range(feature_count)
+    unseen = [[] for _ in class_labels]
+    per_feature = list(map(present.get, features, itertools.repeat(unseen)))
+
+    def fit_table(size, floor):
+        def fit(values):
+            mean, variance = _moments(values, size - len(values) if counts else 0)
+            return mean, None if variance is None else max(variance, floor)
+
+        return _Table(fit)
+
+    def lookup(fits, keys):
+        try:
+            return list(map(fits.__getitem__, keys))
+        except ValueError as error:
+            bad = next(feature for feature, key in zip(features, keys) if key not in fits)
+            raise ValueError(f"feature {bad!r}: {error}") from None
+
+    global_fits = fit_table(len(instances), 0.0)
+    lookup(global_fits, [tuple(itertools.chain.from_iterable(lists)) for lists in per_feature])
+    global_max_variance = max([0.0, *filter(None, (v for _, v in global_fits.values()))])
+    variance_floor = (
+        max(VARIANCE_FLOOR_SCALE * global_max_variance, sys.float_info.min)
+        if global_max_variance > 0
+        else VARIANCE_FLOOR_SCALE
+    )
+    means, variances = [], []
+    for index, size in enumerate(class_sizes):
+        fits = fit_table(size, variance_floor)
+        pairs = lookup(fits, [tuple(lists[index]) for lists in per_feature])
+        means.append(tuple(mean for mean, _ in pairs))
+        variances.append(tuple(v for _, v in pairs))
+    return GaussianNbModel(
+        class_labels=class_labels,
+        log_priors=_log_priors(class_sizes),
+        means=tuple(means),
+        variances=tuple(variances),
+        variance_floor=variance_floor,
+        feature_count=len(features),
+        vocabulary=vocabulary,
     )
 
 

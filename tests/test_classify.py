@@ -37,6 +37,7 @@ from oracles import (
     predict_gaussian_dense,
     predict_multinomial_lookup,
     train_gaussian_dense,
+    train_gaussian_per_feature,
     train_multinomial_counted,
 )
 
@@ -407,6 +408,43 @@ def test_gaussian_recurring_values_fit_apart_per_class_size(problem):
     for term in shared:
         column = model.term_index[term]
         assert len({row[column] for row in model.means}) == len(model.class_labels)
+
+
+# values near the float range, where a mean's fsum or a square overflows
+_HUGE = st.floats(1e307, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def collecting_problems(draw):
+    """Dense rows with None, integers and floats, or count maps with int and
+    float counts, over at least two classes; values near 1e308 in half."""
+    classes = [f"c{c}" for c in range(draw(st.integers(2, 3)))]
+    labels = classes + draw(st.lists(st.sampled_from(classes), max_size=8))
+    number = st.one_of(st.integers(-(10**6), 10**6), st.floats(-1e6, 1e6))
+    if draw(st.booleans()):  # in half the problems, so that half fit at all
+        number |= _HUGE
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 4))
+        row = st.lists(st.one_of(st.none(), number), min_size=width, max_size=width)
+    else:
+        row = st.dictionaries(st.sampled_from(TERMS), number, max_size=4)
+    return [draw(row) for _ in labels], labels
+
+
+def _trained(train, instances, labels):
+    """The model's repr, or the ValueError's message."""
+    try:
+        return repr(train(instances, labels))
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+@given(collecting_problems())
+def test_gaussian_per_class_collecting_equals_per_feature_collecting(problem):
+    """Equal models by repr (so -0.0 and 0.0 differ), or equal refusals."""
+    instances, labels = problem
+    expected = _trained(train_gaussian_per_feature, instances, labels)
+    assert _trained(train_gaussian, instances, labels) == expected
 
 
 def test_gaussian_equal_fits_share_their_derived_floats():

@@ -3,13 +3,14 @@ message: mismatched or empty inputs, unknown names and malformed records."""
 
 from __future__ import annotations
 
+import json
 import re
 from datetime import datetime, timedelta
 
 import pytest
 
 from tvmood.affect import AffectSeries, SeriesPoint, score_windows
-from tvmood.classify import model_to_json, train_gaussian, train_multinomial
+from tvmood.classify import model_from_json, model_to_json, train_gaussian, train_multinomial
 from tvmood.corpus import CorpusError, read_documents
 from tvmood.evaluation import (
     ClassifierConfig,
@@ -25,6 +26,20 @@ from conftest import T0, make_lexicon
 
 RECORD = '{"id": "a", "channel": "c", "timestamp": "2013-01-07T00:00:00Z", '
 TARGET = (0.5, 0.5, 0.5)
+TRAINERS = {"gaussian": train_gaussian, "multinomial": train_multinomial}
+
+
+def dict_in_vocabulary(kind, via):
+    """A two-term model whose first vocabulary entry is a dict, reloaded
+    from its JSON or rebuilt through its constructor."""
+    model = TRAINERS[kind]([{"a": 1}, {"b": 2}], ["x", "y"])
+    if via == "json":
+        payload = json.loads(model_to_json(model))
+        payload["vocabulary"][0] = {"q": 1}
+        return model_from_json(json.dumps(payload))
+    fields = {name: getattr(model, name) for name in model._fields}
+    return type(model)(**{**fields, "vocabulary": ({"q": 1}, *model.vocabulary[1:])})
+
 
 REFUSALS = {
     "genre-not-a-string": (
@@ -76,6 +91,14 @@ REFUSALS = {
         lambda: model_to_json({"kind": "gaussian"}),
         TypeError, "not a model: {'kind': 'gaussian'}",
     ),
+    **{
+        f"{kind}-{via}-dict-in-vocabulary": (
+            lambda kind=kind, via=via: dict_in_vocabulary(kind, via),
+            ValueError, "vocabulary: not 2 distinct strings",
+        )
+        for kind in TRAINERS
+        for via in ("json", "constructor")
+    },
     "labeled-rows-unknown-representation": (
         lambda: labeled_rows([], make_lexicon({"x": TARGET}), "bow"),
         ValueError, "unknown representation 'bow'",
