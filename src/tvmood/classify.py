@@ -54,7 +54,7 @@ import sys
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
-from operator import is_, itemgetter, mul
+from operator import eq, is_, itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .record import Record, unique_keys
@@ -414,7 +414,8 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
     skipped. A class whose log-likelihood overflows gets probability 0; an
     instance with no usable feature, or no class left, gets the priors. A
     model trained on term counts takes a term-count mapping and ignores
-    terms outside its vocabulary.
+    terms outside its vocabulary. A NaN value, at any position or term
+    (also one outside the vocabulary), raises ValueError naming it.
     """
     counts = model.vocabulary is not None
     kind_error = (
@@ -422,9 +423,12 @@ def predict_gaussian(model: GaussianNbModel, instance: Instance | Counts) -> Pos
         if counts
         else "model was trained on dense rows; got a mapping"
     )
+    given = _present(instance, counts, model.feature_count, kind_error)
+    if not all(map(eq, given.values(), given.values())):  # in C; only NaN differs from itself
+        raise ValueError(f"feature {next(f for f, v in given.items() if v != v)!r} is NaN")
     present = [
         (model.term_index[feature], value)
-        for feature, value in _present(instance, counts, model.feature_count, kind_error).items()
+        for feature, value in given.items()
         if feature in model.term_index
     ]
     log_scores = []

@@ -260,6 +260,22 @@ def test_gaussian_counts_equal_dense_rows_bit_for_bit(problem):
     assert predict_gaussian(reloaded, query) == posterior
 
 
+@given(st.one_of(dense_problems(), counts_problems()), st.data())
+def test_gaussian_prediction_refuses_a_nan_naming_its_position_or_term(problem, data):
+    instances, labels, query = problem
+    try:
+        model = train_gaussian(instances, labels)
+    except ValueError:  # a variance floor that underflows to 0 meets log(0)
+        assume(False)
+    if isinstance(query, dict):  # a term of the vocabulary, of the query or neither
+        feature = data.draw(st.sampled_from(TERMS + ["oov"]))
+    else:
+        feature = data.draw(st.integers(0, len(query) - 1))
+    query[feature] = math.nan
+    with pytest.raises(ValueError, match=f"^feature {re.escape(repr(feature))} is NaN$"):
+        predict_gaussian(model, query)
+
+
 @st.composite
 def spread_counts_problems(draw):
     """Term-count training data where every class holds 3-5 instances, plus a query."""

@@ -4,13 +4,20 @@ message: mismatched or empty inputs, unknown names and malformed records."""
 from __future__ import annotations
 
 import json
+import math
 import re
 from datetime import datetime, timedelta
 
 import pytest
 
 from tvmood.affect import AffectSeries, SeriesPoint, score_windows
-from tvmood.classify import model_from_json, model_to_json, train_gaussian, train_multinomial
+from tvmood.classify import (
+    model_from_json,
+    model_to_json,
+    predict_gaussian,
+    train_gaussian,
+    train_multinomial,
+)
 from tvmood.corpus import CorpusError, read_documents
 from tvmood.evaluation import (
     ClassifierConfig,
@@ -27,6 +34,8 @@ from conftest import T0, make_lexicon
 RECORD = '{"id": "a", "channel": "c", "timestamp": "2013-01-07T00:00:00Z", '
 TARGET = (0.5, 0.5, 0.5)
 TRAINERS = {"gaussian": train_gaussian, "multinomial": train_multinomial}
+DENSE_GAUSSIAN = train_gaussian([[1.0, 2.0], [1.5, 2.5], [3.0, 1.0], [3.5, 0.5]], list("xxyy"))
+COUNTS_GAUSSIAN = train_gaussian([{"a": 1}, {"a": 2}, {"b": 1}, {"b": 3}], list("xxyy"))
 
 
 def dict_in_vocabulary(kind, via):
@@ -78,6 +87,18 @@ REFUSALS = {
     "gaussian-empty": (
         lambda: train_gaussian([], []),
         ValueError, "no training instances",
+    ),
+    "gaussian-predict-nan-position": (
+        lambda: predict_gaussian(DENSE_GAUSSIAN, [math.nan, 1.0]),
+        ValueError, "feature 0 is NaN",
+    ),
+    "gaussian-predict-nan-term": (
+        lambda: predict_gaussian(COUNTS_GAUSSIAN, {"b": 1, "a": math.nan}),
+        ValueError, "feature 'a' is NaN",
+    ),
+    "gaussian-predict-nan-term-outside-vocabulary": (
+        lambda: predict_gaussian(COUNTS_GAUSSIAN, {"zz": math.nan}),
+        ValueError, "feature 'zz' is NaN",
     ),
     "multinomial-length-mismatch": (
         lambda: train_multinomial([{"x": 1}], ["a", "b"]),
