@@ -21,7 +21,7 @@ import sys
 from datetime import datetime, timedelta
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
-from .corpus import Document, format_timestamp
+from .corpus import Document, check_counts, format_timestamp
 from .lexicon import AffectLexicon
 from .record import Record
 
@@ -157,9 +157,12 @@ def score_counts(term_counts: Mapping[str, int], lexicon: AffectLexicon) -> Affe
     """Score one term-count map: its means, their weighted sds and its match counts.
 
     For each dimension the mean is sum(count * lexicon mean) / sum(count)
-    over the terms present in both the map and the lexicon. Raises
-    :class:`NoSignalError` when nothing matches.
+    over the terms present in both the map and the lexicon. Every count
+    must be an int or float (not a bool), finite and above 0: a ValueError
+    names the term of one that is not. Raises :class:`NoSignalError` when
+    nothing matches.
     """
+    check_counts(term_counts)
     stats = match_stats(term_counts, lexicon)
     if stats is None:
         raise NoSignalError("no term matched the lexicon")

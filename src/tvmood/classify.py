@@ -57,11 +57,13 @@ from itertools import chain, repeat
 from operator import eq, is_, itemgetter, mul
 from typing import NamedTuple, Optional
 
+from .corpus import check_counts
 from .record import Record, unique_keys
 
 # Variance floor scale, relative to the largest per-feature variance of the
 # training data. Keeps constant features from producing infinite densities.
 VARIANCE_FLOOR_SCALE = 1e-9
+_MAX = sys.float_info.max  # the largest finite float
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_ALPHA = 1.0  # the multinomial smoothing weight when none is given
@@ -92,6 +94,18 @@ def _log_priors(sizes: Sequence[int]) -> tuple[float, ...]:
     """Each class's log frequency, from the class sizes in class order."""
     n = sum(sizes)
     return tuple(math.log(size / n) for size in sizes)
+
+
+def _class_labels(instances: Sequence, labels: Sequence[str]) -> tuple[str, ...]:
+    """The sorted labels of a training set: one label per instance, two classes or more."""
+    if len(instances) != len(labels):
+        raise ValueError("instances and labels have different lengths")
+    if not instances:
+        raise ValueError("no training instances")
+    class_labels = tuple(sorted(set(labels)))
+    if len(class_labels) < 2:
+        raise ValueError("training data contains a single class")
+    return class_labels
 
 
 def _normalize_log_scores(
@@ -205,6 +219,22 @@ def _check_shape(model: Record, vocabulary: Optional[Sequence], width: int, *nam
                 raise ValueError(f"{name}: class {label!r} has {len(row)} entries, not {width}")
 
 
+def _check_finite(model: Record, name: str, features: Optional[Sequence] = None) -> None:
+    """Raise ValueError, naming the field and class, and the feature when the
+    field holds one row per class over ``features``, for an entry of the
+    named field that is neither None nor a number within the float range."""
+    rows = getattr(model, name)
+    values = list(filter(None, rows if features is None else chain.from_iterable(rows)))
+    low, high = min(values, default=0), max(values, default=0)
+    if -_MAX <= low and high <= _MAX and all(map(eq, values, values)):
+        return  # checked in C: only NaN differs from itself
+    for label, row in zip(model.class_labels, rows):
+        for feature, value in [(None, row)] if features is None else zip(features, row):
+            if value is not None and not -_MAX <= value <= _MAX:
+                where = f"class {label!r}" + ("" if features is None else f", feature {feature!r}")
+                raise ValueError(f"{name}: {where} has {value!r}, which is not a finite float")
+
+
 def _faults(model: Record, features: Sequence, absent_terms: Sequence[Sequence]) -> Iterator[str]:
     """The errors of the (class, feature) entries at fault, naming both: first
     each variance that is not positive, then each whose ``2*pi*variance`` is
@@ -313,6 +343,12 @@ class GaussianNbModel(Record):
             finite = False
         if not finite:
             raise ValueError(next(_faults(self, features, absent_terms)))
+        _check_finite(self, "log_priors")
+        if not counts:  # a counts model's means are refused through their absent terms
+            _check_finite(self, "means", features)
+        if not 0 < self.variance_floor <= _MAX:
+            floor = self.variance_floor
+            raise ValueError(f"variance_floor: {floor!r} is not a positive finite float")
         object.__setattr__(self, "term_index", {term: i for i, term in enumerate(features)})
         object.__setattr__(self, "log_norms", log_norms)
         object.__setattr__(self, "absent_terms", absent_terms)
@@ -333,13 +369,7 @@ def train_gaussian(
     the features are the training vocabulary and an absent term counts 0;
     the model equals the one trained on the densified rows.
     """
-    if len(instances) != len(labels):
-        raise ValueError("instances and labels have different lengths")
-    if not instances:
-        raise ValueError("no training instances")
-    class_labels = tuple(sorted(set(labels)))
-    if len(class_labels) < 2:
-        raise ValueError("training data contains a single class")
+    class_labels = _class_labels(instances, labels)
     counts = isinstance(instances[0], Mapping)
     feature_count = len(instances[0])
     mix = "training instances mix term counts and dense rows"
@@ -475,6 +505,9 @@ class MultinomialNbModel(Record):
     ) -> None:
         super().__init__(class_labels, log_priors, vocabulary, log_term_probs, alpha)
         _check_shape(self, vocabulary, len(vocabulary), "log_priors", "log_term_probs")
+        _check_finite(self, "log_priors")
+        _check_finite(self, "log_term_probs", self.vocabulary)
+        check_alpha(self.alpha)
         object.__setattr__(
             self, "term_columns", dict(zip(self.vocabulary, zip(*self.log_term_probs)))
         )
@@ -485,8 +518,8 @@ class AlphaError(ValueError):
 
 
 def check_alpha(alpha: float) -> None:
-    """Reject a smoothing weight that is not a positive finite number."""
-    if not (math.isfinite(alpha) and alpha > 0):
+    """Reject a smoothing weight that is not a positive finite number (as a float)."""
+    if not 0 < alpha <= _MAX:  # NaN fails too, and an int past the float range
         raise AlphaError(f"alpha must be a positive finite number, got {alpha}")
 
 
@@ -498,16 +531,13 @@ def train_multinomial(
     """Fit smoothed term distributions per class.
 
     ``P(term | class) = (count + alpha) / (class total + alpha * |V|)`` with
-    the vocabulary V taken from the training instances only: the terms whose
-    total count is positive. Raises :class:`AlphaError` when that
-    denominator is not a finite float.
+    the vocabulary V taken from the training instances only. Every count
+    must be an int or float (not a bool), finite and above 0: a ValueError
+    names the instance and term of one that is not. Raises
+    :class:`AlphaError` when that denominator is not a finite float.
     """
-    if len(instances) != len(labels):
-        raise ValueError("instances and labels have different lengths")
-    if not instances:
-        raise ValueError("no training instances")
-    if len(set(labels)) < 2:
-        raise ValueError("training data contains a single class")
+    for index, instance in enumerate(instances):
+        check_counts(instance, f"instance {index}")
     # every instance in fold 1, so fold 0's model is fitted to all of them
     return next(multinomial_fold_models(instances, labels, [1] * len(labels), 2, alpha))
 
@@ -532,8 +562,8 @@ def multinomial_fold_models(
     whose vocabulary is empty, and :class:`AlphaError` when a class's
     smoothed total is not a finite float.
     """
+    class_labels = _class_labels(instances, labels)
     check_alpha(alpha)
-    class_labels = tuple(sorted(set(labels)))
     class_of = {label: index for index, label in enumerate(class_labels)}
     sizes = [[0] * len(class_labels) for _ in range(k)]
     counts: list[list[dict[str, int]]] = [[{} for _ in class_labels] for _ in range(k)]
@@ -585,8 +615,11 @@ def predict_multinomial(
     yields the priors. A class's log-likelihood is one ``math.fsum`` of
     count times log-probability over the instance's known terms: each
     term's class column is looked up once, and only a count other than 1
-    rescales it (``1 * x == x``).
+    rescales it (``1 * x == x``). Every count must be an int or float (not
+    a bool), finite and above 0: a ValueError names the term of one that is
+    not, also outside the vocabulary.
     """
+    check_counts(instance)
     columns = model.term_columns
     terms = list(filter(columns.__contains__, instance))
     rows = list(map(columns.__getitem__, terms))

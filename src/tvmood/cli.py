@@ -30,7 +30,7 @@ import stat
 import sys
 from collections import Counter, deque
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Iterator, NoReturn, Optional, TextIO
+from typing import Callable, Iterator, NoReturn, TextIO
 
 from . import affect, classify, evaluation, features, synth
 from .corpus import (
@@ -41,6 +41,7 @@ from .corpus import (
     format_timestamp,
     parse_timestamp,
     read_documents,
+    read_records,
 )
 from .lexicon import AffectLexicon, load_lexicon, text_unmatchable
 from .record import unique_keys
@@ -156,30 +157,20 @@ def _documents(args: argparse.Namespace) -> Iterator[Document]:
     return read_documents(_lines(args), args.format)
 
 
-def _timestamp(line: str) -> Optional[datetime]:
-    """A corpus line's timestamp, or None when it cannot be read."""
-    try:
-        record = json.loads(line)
-        stamp = record.get("timestamp") if isinstance(record, dict) else None
-        return parse_timestamp(stamp) if isinstance(stamp, str) else None
-    except (ValueError, RecursionError):  # also huge ints and deep nesting
-        return None
-
-
 def _origin(args: argparse.Namespace) -> datetime:
     """``--origin``, or else the earliest ``--corpus`` timestamp at midnight
-    UTC, from a pass that skips what it cannot read: the main pass reports that."""
+    UTC, from a first pass of the corpus reader's record checks."""
     if args.origin is not None:
         return _parse_cli_timestamp(args.origin, "--origin")
     mode = os.stat(args.corpus).st_mode  # a missing file is named here
     if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):  # a pipe cannot be read twice
         raise ValueError(f"--corpus {args.corpus} is not a regular file, so --window needs --origin")
     try:
-        earliest = min(filter(None, map(_timestamp, _lines(args))), default=None)
-    except CorpusError:  # a byte that is not UTF-8
-        earliest = None
-    if earliest is None:  # so no document either: read to the end, or to a fault
+        earliest = min((r[-1] for _, r in read_records(_lines(args), args.format)), default=None)
+    except CorpusError:  # report the first fault in file order, which may be a document's
         deque(_documents(args), maxlen=0)
+        raise
+    if earliest is None:
         raise ValueError("corpus has no documents, so --window needs --origin")
     return earliest.replace(hour=0, minute=0, second=0)
 

@@ -11,12 +11,14 @@ genre-based operations.
 from __future__ import annotations
 
 import json
+import math
 import re
 from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, TypeVar
+from operator import eq
+from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .record import Record, unique_keys
 
@@ -99,26 +101,36 @@ def format_timestamp(moment: datetime) -> str:
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (m.year, m.month, m.day, m.hour, m.minute, m.second)
 
 
-# The largest term count accepted: every count up to it is exact as a float.
+# The largest term count a Document accepts: every count up to it is exact as a float.
 MAX_COUNT = 2**53
 
 
-def _check_counts(doc_id: str, term_counts: dict[str, int]) -> None:
+def check_counts(
+    term_counts: Mapping[str, float], where: Optional[str] = None, document: bool = False
+) -> None:
+    """Raise ValueError, naming the term, for a count outside a term-count map's
+    contract: an int or float (a bool is neither), finite and above 0. With
+    ``document``, a :class:`Document`'s stricter rule: an int from 1 to 2**53.
+    ``where`` leads the message.
+    """
     counts = term_counts.values()
-    if set(map(type, counts)) <= {int} and (
-        min(counts, default=1) >= 1 and max(counts, default=1) <= MAX_COUNT
-    ):
-        return  # the common case, checked in C; the loop below names a bad term
-    for term, count in term_counts.items():
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            problem = "not a positive integer"
-        elif count > MAX_COUNT:
+    types = set(map(type, counts))  # the common cases are checked in C
+    if types <= {int}:
+        if min(counts, default=1) > 0 and (not document or max(counts, default=1) <= MAX_COUNT):
+            return
+    elif not document and types <= {int, float}:
+        if min(counts) > 0 and max(counts) < math.inf and all(map(eq, counts, counts)):
+            return  # the last pass finds a NaN: only NaN differs from itself
+    for term, count in term_counts.items():  # names the first bad term
+        number = isinstance(count, int if document else (int, float))
+        if isinstance(count, bool) or not number or not 0 < count < math.inf:
+            problem = "not a positive integer" if document else "not a positive finite number"
+        elif document and count > MAX_COUNT:
             problem = "more than 2**53"
         else:
             continue
-        raise ValueError(
-            f"document {doc_id!r}: term {term!r} has count {count!r}, which is {problem}"
-        )
+        prefix = f"{where}: " if where else ""
+        raise ValueError(f"{prefix}term {term!r} has count {count!r}, which is {problem}")
 
 
 class Document(Record):
@@ -150,7 +162,7 @@ class Document(Record):
         if self.genre == "":
             raise ValueError(f"document {self.id!r}: genre is empty")
         if not _checked:
-            _check_counts(self.id, self.term_counts)
+            check_counts(self.term_counts, f"document {self.id!r}", document=True)
             if (joined := "".join(self.term_counts)) != joined.lower():  # one pass in C
                 term = next(t for t in self.term_counts if t != t.lower())
                 raise ValueError(f"document {self.id!r}: term {term!r} is not lowercase")
@@ -183,7 +195,7 @@ class Document(Record):
         timestamp: Optional[datetime] = None,
     ) -> "Document":
         """Build from a pre-counted map; tokens are lowercased and merged."""
-        _check_counts(id, term_counts)  # before merging can hide a bad count
+        check_counts(term_counts, f"document {id!r}", document=True)  # before merging can hide one
         merged = dict(term_counts)
         lowercase = (joined := "".join(term_counts)) == joined.lower()  # nothing merges
         if not lowercase:
@@ -194,20 +206,14 @@ class Document(Record):
         return cls(id, channel, merged, genre, timestamp, lowercase)
 
 
-def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
-    """Yield each JSON-lines record as a checked :class:`Document`, in file order.
-
-    In ``text`` mode each record's ``text`` field is tokenized and counted;
-    in ``counts`` mode the ``term_counts`` map is used as given, except that
-    tokens are lowercased (counts merge on collision). Lazy: a line is read
-    only when the next document is asked for, and a :class:`CorpusError`
-    naming the line of a bad record, or both lines of a duplicate id, is
-    raised when iteration reaches that record.
-    """
+def read_records(lines: Iterable[str], mode: str) -> Iterator[tuple[int, tuple]]:
+    """Check each JSON-lines record and yield, in file order, its line number
+    and its mode's :class:`Document` builder arguments ``(id, channel, text
+    or term_counts, genre, timestamp)``; lazy, as :func:`read_documents` is."""
     if mode == "text":
-        field, kind, what, build = "text", str, "a string", Document.from_text
+        field, kind, what = "text", str, "a string"
     elif mode == "counts":
-        field, kind, what, build = "term_counts", dict, "an object", Document.from_counts
+        field, kind, what = "term_counts", dict, "an object"
     else:
         raise ValueError(f"unknown corpus mode {mode!r}; use 'text' or 'counts'")
     ids: dict[str, None] = {}  # in file order; starts holds each one's line
@@ -253,8 +259,23 @@ def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
             raise CorpusError(f"line {line_no}: missing required field {field!r}")
         if not isinstance(record[field], kind):
             raise CorpusError(f"line {line_no}: field {field!r} must be {what}")
+        yield line_no, (doc_id, record["channel"], record[field], genre, timestamp)
+
+
+def read_documents(lines: Iterable[str], mode: str) -> Iterator[Document]:
+    """Yield each JSON-lines record as a checked :class:`Document`, in file order.
+
+    In ``text`` mode each record's ``text`` field is tokenized and counted;
+    in ``counts`` mode the ``term_counts`` map is used as given, except that
+    tokens are lowercased (counts merge on collision). Lazy: a line is read
+    only when the next document is asked for, and a :class:`CorpusError`
+    naming the line of a bad record, or both lines of a duplicate id, is
+    raised when iteration reaches that record.
+    """
+    build = Document.from_counts if mode == "counts" else Document.from_text
+    for line_no, fields in read_records(lines, mode):
         try:
-            document = build(doc_id, record["channel"], record[field], genre, timestamp)
+            document = build(*fields)
         except ValueError as exc:
             raise CorpusError(f"line {line_no}: {exc}") from None
         yield document

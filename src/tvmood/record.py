@@ -8,9 +8,10 @@ Neither is a ``dataclasses`` class. Importing ``dataclasses``, with the
 class bodies with it cost each tvmood process about 35 ms of CPU at
 start-up on a 2-vCPU VM with Python 3.11 (``BENCH_17.json``).
 
-Every JSON object that tvmood reads (corpus records, genre profiles, saved
-models) goes through :func:`unique_keys`, so a repeated key is an error
-rather than a silent last-wins.
+Every JSON object that tvmood reads (corpus records, which only
+``corpus.read_records`` decodes, genre profiles and saved models) goes
+through :func:`unique_keys`, so a repeated key is an error rather than a
+silent last-wins.
 """
 
 from __future__ import annotations

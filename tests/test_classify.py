@@ -494,10 +494,14 @@ def test_multinomial_hand_smoothing():
 
 
 def test_zero_count_terms_are_in_no_vocabulary():
-    # trained or per fold, a term whose total count is not positive is left out
+    # train_multinomial refuses a zero count. The trusted fold counting, in the
+    # one-fold call train_multinomial makes (every row in fold 1) and per fold,
+    # leaves out a term whose total count is not positive
     rows = [{"x": 1, "q": 0}, {"x": 2}, {"x": 1}, {"x": 3}]
     labels = ["a", "b", "a", "b"]
-    model = train_multinomial(rows, labels)
+    with pytest.raises(ValueError, match="^instance 0: term 'q' has count 0, "):
+        train_multinomial(rows, labels)
+    model = next(multinomial_fold_models(rows, labels, [1] * 4, 2, 1.0))
     assert model.vocabulary == ("x",)
     assert repr(model) == repr(train_multinomial_counted(rows, labels, 1.0))
     folds = multinomial_fold_models(rows, labels, [0, 0, 1, 1], 2, 1.0)

@@ -398,6 +398,23 @@ def test_score_window_without_origin_reports_bad_utf8_in_file_order(
     assert not out.exists()
 
 
+def test_score_window_reports_the_first_fault_in_file_order_with_or_without_origin(
+    lexicon_path, tmp_path, capsys
+):
+    """Line 1 passes the record checks and fails the document's own; line 2
+    is not JSON. The default-origin pass stops at line 2, and line 1 is
+    still the fault reported, as with ``--origin``."""
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "series.csv"
+    record = {"id": "", "channel": "c", "timestamp": "2013-01-07T00:00:00Z", "text": "good"}
+    corpus.write_text(json.dumps(record) + "\n{bad json\n", encoding="utf-8")
+    argv = ["score", "--lexicon", lexicon_path, "--corpus", str(corpus), "--out", str(out),
+            "--window", "1w"]
+    for flags in ([], ["--origin", "2013-01-01"]):
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == "error: line 1: document id is empty\n"
+    assert not out.exists()
+
+
 def test_score_window_on_an_empty_corpus_needs_origin(lexicon_path, tmp_path, capsys):
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text("\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Library refusals that the command line never reaches, each with its exact
-message: mismatched or empty inputs, unknown names and malformed records."""
+message: mismatched or empty inputs, unknown names, malformed records, model
+fields that prediction cannot use, and counts outside the count-map contract."""
 
 from __future__ import annotations
 
@@ -9,12 +10,16 @@ import re
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from tvmood.affect import AffectSeries, SeriesPoint, score_windows
+from tvmood.affect import AffectSeries, SeriesPoint, score_counts, score_windows
 from tvmood.classify import (
+    AlphaError,
     model_from_json,
     model_to_json,
     predict_gaussian,
+    predict_multinomial,
     train_gaussian,
     train_multinomial,
 )
@@ -36,6 +41,19 @@ TARGET = (0.5, 0.5, 0.5)
 TRAINERS = {"gaussian": train_gaussian, "multinomial": train_multinomial}
 DENSE_GAUSSIAN = train_gaussian([[1.0, 2.0], [1.5, 2.5], [3.0, 1.0], [3.5, 0.5]], list("xxyy"))
 COUNTS_GAUSSIAN = train_gaussian([{"a": 1}, {"a": 2}, {"b": 1}, {"b": 3}], list("xxyy"))
+MULTINOMIAL = train_multinomial([{"a": 1}, {"a": 2}, {"b": 1}, {"b": 3}], list("xxyy"))
+AB_LEXICON = make_lexicon(dict.fromkeys("ab", TARGET))
+ONE_CLASS = [LabeledRow(f"d{i}", "g", {"x": i + 1}) for i in range(4)]
+
+
+def edited(model, *path, value):
+    """``model`` reloaded from its JSON with the field, or the entry of a
+    field, at ``path`` set to ``value``."""
+    payload = target = json.loads(model_to_json(model))
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return model_from_json(json.dumps(payload))
 
 
 def dict_in_vocabulary(kind, via):
@@ -144,6 +162,45 @@ REFUSALS = {
         lambda: run_cv([], 2, 0),
         ValueError, "k=2 exceeds the instance count 0",
     ),
+    **{
+        f"run-cv-single-class-{kind}": (
+            lambda kind=kind: run_cv(ONE_CLASS, 2, 0, ClassifierConfig(kind)),
+            ValueError, "training data contains a single class",
+        )
+        for kind in TRAINERS
+    },
+    "multinomial-nan-log-term-prob": (
+        lambda: edited(MULTINOMIAL, "log_term_probs", 0, 0, value=math.nan),
+        ValueError, "log_term_probs: class 'x', feature 'a' has nan, which is not a finite float",
+    ),
+    "multinomial-nan-log-prior": (
+        lambda: edited(MULTINOMIAL, "log_priors", 0, value=math.nan),
+        ValueError, "log_priors: class 'x' has nan, which is not a finite float",
+    ),
+    "multinomial-negative-alpha": (
+        lambda: edited(MULTINOMIAL, "alpha", value=-1.0),
+        AlphaError, "alpha must be a positive finite number, got -1.0",
+    ),
+    "multinomial-alpha-past-the-float-range": (  # an integer that no float holds
+        lambda: edited(MULTINOMIAL, "alpha", value=10**400),
+        AlphaError, f"alpha must be a positive finite number, got {10**400}",
+    ),
+    "gaussian-nan-log-prior": (
+        lambda: edited(DENSE_GAUSSIAN, "log_priors", 0, value=math.nan),
+        ValueError, "log_priors: class 'x' has nan, which is not a finite float",
+    ),
+    "gaussian-nan-mean": (
+        lambda: edited(DENSE_GAUSSIAN, "means", 0, 0, value=math.nan),
+        ValueError, "means: class 'x', feature 0 has nan, which is not a finite float",
+    ),
+    "gaussian-infinite-mean": (
+        lambda: edited(DENSE_GAUSSIAN, "means", 0, 0, value=math.inf),
+        ValueError, "means: class 'x', feature 0 has inf, which is not a finite float",
+    ),
+    "gaussian-nan-variance-floor": (
+        lambda: edited(DENSE_GAUSSIAN, "variance_floor", value=math.nan),
+        ValueError, "variance_floor: nan is not a positive finite float",
+    ),
     "score-windows-naive-origin": (
         lambda: score_windows([], make_lexicon({"x": TARGET}), timedelta(days=7), datetime(2013, 1, 7)),
         ValueError, "origin is naive",
@@ -155,3 +212,53 @@ REFUSALS = {
 def test_refusal_names_the_problem(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+BAD_COUNTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, True, False, None]),
+    st.integers(max_value=0),
+    st.floats(max_value=0.0),
+    st.text(max_size=2),
+)
+COUNT_ENTRIES = {  # each public entry that takes a term-count map, and its message prefix
+    "score_counts": (lambda counts: score_counts(counts, AB_LEXICON), ""),
+    "predict_multinomial": (lambda counts: predict_multinomial(MULTINOMIAL, counts), ""),
+    "train_multinomial": (
+        lambda counts: train_multinomial([{"a": 1}, counts, {"b": 1}], ["x", "x", "y"]),
+        "instance 1: ",
+    ),
+}
+
+
+@given(
+    st.sampled_from(sorted(COUNT_ENTRIES)),
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c", "zz"]),
+        st.one_of(st.integers(1, 2**60), st.floats(min_value=1e-300, max_value=1e300)),
+        max_size=3,
+    ),
+    st.sampled_from(["a", "b", "zz"]),
+    BAD_COUNTS,
+    st.integers(0, 3),
+)
+@example("predict_multinomial", {}, "a", math.nan, 0)
+@example("predict_multinomial", {}, "a", math.inf, 0)
+@example("predict_multinomial", {}, "a", -3, 0)
+@example("predict_multinomial", {}, "a", True, 0)
+@example("predict_multinomial", {}, "a", 0, 0)
+@example("train_multinomial", {}, "a", -1, 0)
+@example("train_multinomial", {}, "a", math.nan, 0)
+@example("train_multinomial", {}, "a", True, 0)
+@example("score_counts", {"b": 1}, "a", -1, 0)
+@example("score_counts", {}, "a", math.nan, 0)
+@example("score_counts", {}, "a", -1, 0)
+def test_a_count_outside_the_contract_is_refused_naming_the_term(entry, good, term, count, at):
+    """One count that is not an int or float (a bool is neither), finite and
+    above 0, among good ones, is a ValueError naming it: never another
+    error, a score or a posterior."""
+    pairs = [pair for pair in good.items() if pair[0] != term]
+    pairs.insert(min(at, len(pairs)), (term, count))
+    call, prefix = COUNT_ENTRIES[entry]
+    message = f"{prefix}term {term!r} has count {count!r}, which is not a positive finite number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(dict(pairs))
