@@ -157,10 +157,10 @@ def score_counts(term_counts: Mapping[str, int], lexicon: AffectLexicon) -> Affe
     """Score one term-count map: its means, their weighted sds and its match counts.
 
     For each dimension the mean is sum(count * lexicon mean) / sum(count)
-    over the terms present in both the map and the lexicon. Every count
-    must be an int or float (not a bool), finite and above 0: a ValueError
-    names the term of one that is not. Raises :class:`NoSignalError` when
-    nothing matches.
+    over the terms present in both the map and the lexicon. The map must
+    meet :func:`~tvmood.corpus.check_counts`' contract, whose ValueError
+    names a bad count's term. Raises :class:`NoSignalError` when nothing
+    matches.
     """
     check_counts(term_counts)
     stats = match_stats(term_counts, lexicon)

@@ -7,7 +7,7 @@ only in what an absent feature means: a missing entry of a dense row
 (``None``) contributes no likelihood term, like a feature a class never
 saw, while a term absent from a count mapping counts 0. Both variants
 predict through log space with log-sum-exp normalization, so posteriors
-are always finite and sum to one.
+are finite and sum to one, or the multinomial raises ValueError.
 
 Gaussian training makes one pass over the instances that collects per
 class: each class keeps one dict from feature to the list of its present
@@ -57,13 +57,12 @@ from itertools import chain, repeat
 from operator import eq, is_, itemgetter, mul
 from typing import NamedTuple, Optional
 
-from .corpus import check_counts
+from .corpus import MAX_FLOAT, check_counts
 from .record import Record, unique_keys
 
 # Variance floor scale, relative to the largest per-feature variance of the
 # training data. Keeps constant features from producing infinite densities.
 VARIANCE_FLOOR_SCALE = 1e-9
-_MAX = sys.float_info.max  # the largest finite float
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_ALPHA = 1.0  # the multinomial smoothing weight when none is given
@@ -226,11 +225,11 @@ def _check_finite(model: Record, name: str, features: Optional[Sequence] = None)
     rows = getattr(model, name)
     values = list(filter(None, rows if features is None else chain.from_iterable(rows)))
     low, high = min(values, default=0), max(values, default=0)
-    if -_MAX <= low and high <= _MAX and all(map(eq, values, values)):
+    if -MAX_FLOAT <= low and high <= MAX_FLOAT and all(map(eq, values, values)):
         return  # checked in C: only NaN differs from itself
     for label, row in zip(model.class_labels, rows):
         for feature, value in [(None, row)] if features is None else zip(features, row):
-            if value is not None and not -_MAX <= value <= _MAX:
+            if value is not None and not -MAX_FLOAT <= value <= MAX_FLOAT:
                 where = f"class {label!r}" + ("" if features is None else f", feature {feature!r}")
                 raise ValueError(f"{name}: {where} has {value!r}, which is not a finite float")
 
@@ -346,7 +345,7 @@ class GaussianNbModel(Record):
         _check_finite(self, "log_priors")
         if not counts:  # a counts model's means are refused through their absent terms
             _check_finite(self, "means", features)
-        if not 0 < self.variance_floor <= _MAX:
+        if not 0 < self.variance_floor <= MAX_FLOAT:
             floor = self.variance_floor
             raise ValueError(f"variance_floor: {floor!r} is not a positive finite float")
         object.__setattr__(self, "term_index", {term: i for i, term in enumerate(features)})
@@ -519,7 +518,7 @@ class AlphaError(ValueError):
 
 def check_alpha(alpha: float) -> None:
     """Reject a smoothing weight that is not a positive finite number (as a float)."""
-    if not 0 < alpha <= _MAX:  # NaN fails too, and an int past the float range
+    if not 0 < alpha <= MAX_FLOAT:  # NaN fails too, and an int past the float range
         raise AlphaError(f"alpha must be a positive finite number, got {alpha}")
 
 
@@ -531,10 +530,11 @@ def train_multinomial(
     """Fit smoothed term distributions per class.
 
     ``P(term | class) = (count + alpha) / (class total + alpha * |V|)`` with
-    the vocabulary V taken from the training instances only. Every count
-    must be an int or float (not a bool), finite and above 0: a ValueError
-    names the instance and term of one that is not. Raises
-    :class:`AlphaError` when that denominator is not a finite float.
+    the vocabulary V taken from the training instances only. Each instance
+    must meet :func:`~tvmood.corpus.check_counts`' contract, and each
+    class's counts must sum to at most MAX_FLOAT: a ValueError names the
+    instance or the class. Raises :class:`AlphaError` when ``alpha * |V|``
+    takes that denominator past the float range.
     """
     for index, instance in enumerate(instances):
         check_counts(instance, f"instance {index}")
@@ -558,9 +558,10 @@ def multinomial_fold_models(
     count is not positive, is in no vocabulary. Integer counts add and
     subtract exactly, so each model equals the one counted from the fold's
     training instances alone, bit for bit. The caller checks the folds:
-    each class must occur outside every fold. Raises ValueError for a fold
-    whose vocabulary is empty, and :class:`AlphaError` when a class's
-    smoothed total is not a finite float.
+    each class must occur outside every fold. Raises ValueError, naming the
+    class, when a class's counts sum past the float range, and for a fold
+    whose vocabulary is empty; :class:`AlphaError` when ``alpha * |V|``
+    takes a class's smoothed total past it.
     """
     class_labels = _class_labels(instances, labels)
     check_alpha(alpha)
@@ -579,6 +580,10 @@ def multinomial_fold_models(
         for total, own in zip(totals, per_class):
             for term, count in own.items():
                 total[term] = total.get(term, 0) + count
+    for label, total in zip(class_labels, totals):  # a NaN is left to its row's check
+        # the first bound keeps the float sum from raising on an int past the float range
+        if max(total.values(), default=0) > MAX_FLOAT or sum(total.values(), 0.0) > MAX_FLOAT:
+            raise ValueError(f"class {label!r}: the counts sum past the float range")
     for fold in range(k):
         rest_sizes = [size - own for size, own in zip(total_sizes, sizes[fold])]
         rest = [
@@ -615,9 +620,10 @@ def predict_multinomial(
     yields the priors. A class's log-likelihood is one ``math.fsum`` of
     count times log-probability over the instance's known terms: each
     term's class column is looked up once, and only a count other than 1
-    rescales it (``1 * x == x``). Every count must be an int or float (not
-    a bool), finite and above 0: a ValueError names the term of one that is
-    not, also outside the vocabulary.
+    rescales it (``1 * x == x``). A class whose log-likelihood runs past
+    the float range gets probability 0; when no class is left, ValueError.
+    The instance must meet :func:`~tvmood.corpus.check_counts`' contract,
+    whose ValueError names a bad count's term, also outside the vocabulary.
     """
     check_counts(instance)
     columns = model.term_columns
@@ -628,9 +634,14 @@ def predict_multinomial(
             rows[position] = [count * x for x in rows[position]]
     if not rows:
         return _normalize_log_scores(model.class_labels, model.log_priors)
-    log_scores = [
-        prior + math.fsum(column) for prior, column in zip(model.log_priors, zip(*rows))
-    ]
+    log_scores = []
+    for prior, column in zip(model.log_priors, zip(*rows)):
+        try:  # a product past the float range is -inf; a finite sum past it raises
+            log_scores.append(prior + math.fsum(column))
+        except OverflowError:
+            log_scores.append(-math.inf)
+    if max(log_scores) == -math.inf:
+        raise ValueError("the log-likelihood of every class runs past the float range")
     return _normalize_log_scores(model.class_labels, log_scores)
 
 

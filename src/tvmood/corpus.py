@@ -11,13 +11,12 @@ genre-based operations.
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
-from operator import eq
 from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .record import Record, unique_keys
@@ -103,34 +102,38 @@ def format_timestamp(moment: datetime) -> str:
 
 # The largest term count a Document accepts: every count up to it is exact as a float.
 MAX_COUNT = 2**53
+MAX_FLOAT = sys.float_info.max  # the largest finite float; 10**400 compares above it
 
 
 def check_counts(
     term_counts: Mapping[str, float], where: Optional[str] = None, document: bool = False
 ) -> None:
-    """Raise ValueError, naming the term, for a count outside a term-count map's
-    contract: an int or float (a bool is neither), finite and above 0. With
-    ``document``, a :class:`Document`'s stricter rule: an int from 1 to 2**53.
-    ``where`` leads the message.
+    """Raise ValueError, naming the first bad count's term, for a term-count
+    map outside its contract: ints or floats (a bool is neither) above 0 whose
+    sum, which bounds each and fails for a NaN or inf, is at most MAX_FLOAT.
+    With ``document``, a :class:`Document`'s stricter rule: an int from 1 to
+    2**53. ``where`` leads the message.
     """
     counts = term_counts.values()
     types = set(map(type, counts))  # the common cases are checked in C
-    if types <= {int}:
-        if min(counts, default=1) > 0 and (not document or max(counts, default=1) <= MAX_COUNT):
+    if document:
+        if types <= {int} and min(counts, default=1) > 0 and max(counts, default=1) <= MAX_COUNT:
             return
-    elif not document and types <= {int, float}:
-        if min(counts) > 0 and max(counts) < math.inf and all(map(eq, counts, counts)):
-            return  # the last pass finds a NaN: only NaN differs from itself
+    elif types <= {int} or types <= {float}:
+        if min(counts, default=1) > 0 and sum(counts) <= MAX_FLOAT:
+            return
+    prefix = f"{where}: " if where else ""
     for term, count in term_counts.items():  # names the first bad term
         number = isinstance(count, int if document else (int, float))
-        if isinstance(count, bool) or not number or not 0 < count < math.inf:
+        if isinstance(count, bool) or not number or not 0 < count:
             problem = "not a positive integer" if document else "not a positive finite number"
-        elif document and count > MAX_COUNT:
-            problem = "more than 2**53"
+        elif count > (MAX_COUNT if document else MAX_FLOAT):
+            problem = "more than 2**53" if document else "not a positive finite number"
         else:
             continue
-        prefix = f"{where}: " if where else ""
         raise ValueError(f"{prefix}term {term!r} has count {count!r}, which is {problem}")
+    if not sum(counts, 0.0) <= MAX_FLOAT:  # cannot raise: every count is in range
+        raise ValueError(f"{prefix}the counts sum past the float range")
 
 
 class Document(Record):

@@ -23,6 +23,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
+from operator import ne
 from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import classify, features
@@ -157,7 +158,7 @@ def auc_one_vs_rest(scores: Sequence[float], is_positive: Sequence[bool]) -> flo
     negatives = len(is_positive) - positives
     if positives == 0 or negatives == 0:
         raise ValueError("AUC is undefined without both positives and negatives")
-    nans = list(map(math.isnan, scores))
+    nans = list(map(ne, scores, scores))  # only NaN differs from itself
     if True in nans:
         raise ValueError(f"score at index {nans.index(True)} is NaN")
 

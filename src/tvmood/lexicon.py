@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from array import array
 from itertools import chain, cycle
+from operator import eq
 from typing import Iterable, TextIO
 
-from .corpus import tokenize
+from .corpus import MAX_FLOAT, tokenize
 from .record import Record
 
 RAW_MIN = 1.0
@@ -53,7 +53,7 @@ def normalize_rating(raw: float) -> float:
 
 def normalize_sd(raw_sd: float) -> float:
     """Scale a raw standard deviation by 1/8; no offset is applied."""
-    if not 0.0 <= raw_sd < math.inf:
+    if not 0.0 <= raw_sd <= MAX_FLOAT:
         raise LexiconError(f"standard deviation {raw_sd!r} is not finite and non-negative")
     return raw_sd / RAW_SPAN
 
@@ -92,8 +92,8 @@ class AffectLexicon(Record):
             return
         _check_words(list(self.table))
         values = list(chain.from_iterable(self.table.values()))
-        # a finite sum has only finite terms, so then min and max are reliable
-        fine = set(map(len, self.table.values())) <= {3} and math.isfinite(sum(values))
+        # without a NaN, the one value that differs from itself, min and max are reliable
+        fine = set(map(len, self.table.values())) <= {3} and all(map(eq, values, values))
         if fine and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
             return
         for word, t in self.table.items():
@@ -171,7 +171,7 @@ def parse_lexicon(source: str | TextIO | Iterable[str]) -> AffectLexicon:
             # the checks of normalize_rating, normalize_sd and _check_words, inline
             if not (
                 1.0 <= v <= 9.0 and 1.0 <= a <= 9.0 and 1.0 <= d <= 9.0
-                and 0.0 <= vs < math.inf and 0.0 <= as_ < math.inf and 0.0 <= ds < math.inf
+                and 0.0 <= vs <= MAX_FLOAT and 0.0 <= as_ <= MAX_FLOAT and 0.0 <= ds <= MAX_FLOAT
                 and word.split() == [word]
             ):
                 _check_row(row, start)

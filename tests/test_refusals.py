@@ -8,14 +8,16 @@ import json
 import math
 import re
 from datetime import datetime, timedelta
+from itertools import chain
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tvmood.affect import AffectSeries, SeriesPoint, score_counts, score_windows
+from tvmood.affect import AffectScore, AffectSeries, SeriesPoint, score_counts, score_windows
 from tvmood.classify import (
     AlphaError,
+    Posterior,
     model_from_json,
     model_to_json,
     predict_gaussian,
@@ -23,7 +25,7 @@ from tvmood.classify import (
     train_gaussian,
     train_multinomial,
 )
-from tvmood.corpus import CorpusError, read_documents
+from tvmood.corpus import MAX_FLOAT, CorpusError, read_documents
 from tvmood.evaluation import (
     ClassifierConfig,
     LabeledRow,
@@ -32,6 +34,7 @@ from tvmood.evaluation import (
     run_cv,
     stratified_folds,
 )
+from tvmood.lexicon import AffectLexicon
 from tvmood.synth import GenreProfile, profile_from_json
 
 from conftest import T0, make_lexicon
@@ -42,8 +45,15 @@ TRAINERS = {"gaussian": train_gaussian, "multinomial": train_multinomial}
 DENSE_GAUSSIAN = train_gaussian([[1.0, 2.0], [1.5, 2.5], [3.0, 1.0], [3.5, 0.5]], list("xxyy"))
 COUNTS_GAUSSIAN = train_gaussian([{"a": 1}, {"a": 2}, {"b": 1}, {"b": 3}], list("xxyy"))
 MULTINOMIAL = train_multinomial([{"a": 1}, {"a": 2}, {"b": 1}, {"b": 3}], list("xxyy"))
+# each class's terms apart, so a large count of one term is costly in every class
+APART = train_multinomial([{"a": 1}, {"b": 2}, {"c": 1}, {"d": 3}], list("xxyy"))
 AB_LEXICON = make_lexicon(dict.fromkeys("ab", TARGET))
 ONE_CLASS = [LabeledRow(f"d{i}", "g", {"x": i + 1}) for i in range(4)]
+# class x's four rows sum past the float range; each fold's would leave 'inf - inf'
+PAST_RANGE_ROWS = [LabeledRow(f"x{i}", "x", {"a": 1e308}) for i in range(4)] + [
+    LabeledRow(f"y{i}", "y", {"b": 1}) for i in range(4)
+]
+SUM_PAST_RANGE = "the counts sum past the float range"
 
 
 def edited(model, *path, value):
@@ -201,6 +211,37 @@ REFUSALS = {
         lambda: edited(DENSE_GAUSSIAN, "variance_floor", value=math.nan),
         ValueError, "variance_floor: nan is not a positive finite float",
     ),
+    "score-counts-sum-past-the-float-range": (
+        lambda: score_counts({"a": 1e308, "b": 1e308}, AB_LEXICON),
+        ValueError, SUM_PAST_RANGE,
+    ),
+    "predict-multinomial-sum-past-the-float-range": (  # was an OverflowError from fsum
+        lambda: predict_multinomial(MULTINOMIAL, {"a": 1e308, "b": 1e308}),
+        ValueError, SUM_PAST_RANGE,
+    ),
+    "train-multinomial-instance-sum-past-the-float-range": (
+        lambda: train_multinomial([{"a": 1}, {"a": 1e308, "b": 1e308}, {"b": 1}], list("xxy")),
+        ValueError, f"instance 1: {SUM_PAST_RANGE}",
+    ),
+    **{
+        f"train-multinomial-class-sum-past-the-float-range-{kind}": (  # blamed alpha
+            lambda count=count: train_multinomial([{"a": count}, {"a": count}, {"b": 1}], list("xxy")),
+            ValueError, f"class 'x': {SUM_PAST_RANGE}",
+        )
+        for kind, count in (("float", 1e308), ("int", 10**308))  # the int was an OverflowError
+    },
+    "run-cv-class-sum-past-the-float-range": (  # gave a report: 'a' left every vocabulary
+        lambda: run_cv(PAST_RANGE_ROWS, 2, 1, ClassifierConfig("multinomial")),
+        ValueError, f"class 'x': {SUM_PAST_RANGE}",
+    ),
+    "predict-multinomial-every-class-past-the-float-range": (  # was (nan, nan)
+        lambda: predict_multinomial(APART, {"a": 1.7e308}),
+        ValueError, "the log-likelihood of every class runs past the float range",
+    ),
+    "lexicon-int-past-the-float-range": (  # was an OverflowError
+        lambda: AffectLexicon({"a": (10**400, 0.5, 0.5)}),
+        ValueError, f"word 'a': means ({10**400}, 0.5, 0.5) are not three finite values in [0, 1]",
+    ),
     "score-windows-naive-origin": (
         lambda: score_windows([], make_lexicon({"x": TARGET}), timedelta(days=7), datetime(2013, 1, 7)),
         ValueError, "origin is naive",
@@ -217,6 +258,7 @@ def test_refusal_names_the_problem(call, error, message):
 BAD_COUNTS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, True, False, None]),
     st.integers(max_value=0),
+    st.integers(min_value=2**1024, max_value=10**400),  # ints that no float holds
     st.floats(max_value=0.0),
     st.text(max_size=2),
 )
@@ -262,3 +304,64 @@ def test_a_count_outside_the_contract_is_refused_naming_the_term(entry, good, te
     message = f"{prefix}term {term!r} has count {count!r}, which is not a positive finite number"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(dict(pairs))
+
+
+POSITIVE_COUNT_ENTRIES = {  # the three entries again, the predictor on two models
+    "score_counts": COUNT_ENTRIES["score_counts"][0],
+    "predict_multinomial": COUNT_ENTRIES["predict_multinomial"][0],
+    "predict_multinomial_apart": lambda counts: predict_multinomial(APART, counts),
+    # the map twice in class x, so the class sums to twice the map's sum
+    "train_multinomial": lambda counts: train_multinomial([counts, counts, {"b": 1}], list("xxy")),
+}
+
+
+@given(
+    st.sampled_from(sorted(POSITIVE_COUNT_ENTRIES)),
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c", "zz"]),
+        st.one_of(st.integers(1, 10**400), st.floats(min_value=5e-324, max_value=MAX_FLOAT)),
+        max_size=3,
+    ),
+)
+@example("predict_multinomial", {"a": 1e308, "b": 5e307})  # was an OverflowError from fsum
+@example("predict_multinomial", {"a": 1e308, "b": 1e308})  # was an OverflowError from fsum
+@example("predict_multinomial", {"a": 1.5e308})
+@example("predict_multinomial_apart", {"a": 1.7e308})  # was (nan, nan)
+@example("predict_multinomial", {"a": 10**400})  # was an OverflowError
+@example("train_multinomial", {"a": 1e308})  # blamed alpha
+@example("train_multinomial", {"a": 10**308})  # was an OverflowError
+@example("train_multinomial", {"a": 10**400})  # was an OverflowError
+@example("score_counts", {"a": 1e308, "b": 1e308})  # was a score over an inf total
+@example("score_counts", {"a": 10**400})  # was an OverflowError
+def test_counts_give_a_finite_answer_or_a_one_line_value_error(entry, counts):
+    """Any map of positive ints and floats, also past the float range, gives
+    finite scores, finite posteriors that sum to 1 or a finite model, or a
+    one-line ValueError: never NaN, an OverflowError or an AlphaError."""
+    try:
+        result = POSITIVE_COUNT_ENTRIES[entry](counts)
+    except ValueError as error:
+        assert not isinstance(error, AlphaError)
+        assert "\n" not in str(error)
+        return
+    if isinstance(result, AffectScore):
+        values = [*result[:6], result.matched_token_total]
+    elif isinstance(result, Posterior):
+        values = result.probabilities
+        assert math.fsum(values) == pytest.approx(1.0, abs=1e-12)
+    else:
+        values = [*result.log_priors, *chain.from_iterable(result.log_term_probs)]
+    assert all(map(math.isfinite, values))
+
+
+@pytest.mark.parametrize(
+    "counts, probabilities",
+    [({"a": 1e308, "b": 5e307}, (1.0, 0.0)), ({"a": 1.5e308}, (1.0, 0.0))],
+    ids=["sum-past-the-float-range", "product-past-the-float-range"],
+)
+def test_a_class_past_the_float_range_gets_probability_zero(counts, probabilities):
+    # class x's log-likelihood is finite; y's exact sum, or a product, runs past the range
+    assert predict_multinomial(MULTINOMIAL, counts) == Posterior(("x", "y"), probabilities)
+
+
+def test_auc_ranks_an_int_past_the_float_range_exactly():
+    assert auc_one_vs_rest([10**400, 0.5, 0.1], [True, False, False]) == 1.0  # was an OverflowError
