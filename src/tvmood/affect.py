@@ -21,7 +21,7 @@ import sys
 from datetime import datetime, timedelta
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
-from .corpus import Document, check_counts, format_timestamp
+from .corpus import Document, check_counts, count_total, format_timestamp
 from .lexicon import AffectLexicon
 from .record import Record
 
@@ -104,7 +104,8 @@ def match_stats(
     Terms must be lowercase, as a :class:`~tvmood.corpus.Document` keeps
     them: one membership pass over the lexicon's table finds the matches.
     Each dimension's mean is sum(count * value) / sum(count) and its sd the
-    weighted population sd, both summed exactly with ``math.fsum``.
+    weighted population sd, both summed exactly with ``math.fsum``; the
+    total is :func:`~tvmood.corpus.count_total`.
     Returns None when no term matches.
     """
     table = lexicon.table
@@ -113,7 +114,7 @@ def match_stats(
         return None
     counts = list(map(term_counts.__getitem__, matched))
     values = tuple(zip(*map(table.__getitem__, matched)))
-    total = sum(counts)
+    total = count_total(counts)
     low = tuple(map(min, values))
     high = tuple(map(max, values))
     means = []

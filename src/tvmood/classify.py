@@ -57,7 +57,7 @@ from itertools import chain, repeat
 from operator import eq, is_, itemgetter, mul
 from typing import NamedTuple, Optional
 
-from .corpus import MAX_FLOAT, check_counts
+from .corpus import MAX_FLOAT, check_counts, count_total
 from .record import Record, unique_keys
 
 # Variance floor scale, relative to the largest per-feature variance of the
@@ -581,8 +581,7 @@ def multinomial_fold_models(
             for term, count in own.items():
                 total[term] = total.get(term, 0) + count
     for label, total in zip(class_labels, totals):  # a NaN is left to its row's check
-        # the first bound keeps the float sum from raising on an int past the float range
-        if max(total.values(), default=0) > MAX_FLOAT or sum(total.values(), 0.0) > MAX_FLOAT:
+        if count_total(total.values()) > MAX_FLOAT:
             raise ValueError(f"class {label!r}: the counts sum past the float range")
     for fold in range(k):
         rest_sizes = [size - own for size, own in zip(total_sizes, sizes[fold])]
@@ -595,7 +594,7 @@ def multinomial_fold_models(
             raise ValueError("empty vocabulary: no training instance has any term")
         log_term_probs = []
         for kept in rest:
-            smoothed_total = sum(kept.values()) + alpha * len(vocabulary)
+            smoothed_total = count_total(kept.values()) + alpha * len(vocabulary)
             if math.isinf(smoothed_total):
                 raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
             denominator = math.log(smoothed_total)

@@ -11,13 +11,14 @@ genre-based operations.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Optional, TypeVar
+from typing import Collection, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .record import Record, unique_keys
 
@@ -105,14 +106,28 @@ MAX_COUNT = 2**53
 MAX_FLOAT = sys.float_info.max  # the largest finite float; 10**400 compares above it
 
 
+def count_total(counts: Collection[float]) -> float:
+    """The total of a term-count map's counts: exact when all are ints, else
+    the correctly rounded ``math.fsum`` (``sum`` compensates floats only from
+    Python 3.12 on, so its float totals differ by interpreter). inf past the
+    float range; for ints, also when the counts, each rounded to a float as
+    products with them are, sum past it."""
+    try:
+        rounded = math.fsum(counts)
+        total = sum(counts)
+    except (OverflowError, ValueError):  # an int or a sum past the range, or inf plus -inf
+        return math.inf
+    return total if type(total) is int and rounded <= MAX_FLOAT else rounded
+
+
 def check_counts(
     term_counts: Mapping[str, float], where: Optional[str] = None, document: bool = False
 ) -> None:
     """Raise ValueError, naming the first bad count's term, for a term-count
     map outside its contract: ints or floats (a bool is neither) above 0 whose
-    sum, which bounds each and fails for a NaN or inf, is at most MAX_FLOAT.
-    With ``document``, a :class:`Document`'s stricter rule: an int from 1 to
-    2**53. ``where`` leads the message.
+    :func:`count_total`, which bounds each and fails for a NaN or inf, is at
+    most MAX_FLOAT. With ``document``, a :class:`Document`'s stricter rule: an
+    int from 1 to 2**53. ``where`` leads the message.
     """
     counts = term_counts.values()
     types = set(map(type, counts))  # the common cases are checked in C
@@ -120,7 +135,7 @@ def check_counts(
         if types <= {int} and min(counts, default=1) > 0 and max(counts, default=1) <= MAX_COUNT:
             return
     elif types <= {int} or types <= {float}:
-        if min(counts, default=1) > 0 and sum(counts) <= MAX_FLOAT:
+        if min(counts, default=1) > 0 and count_total(counts) <= MAX_FLOAT:
             return
     prefix = f"{where}: " if where else ""
     for term, count in term_counts.items():  # names the first bad term
@@ -132,7 +147,7 @@ def check_counts(
         else:
             continue
         raise ValueError(f"{prefix}term {term!r} has count {count!r}, which is {problem}")
-    if not sum(counts, 0.0) <= MAX_FLOAT:  # cannot raise: every count is in range
+    if not count_total(counts) <= MAX_FLOAT:
         raise ValueError(f"{prefix}the counts sum past the float range")
 
 

@@ -386,7 +386,7 @@ def train_multinomial_counted(instances, labels, alpha):
         raise ValueError("empty vocabulary: no training instance has any term")
     log_term_probs = []
     for counts in positive:
-        smoothed_total = sum(counts.values()) + alpha * len(vocabulary)
+        smoothed_total = fsum_total(counts.values()) + alpha * len(vocabulary)
         if math.isinf(smoothed_total):
             raise AlphaError(f"alpha {alpha!r} times {len(vocabulary)} terms overflows")
         denominator = math.log(smoothed_total)
@@ -593,6 +593,15 @@ def parse_lexicon_rows(text):
     return table
 
 
+def fsum_total(counts):
+    """The exact sum of int counts, else ``math.fsum``: one rounding, so the
+    same bits on every Python (``sum`` compensates floats from 3.12 on)."""
+    counts = list(counts)
+    if all(type(count) is int for count in counts):
+        return sum(counts)
+    return math.fsum(counts)
+
+
 def match_stats_lookup(term_counts, lexicon):
     """``affect.match_stats`` as one case-folding lookup per term, in map order."""
     counts = []
@@ -605,7 +614,7 @@ def match_stats_lookup(term_counts, lexicon):
                 column.append(mean)
     if not counts:
         return None
-    total = sum(counts)
+    total = fsum_total(counts)
     low = tuple(map(min, values))
     high = tuple(map(max, values))
     means = []

@@ -60,6 +60,21 @@ def test_score_no_matches_raises(small_lexicon):
         score_counts({"xyzzy": 7}, small_lexicon)
 
 
+def test_a_float_map_is_totalled_with_one_rounding_on_every_python():
+    """A float map's total is ``math.fsum``'s, not ``sum``'s, which compensates
+    only from Python 3.12 on: 0.1 + 0.2 + 0.3 is 0.6, not 0.6000000000000001,
+    and each mean divides by it."""
+    lexicon = make_lexicon({"a": (0.9, 0.2, 0.7), "b": (0.3, 0.8, 0.1), "c": (0.6, 0.4, 1.0)})
+    counts = {"a": 0.1, "b": 0.2, "c": 0.3}
+    score = score_counts(counts, lexicon)
+    assert repr(score) == repr(match_stats_lookup(counts, lexicon).score)
+    assert [value.hex() for value in (*score[:6], score.matched_token_total)] == [
+        "0x1.199999999999ap-1", "0x1.0000000000001p-1", "0x1.4cccccccccccdp-1",
+        "0x1.a634bd77fe1a5p-3", "0x1.c9f25c5bfedd9p-3", "0x1.9cc99ff02c481p-2",
+        "0x1.3333333333333p-1",
+    ]
+
+
 def test_score_is_scale_invariant(small_lexicon):
     counts = {"good": 3, "bad": 1, "fire": 2}
     base = score_counts(counts, small_lexicon)

@@ -493,6 +493,18 @@ def test_multinomial_hand_smoothing():
     assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_float_class_is_totalled_with_one_rounding_on_every_python():
+    """A class's float counts are totalled by ``math.fsum``, not by ``sum``,
+    which compensates only from Python 3.12 on; at a tiny alpha, each
+    log-probability of class x shows the total's last bit."""
+    rows, labels = [{"a": 0.1, "b": 0.2, "c": 0.3}, {"d": 1}], ["x", "y"]
+    model = train_multinomial(rows, labels, alpha=1e-17)
+    assert repr(model) == repr(train_multinomial_counted(rows, labels, 1e-17))
+    assert [value.hex() for value in model.log_term_probs[0][:3]] == [
+        "-0x1.cab0bfa2a2001p+0", "-0x1.193ea7aad030ap+0", "-0x1.62e42fefa39f0p-1",
+    ]
+
+
 def test_zero_count_terms_are_in_no_vocabulary():
     # train_multinomial refuses a zero count. The trusted fold counting, in the
     # one-fold call train_multinomial makes (every row in fold 1) and per fold,

@@ -803,8 +803,10 @@ def test_evaluate_empty_after_filter(tmp_path, capsys, lexicon_path, corpus_path
             "--min-genre-support", "50",
         ]
     )
-    assert code != 0
-    assert "support" in capsys.readouterr().err
+    assert code == 2
+    message = "--min-genre-support 50: fewer than two genres have that support"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "lexicon.csv"]
 
 
 def test_evaluate_folds_above_the_smallest_support_is_one_line_error(

@@ -48,6 +48,8 @@ MULTINOMIAL = train_multinomial([{"a": 1}, {"a": 2}, {"b": 1}, {"b": 3}], list("
 # each class's terms apart, so a large count of one term is costly in every class
 APART = train_multinomial([{"a": 1}, {"b": 2}, {"c": 1}, {"d": 3}], list("xxyy"))
 AB_LEXICON = make_lexicon(dict.fromkeys("ab", TARGET))
+# a word at 1.0 multiplies its count by 1.0, so the products sum as the counts do
+ONES_LEXICON = make_lexicon({**dict.fromkeys("abc", (1.0, 1.0, 1.0)), "zz": TARGET})
 ONE_CLASS = [LabeledRow(f"d{i}", "g", {"x": i + 1}) for i in range(4)]
 # class x's four rows sum past the float range; each fold's would leave 'inf - inf'
 PAST_RANGE_ROWS = [LabeledRow(f"x{i}", "x", {"a": 1e308}) for i in range(4)] + [
@@ -306,8 +308,8 @@ def test_a_count_outside_the_contract_is_refused_naming_the_term(entry, good, te
         call(dict(pairs))
 
 
-POSITIVE_COUNT_ENTRIES = {  # the three entries again, the predictor on two models
-    "score_counts": COUNT_ENTRIES["score_counts"][0],
+POSITIVE_COUNT_ENTRIES = {  # the three entries again: the scorer on words at 1.0, the predictor on two models
+    "score_counts": lambda counts: score_counts(counts, ONES_LEXICON),
     "predict_multinomial": COUNT_ENTRIES["predict_multinomial"][0],
     "predict_multinomial_apart": lambda counts: predict_multinomial(APART, counts),
     # the map twice in class x, so the class sums to twice the map's sum
@@ -333,6 +335,10 @@ POSITIVE_COUNT_ENTRIES = {  # the three entries again, the predictor on two mode
 @example("train_multinomial", {"a": 10**400})  # was an OverflowError
 @example("score_counts", {"a": 1e308, "b": 1e308})  # was a score over an inf total
 @example("score_counts", {"a": 10**400})  # was an OverflowError
+# sum gives MAX_FLOAT before Python 3.12; fsum overflowed in the products
+@example("score_counts", {"a": MAX_FLOAT, "b": 2.0**969, "c": 2.0**969})
+# exactly MAX_FLOAT as ints, past it as floats: fsum overflowed in the products
+@example("score_counts", {"a": 2**1023 + 2**970 + 1, "b": int(MAX_FLOAT) - 2**1023 - 2**970 - 1})
 def test_counts_give_a_finite_answer_or_a_one_line_value_error(entry, counts):
     """Any map of positive ints and floats, also past the float range, gives
     finite scores, finite posteriors that sum to 1 or a finite model, or a
