@@ -58,7 +58,7 @@ from operator import eq, is_, itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .corpus import MAX_FLOAT, check_counts, count_total
-from .record import Record, unique_keys
+from .record import Record, has_shape, unique_keys
 
 # Variance floor scale, relative to the largest per-feature variance of the
 # training data. Keeps constant features from producing infinite densities.
@@ -201,14 +201,16 @@ class _Table(dict):
 
 
 def _check_shape(model: Record, vocabulary: Optional[Sequence], width: int, *names: str) -> None:
-    """Raise ValueError, naming the field, unless ``vocabulary`` is None or
-    ``width`` distinct strings, the first named field holds one entry per
-    class, and each other named field one row per class, ``width`` wide."""
-    if vocabulary is not None and (  # the types first: a dict entry cannot be hashed
-        set(map(type, vocabulary)) - {str} or not len(set(vocabulary)) == len(vocabulary) == width
-    ):
-        raise ValueError(f"vocabulary: not {width} distinct strings")
+    """Raise ValueError, naming the field, unless the labels are one or more and
+    ``vocabulary`` None or ``width`` distinct strings, the first named field has
+    one entry per class, and each other named field one ``width``-wide row per class."""
     labels = model.class_labels
+    shapes = {"class_labels": (labels, max(len(labels), 1)), "vocabulary": (vocabulary, width)}
+    for name, (values, count) in shapes.items():
+        if values is not None and (  # the types first: a dict entry cannot be hashed
+            set(map(type, values)) - {str} or not len(set(values)) == len(values) == count
+        ):
+            raise ValueError(f"{name}: not {count} distinct strings")
     for index, name in enumerate(names):
         rows = getattr(model, name)
         if len(rows) != len(labels):
@@ -670,31 +672,20 @@ def _tuples(value: object) -> object:
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-_NUMBER = {int, float}
-# each model field's JSON type: how deep its arrays nest, the types its
-# leaves may have (None: any, which the model's constructor checks) and its name
+_NUMBER = (int, float)
+# each model field's JSON shape, as synth._FIELDS holds a profile field's; a field
+# whose kinds are None may hold anything, which the model's constructor checks
 _JSON_TYPES = {
-    "class_labels": (1, {str}, "an array of strings"),
-    "log_priors": (1, _NUMBER, "an array of numbers"),
-    "means": (2, _NUMBER | {type(None)}, "an array of arrays of numbers and nulls"),
-    "variances": (2, _NUMBER | {type(None)}, "an array of arrays of numbers and nulls"),
-    "variance_floor": (0, _NUMBER, "a number"),
-    "feature_count": (0, {int}, "an integer"),
-    "vocabulary": (1, None, "an array"),
-    "log_term_probs": (2, _NUMBER, "an array of arrays of numbers"),
-    "alpha": (0, _NUMBER, "a number"),
+    "class_labels": (1, (str,), None, "an array of strings"),
+    "log_priors": (1, _NUMBER, None, "an array of numbers"),
+    "means": (2, (*_NUMBER, type(None)), None, "an array of arrays of numbers and nulls"),
+    "variances": (2, (*_NUMBER, type(None)), None, "an array of arrays of numbers and nulls"),
+    "variance_floor": (0, _NUMBER, None, "a number"),
+    "feature_count": (0, (int,), None, "an integer"),
+    "vocabulary": (1, None, None, "an array"),
+    "log_term_probs": (2, _NUMBER, None, "an array of arrays of numbers"),
+    "alpha": (0, _NUMBER, None, "a number"),
 }
-
-
-def _has_json_type(value: object, depth: int, leaves: Optional[set]) -> bool:
-    """Whether ``value`` is arrays nested ``depth`` deep around leaves of the
-    given types (``bool`` is not ``int`` here)."""
-    values = [value]
-    for _ in range(depth):
-        if set(map(type, values)) - {list}:
-            return False
-        values = list(chain.from_iterable(values))
-    return leaves is None or set(map(type, values)) <= leaves
 
 
 def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
@@ -704,8 +695,12 @@ def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
     object, or that repeats a key, or whose version, kind or fields the
     model's class does not take, or a field of the wrong JSON type (an
     optional field may be null); the constructor then checks the values.
+    JSON nested too deeply for the decoder is a ValueError too.
     """
-    fields = json.loads(text, object_pairs_hook=unique_keys)
+    try:
+        fields = json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError as exc:  # its message names no model
+        raise ValueError(f"model JSON: {exc}") from None
     if not isinstance(fields, dict):
         raise ValueError(f"a model is a JSON object, not {type(fields).__name__}")
     version, kind = fields.pop("format_version", None), fields.pop("kind", None)
@@ -722,7 +717,7 @@ def model_from_json(text: str) -> GaussianNbModel | MultinomialNbModel:
     for name, value in fields.items():
         if name not in cls._fields:
             raise ValueError(f"{kind} model: unknown field {name!r}")
-        depth, leaves, json_type = _JSON_TYPES[name]
-        if not (value is None and name not in required or _has_json_type(value, depth, leaves)):
+        *shape, json_type = _JSON_TYPES[name]
+        if not (value is None and name not in required or has_shape(value, *shape)):
             raise ValueError(f"{kind} model: field {name!r} is not {json_type}")
     return cls(**{name: _tuples(value) for name, value in fields.items()})

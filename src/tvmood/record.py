@@ -11,10 +11,12 @@ start-up on a 2-vCPU VM with Python 3.11 (``BENCH_17.json``).
 Every JSON object that tvmood reads (corpus records, which only
 ``corpus.read_records`` decodes, genre profiles and saved models) goes
 through :func:`unique_keys`, so a repeated key is an error rather than a
-silent last-wins.
+silent last-wins; :func:`has_shape` is the one shape rule of their fields.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 _set = object.__setattr__
 
@@ -72,3 +74,17 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
         repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
         raise ValueError(f"repeated key {repeated!r}")
     return record
+
+
+def has_shape(value: object, depth: int, kinds: tuple | None, length: int | None = None) -> bool:
+    """Whether ``value`` is lists or tuples nested ``depth`` deep around ``length``
+    leaves (any number where None) of the types ``kinds`` (any where None), no bool."""
+    values = [value]
+    for _ in range(depth):  # C-level passes, a level at a time
+        if not all(map(isinstance, values, repeat((list, tuple)))):
+            return False
+        values = list(chain.from_iterable(values))
+    return length in (None, len(values)) and (
+        kinds is None
+        or bool not in set(map(type, values)) and all(map(isinstance, values, repeat(kinds)))
+    )

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .corpus import Document
 from .lexicon import AffectLexicon
-from .record import Record
+from .record import Record, has_shape
 
 VALENCE_BAND = 0.1
 
@@ -49,8 +49,8 @@ class GenreProfile(Record):
         channel: Optional[str] = None,
     ) -> None:
         super().__init__(label, document_count, bias, target, token_range, channel)
-        for key, (_, _, what) in _FIELDS.items():
-            if not _well_typed(key, getattr(self, key)):
+        for key, (*shape, what) in _FIELDS.items():
+            if not has_shape(getattr(self, key), *shape):
                 raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
         if not self.label:
             raise ValueError("profile label is empty")
@@ -65,25 +65,15 @@ class GenreProfile(Record):
             raise ValueError(f"token_range {self.token_range!r} is invalid")
 
 
-# GenreProfile field -> (types of the value or its items, item count, what it must be)
+# GenreProfile field -> record.has_shape's (depth, kinds, length), and what it must be
 _FIELDS = {
-    "label": ((str,), None, "a string"),
-    "document_count": ((int,), None, "an integer"),
-    "bias": ((int, float), None, "a number"),
-    "target": ((int, float), 3, "three numbers"),
-    "token_range": ((int,), 2, "two integers"),
-    "channel": ((str, type(None)), None, "a string or null"),
+    "label": (0, (str,), None, "a string"),
+    "document_count": (0, (int,), None, "an integer"),
+    "bias": (0, (int, float), None, "a number"),
+    "target": (1, (int, float), 3, "three numbers"),
+    "token_range": (1, (int,), 2, "two integers"),
+    "channel": (0, (str, type(None)), None, "a string or null"),
 }
-
-
-def _well_typed(key: str, value: object) -> bool:
-    """Whether ``value`` fits field ``key``: never a bool, and a list or tuple of
-    the item count where the field has one."""
-    kinds, length, _ = _FIELDS[key]
-    values = value if length and isinstance(value, (list, tuple)) else [value]
-    return len(values) == (length or 1) and all(
-        isinstance(v, kinds) and not isinstance(v, bool) for v in values
-    )
 
 
 def profile_from_json(index: int, item: object) -> GenreProfile:

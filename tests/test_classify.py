@@ -978,6 +978,30 @@ def _edited(text, **changes):
             "class 'news', feature 'fire': the log-density of a zero count is not finite "
             "for mean 1e\\+200, variance 1.0",
         ),
+        # nested past the decoder's depth: was a RecursionError
+        (
+            "[" * 100_000 + "]" * 100_000,
+            "model JSON: maximum recursion depth exceeded while decoding a JSON array "
+            "from a unicode string",
+        ),
+        # a repeated label: loaded, then predicted a posterior over ('news', 'news')
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, class_labels=["news", "news"]),
+            "class_labels: not 2 distinct strings",
+        ),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, class_labels=["sport", "sport"]),
+            "class_labels: not 2 distinct strings",
+        ),
+        # no classes: loaded, then prediction raised 'max() arg is an empty sequence'
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, class_labels=[], log_priors=[], means=[], variances=[]),
+            "class_labels: not 1 distinct strings",
+        ),
+        (
+            _edited(_OLD_ORDER_MULTINOMIAL, class_labels=[], log_priors=[], log_term_probs=[]),
+            "class_labels: not 1 distinct strings",
+        ),
     ],
     ids=[
         "counts-null-mean",
@@ -1007,6 +1031,11 @@ def _edited(text, **changes):
         "multinomial-flat-rows",
         "multinomial-array-alpha",
         "counts-absent-term-overflows",
+        "nested-too-deeply",
+        "repeated-class-label",
+        "multinomial-repeated-class-label",
+        "no-class-labels",
+        "multinomial-no-class-labels",
     ],
 )
 def test_model_json_of_the_wrong_shape_is_a_value_error_naming_the_field(text, message):

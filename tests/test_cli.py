@@ -305,6 +305,20 @@ def test_score_window_refuses_a_corpus_that_gained_an_earlier_document(
     assert not out.exists()
 
 
+def test_score_window_reports_the_origin_pass_error_when_the_document_pass_finds_none(
+    monkeypatch, lexicon_path, corpus_path, tmp_path, capsys
+):
+    """The origin pre-pass stops at line 2, then a document pass looks for an
+    earlier fault; when that pass finds none, the pre-pass's error stands."""
+    lines = Path(corpus_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    Path(corpus_path).write_text("".join([lines[0], "not json\n", *lines[1:]]), encoding="utf-8")
+    monkeypatch.setattr(cli, "_documents", lambda args: iter(()))
+    out = tmp_path / "series.csv"
+    assert main(_window_argv(lexicon_path, corpus_path, out)) == 2
+    assert capsys.readouterr().err == "error: line 2: invalid JSON (Expecting value)\n"
+    assert not out.exists()
+
+
 def test_score_window_on_a_fifo_needs_origin(lexicon_path, tmp_path, capsys):
     """A FIFO cannot be read twice, so the default origin cannot be found; the
     FIFO is refused before it is opened, so no writer is needed."""

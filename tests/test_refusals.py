@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from tvmood.affect import AffectScore, AffectSeries, SeriesPoint, score_counts, score_windows
 from tvmood.classify import (
     AlphaError,
+    GaussianNbModel,
+    MultinomialNbModel,
     Posterior,
     model_from_json,
     model_to_json,
@@ -150,6 +152,24 @@ REFUSALS = {
         for kind in TRAINERS
         for via in ("json", "constructor")
     },
+    "gaussian-repeated-class-label": (  # loaded, then predicted a posterior over ('x', 'x')
+        lambda: GaussianNbModel(
+            ("x", "x"), (0.0, 0.0), ((0.0,), (1.0,)), ((1.0,), (1.0,)), 1e-9, 1
+        ),
+        ValueError, "class_labels: not 2 distinct strings",
+    ),
+    "gaussian-no-class-labels": (  # loaded, then prediction raised max() of no classes
+        lambda: GaussianNbModel((), (), (), (), 1e-9, 1),
+        ValueError, "class_labels: not 1 distinct strings",
+    ),
+    "multinomial-repeated-class-label": (
+        lambda: MultinomialNbModel(("x", "x"), (0.0, 0.0), ("t",), ((-1.0,), (-1.0,)), 1.0),
+        ValueError, "class_labels: not 2 distinct strings",
+    ),
+    "multinomial-no-class-labels": (
+        lambda: MultinomialNbModel((), (), ("t",), (), 1.0),
+        ValueError, "class_labels: not 1 distinct strings",
+    ),
     "labeled-rows-unknown-representation": (
         lambda: labeled_rows([], make_lexicon({"x": TARGET}), "bow"),
         ValueError, "unknown representation 'bow'",
