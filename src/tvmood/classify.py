@@ -54,7 +54,7 @@ import sys
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
-from operator import eq, is_, itemgetter, mul
+from operator import eq, itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .corpus import MAX_FLOAT, check_counts, count_total
@@ -200,6 +200,16 @@ class _Table(dict):
         return value
 
 
+def _derive_all(table: _Table, keys: Sequence, features: Sequence, where: str = "") -> tuple:
+    """Each key's value from ``table``, or a ValueError prefixed by ``where`` and
+    the feature of the first key whose derivation raised one."""
+    try:
+        return tuple(map(table.__getitem__, keys))
+    except ValueError as error:  # keys derive in order, so the first one not stored failed
+        bad = next(feature for feature, key in zip(features, keys) if key not in table)
+        raise ValueError(f"{where}feature {bad!r}: {error}") from None
+
+
 def _check_shape(model: Record, vocabulary: Optional[Sequence], width: int, *names: str) -> None:
     """Raise ValueError, naming the field, unless the labels are one or more and
     ``vocabulary`` None or ``width`` distinct strings, the first named field has
@@ -220,50 +230,23 @@ def _check_shape(model: Record, vocabulary: Optional[Sequence], width: int, *nam
                 raise ValueError(f"{name}: class {label!r} has {len(row)} entries, not {width}")
 
 
-def _check_finite(model: Record, name: str, features: Optional[Sequence] = None) -> None:
+def _check_finite(
+    model: Record, name: str, features: Optional[Sequence] = None, top: float = MAX_FLOAT
+) -> None:
     """Raise ValueError, naming the field and class, and the feature when the
     field holds one row per class over ``features``, for an entry of the
-    named field that is neither None nor a number within the float range."""
+    named field that is neither None nor a number from -MAX_FLOAT to ``top``."""
     rows = getattr(model, name)
     values = list(filter(None, rows if features is None else chain.from_iterable(rows)))
     low, high = min(values, default=0), max(values, default=0)
-    if -MAX_FLOAT <= low and high <= MAX_FLOAT and all(map(eq, values, values)):
+    if -MAX_FLOAT <= low and high <= top and all(map(eq, values, values)):
         return  # checked in C: only NaN differs from itself
     for label, row in zip(model.class_labels, rows):
         for feature, value in [(None, row)] if features is None else zip(features, row):
-            if value is not None and not -MAX_FLOAT <= value <= MAX_FLOAT:
+            if value is not None and not -MAX_FLOAT <= value <= top:
                 where = f"class {label!r}" + ("" if features is None else f", feature {feature!r}")
-                raise ValueError(f"{name}: {where} has {value!r}, which is not a finite float")
-
-
-def _faults(model: Record, features: Sequence, absent_terms: Sequence[Sequence]) -> Iterator[str]:
-    """The errors of the (class, feature) entries at fault, naming both: first
-    each variance that is not positive, then each whose ``2*pi*variance`` is
-    not finite, each zero-count log-density that is not finite, and each
-    at which its class's exact sum of those runs past the float range."""
-    rows = zip(model.class_labels, model.means, model.variances, absent_terms)
-    entries = [
-        (f"class {label!r}, feature {feature!r}", label, mean, v, term)
-        for label, means, variances, terms in rows
-        for feature, mean, v, term in zip(features, means, variances, terms)
-    ]
-    for where, _, _, v, _ in entries:
-        if v is not None and v <= 0.0:  # a NaN passes here and fails below
-            yield f"{where}: variance {v!r} is not positive"
-    for where, _, _, v, _ in entries:
-        if v is not None and not math.isfinite(2.0 * math.pi * v):
-            yield f"{where}: 2*pi*variance is not finite for variance {v!r}"
-    for where, _, mean, v, term in entries:
-        if not math.isfinite(term):
-            what = f"the log-density of a zero count is not finite for mean {mean!r}"
-            yield f"{where}: {what}, variance {v!r}"
-    sums: dict[str, tuple[float, ...]] = {}  # per class, the exact partials so far
-    for where, label, _, _, term in entries:
-        try:
-            sums[label] = _exact_partials([*sums.get(label, ()), term])
-        except OverflowError:
-            yield f"{where}: the log-likelihood of an all-zero instance runs past the float range"
-    raise AssertionError("every variance and zero-count log-density is usable")
+                what = f"at most {top!r}" if -MAX_FLOAT <= value <= MAX_FLOAT else "a finite float"
+                raise ValueError(f"{name}: {where} has {value!r}, which is not {what}")
 
 
 class GaussianNbModel(Record):
@@ -307,43 +290,55 @@ class GaussianNbModel(Record):
         counts = self.vocabulary is not None
         features = self.vocabulary if counts else range(self.feature_count)
         _check_shape(self, vocabulary, feature_count, "log_priors", "means", "variances")
-        for label, means, variances in zip(self.class_labels, self.means, self.variances):
-            missing = list(map(is_, means, repeat(None)))  # C-level passes
-            if missing != list(map(is_, variances, repeat(None))) or counts and True in missing:
-                for feature, mean, v in zip(features, means, variances):
-                    if (mean is None) != (v is None) or counts and v is None:
-                        what = "a counts model has no None" if counts else "only one is None"
-                        pair = f"mean {mean!r}, variance {v!r}"
-                        raise ValueError(f"class {label!r}, feature {feature!r}: {pair}: {what}")
-        # each derived float is computed once per distinct value and shared by
-        # the entries equal to it: a pure function of values that compare equal.
-        # A variance that is not positive gets NaN, which fails the check below
-        log_norm_of = _Table(
-            lambda v: None if v is None else math.log(2.0 * math.pi * v) if v > 0 else math.nan
-        )
-        log_norms = tuple(tuple(map(log_norm_of.__getitem__, row)) for row in self.variances)
+        # each derived float is computed once per distinct value and shared by the
+        # entries equal to it: a pure function of values that compare equal
+        def log_norm(v: Optional[float]) -> Optional[float]:
+            if v is None:
+                return None
+            if v <= 0.0:
+                raise ValueError(f"variance {v!r} is not positive")
+            scaled = 2.0 * math.pi * v if v <= MAX_FLOAT else math.inf  # NaN is inf here
+            if not math.isfinite(scaled):
+                raise ValueError(f"2*pi*variance is not finite for variance {v!r}")
+            return math.log(scaled)
 
-        def absent_term(pair: tuple[float, float]) -> float:
-            """The expression predict_gaussian evaluates for a zero count: -inf
-            when the square overflows, NaN when the variance is not positive."""
+        log_norm_of = _Table(log_norm)
+
+        def absent_term(pair: tuple[Optional[float], Optional[float]]) -> float:
+            """The expression predict_gaussian evaluates for a zero count; 0.0 in a dense model."""
             mean, v = pair
-            d = 0.0 - mean
-            return -0.5 * (log_norm_of[v] + d * d / v) if v > 0 else math.nan
+            if (mean is None) != (v is None) or counts and v is None:
+                what = "a counts model has no None" if counts else "only one is None"
+                raise ValueError(f"mean {mean!r}, variance {v!r}: {what}")
+            if not counts:
+                return 0.0
+            log_v = log_norm_of[v]
+            if -MAX_FLOAT <= mean <= MAX_FLOAT:
+                d = 0.0 - mean
+                term = -0.5 * (log_v + d * d / v)  # -inf when the square overflows
+                if math.isfinite(term):
+                    return term
+            what = f"the log-density of a zero count is not finite for mean {mean!r}"
+            raise ValueError(f"{what}, variance {v!r}")
 
-        absent_term_of = _Table(absent_term if counts else lambda pair: 0.0)
-        absent_terms = tuple(
-            tuple(map(absent_term_of.__getitem__, zip(means, variances)))
-            for means, variances in zip(self.means, self.variances)
-        )
-        derived = chain(filter(None, log_norm_of.values()), absent_term_of.values())
-        finite = all(map(math.isfinite, derived))  # one C-level pass, which a NaN fails too
-        try:
-            if finite:
-                absent_partials = tuple(_exact_partials(list(row)) for row in absent_terms)
-        except OverflowError:  # a class's sum of absent terms ran past the float range
-            finite = False
-        if not finite:
-            raise ValueError(next(_faults(self, features, absent_terms)))
+        absent_term_of = _Table(absent_term)
+        log_norms, absent_terms, absent_partials = [], [], []
+        for label, means, variances in zip(self.class_labels, self.means, self.variances):
+            where = f"class {label!r}, "
+            terms = _derive_all(absent_term_of, list(zip(means, variances)), features, where)
+            log_norms.append(_derive_all(log_norm_of, variances, features, where))
+            try:
+                partials = _exact_partials(list(terms))
+            except OverflowError:  # name the feature at which the running sum overflows
+                partials = ()
+                for feature, term in zip(features, terms):
+                    try:
+                        partials = _exact_partials([*partials, term])
+                    except OverflowError:
+                        what = "log-likelihood of an all-zero instance runs past the float range"
+                        raise ValueError(f"{where}feature {feature!r}: the {what}") from None
+            absent_terms.append(terms)
+            absent_partials.append(partials)
         _check_finite(self, "log_priors")
         if not counts:  # a counts model's means are refused through their absent terms
             _check_finite(self, "means", features)
@@ -351,9 +346,9 @@ class GaussianNbModel(Record):
             floor = self.variance_floor
             raise ValueError(f"variance_floor: {floor!r} is not a positive finite float")
         object.__setattr__(self, "term_index", {term: i for i, term in enumerate(features)})
-        object.__setattr__(self, "log_norms", log_norms)
-        object.__setattr__(self, "absent_terms", absent_terms)
-        object.__setattr__(self, "absent_partials", absent_partials)
+        object.__setattr__(self, "log_norms", tuple(log_norms))
+        object.__setattr__(self, "absent_terms", tuple(absent_terms))
+        object.__setattr__(self, "absent_partials", tuple(absent_partials))
 
 
 def train_gaussian(
@@ -400,17 +395,10 @@ def train_gaussian(
 
         return _Table(fit)
 
-    def lookup(fits: _Table, keys: list[tuple]) -> list[tuple]:
-        try:
-            return list(map(fits.__getitem__, keys))
-        except ValueError as error:  # keys fit in order, so the first one not stored failed
-            bad = next(feature for feature, key in zip(features, keys) if key not in fits)
-            raise ValueError(f"feature {bad!r}: {error}") from None
-
     # a fit is a pure function of the values and the size: equal keys, equal bits.
     # A variance is never below 0.0, so the global pass leaves it unfloored
     global_fits = fit_table(len(instances), 0.0)
-    lookup(global_fits, list(map(tuple, map(chain, *class_keys))))
+    _derive_all(global_fits, list(map(tuple, map(chain, *class_keys))), features)
     global_max_variance = max([0.0, *filter(None, map(itemgetter(1), global_fits.values()))])
     variance_floor = (
         # at least the smallest normal float, so log(2*pi*variance) is finite
@@ -423,7 +411,7 @@ def train_gaussian(
     means = []
     variances = []
     for size, keys in zip(class_sizes, class_keys):
-        pairs = lookup(fits_by_size[size], keys)
+        pairs = _derive_all(fits_by_size[size], keys, features)
         means.append(tuple(map(itemgetter(0), pairs)))
         variances.append(tuple(map(itemgetter(1), pairs)))
 
@@ -507,7 +495,7 @@ class MultinomialNbModel(Record):
         super().__init__(class_labels, log_priors, vocabulary, log_term_probs, alpha)
         _check_shape(self, vocabulary, len(vocabulary), "log_priors", "log_term_probs")
         _check_finite(self, "log_priors")
-        _check_finite(self, "log_term_probs", self.vocabulary)
+        _check_finite(self, "log_term_probs", self.vocabulary, top=0.0)  # a log probability
         check_alpha(self.alpha)
         object.__setattr__(
             self, "term_columns", dict(zip(self.vocabulary, zip(*self.log_term_probs)))

@@ -711,11 +711,18 @@ def test_gaussian_variance_with_infinite_log_norm_names_class_and_feature():
     with pytest.raises(ValueError, match=r"^class 'a', feature 0: 2\*pi\*variance is not finite"):
         train_gaussian([[5.4e153], [-5.4e153], [1.0], [2.0]], labels)
     model = train_gaussian([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [3.0, 1.0]], labels)
-    for variance in (1e308, math.inf, math.nan):
+    for variance in (1e308, math.inf, math.nan, 10**400):  # the int was an OverflowError
         payload = json.loads(model_to_json(model))
         payload["variances"][1][1] = variance
         with pytest.raises(ValueError, match=r"^class 'b', feature 1: .* not finite"):
             model_from_json(json.dumps(payload))
+    # in a model over counts too, where the variance enters the absent term
+    counts_model = train_gaussian([{"x": 1}, {"x": 2}, {"y": 1}, {"y": 3}], labels)
+    payload = json.loads(model_to_json(counts_model))
+    payload["variances"][1][0] = 10**400
+    message = f"class 'b', feature 'x': 2*pi*variance is not finite for variance {10**400}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # was an OverflowError
+        model_from_json(json.dumps(payload))
 
 
 def test_gaussian_variance_not_positive_names_class_and_feature():
@@ -827,6 +834,8 @@ def test_model_json_holds_the_fields_in_constructor_order():
 _labels = st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True).map(tuple)
 _terms = st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=4, unique=True).map(tuple)
 _values = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+# a log probability is at most 0
+_log_probabilities = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 0.0)
 # a counts model's absent-feature term, mean**2 / variance, stays finite
 _variances = st.floats(1e-6, 1e300)
 
@@ -839,7 +848,7 @@ def models(draw):
     priors = tuple(draw(_values) for _ in labels)
     kind = draw(st.sampled_from(["dense", "counts", "multinomial"]))
     if kind == "multinomial":
-        rows = tuple(tuple(draw(_values) for _ in terms) for _ in labels)
+        rows = tuple(tuple(draw(_log_probabilities) for _ in terms) for _ in labels)
         return MultinomialNbModel(labels, priors, terms, rows, draw(st.floats(1e-3, 1e3)))
     means, variances = [], []
     for _ in labels:
@@ -978,6 +987,12 @@ def _edited(text, **changes):
             "class 'news', feature 'fire': the log-density of a zero count is not finite "
             "for mean 1e\\+200, variance 1.0",
         ),
+        # an int mean past the float range: was an OverflowError from the absent term
+        (
+            _edited(_OLD_ORDER_GAUSSIAN, means=[[0.5, 10**400], [1.5, -0.0]]),
+            "class 'news', feature 'fire': the log-density of a zero count is not finite "
+            f"for mean {10**400}, variance 1.0",
+        ),
         # nested past the decoder's depth: was a RecursionError
         (
             "[" * 100_000 + "]" * 100_000,
@@ -1031,6 +1046,7 @@ def _edited(text, **changes):
         "multinomial-flat-rows",
         "multinomial-array-alpha",
         "counts-absent-term-overflows",
+        "counts-int-mean-past-the-float-range",
         "nested-too-deeply",
         "repeated-class-label",
         "multinomial-repeated-class-label",
@@ -1081,3 +1097,15 @@ def test_counts_model_refuses_an_absent_term_that_is_not_finite(means, variances
         ("a", "b"), (0.0, 0.0), (means, (0.0,) * 3), (variances, (1.0,) * 3), 1e-9, 3
     )
     assert predict_gaussian(dense, [0.0, 0.0, 0.0]).predicted_label == "b"
+
+
+def test_a_model_with_several_faults_names_the_first_in_class_then_feature_order():
+    # class 'a' has an absent term that overflows at 'y', class 'b' a variance of 0 at 'x'
+    means = ((0.0, 1e200), (0.0, 0.0))
+    variances = ((1.0, 1.0), (0.0, 1.0))
+    message = (
+        "class 'a', feature 'y': the log-density of a zero count is not finite "
+        "for mean 1e+200, variance 1.0"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GaussianNbModel(("a", "b"), (0.0, 0.0), means, variances, 1e-9, 2, ("x", "y"))

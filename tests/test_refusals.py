@@ -205,6 +205,10 @@ REFUSALS = {
         lambda: edited(MULTINOMIAL, "log_term_probs", 0, 0, value=math.nan),
         ValueError, "log_term_probs: class 'x', feature 'a' has nan, which is not a finite float",
     ),
+    "multinomial-positive-log-term-prob": (  # loaded, then predicted (nan, nan) for {'b': 2}
+        lambda: edited(MULTINOMIAL, "log_term_probs", 0, 1, value=1e308),
+        ValueError, "log_term_probs: class 'x', feature 'b' has 1e+308, which is not at most 0.0",
+    ),
     "multinomial-nan-log-prior": (
         lambda: edited(MULTINOMIAL, "log_priors", 0, value=math.nan),
         ValueError, "log_priors: class 'x' has nan, which is not a finite float",
@@ -377,6 +381,65 @@ def test_counts_give_a_finite_answer_or_a_one_line_value_error(entry, counts):
     else:
         values = [*result.log_priors, *chain.from_iterable(result.log_term_probs)]
     assert all(map(math.isfinite, values))
+
+
+ENTRY_MODELS = {"dense": DENSE_GAUSSIAN, "counts": COUNTS_GAUSSIAN, "multinomial": MULTINOMIAL}
+ENTRY_QUERIES = {  # near each model's classes, far from them, and empty where it can be
+    "dense": [[1.0, 2.0], [3.5, 0.5], [1e154, -1e154]],
+    "counts": [{"a": 1}, {"b": 3}, {"a": 2, "b": 1e154}, {}],
+    "multinomial": [{"a": 1}, {"b": 2}, {"a": 3, "b": 1e300}, {}],
+}
+
+
+def _indices(value):
+    """Each index path to a number in a model field's value: (), (i,) or (i, j)."""
+    if not isinstance(value, tuple):
+        return [()]
+    return [(i, *rest) for i, item in enumerate(value) for rest in _indices(item)]
+
+
+MODEL_ENTRIES = [  # (kind, field, *index) for each number entry of the three models
+    (kind, name, *index)
+    for kind, model in ENTRY_MODELS.items()
+    for name in ("means", "variances", "log_priors", "log_term_probs", "variance_floor", "alpha")
+    if hasattr(model, name)
+    for index in _indices(getattr(model, name))
+]
+
+
+@given(
+    st.sampled_from(MODEL_ENTRIES),
+    st.one_of(
+        st.floats(),
+        st.sampled_from([0, -0.0, 1e308, -1e308, 5e-324, 10**400, -(10**400)]),
+        st.integers(-(10**400), 10**400),
+    ),
+)
+@example(("dense", "variances", 0, 0), 10**400)  # was an OverflowError
+@example(("counts", "variances", 0, 0), 10**400)  # was an OverflowError
+@example(("counts", "means", 0, 0), 10**400)  # was an OverflowError
+@example(("multinomial", "log_term_probs", 0, 1), 1e308)  # predicted (nan, nan)
+def test_one_model_entry_gives_finite_posteriors_or_a_one_line_value_error(entry, value):
+    """A trained model with any one number entry set to any number either
+    loads and predicts finite posteriors that sum to 1 (or, for the
+    multinomial, the ValueError of every class past the float range), or
+    its loading is a one-line ValueError: never NaN or another error."""
+    kind, *path = entry
+    try:
+        model = edited(ENTRY_MODELS[kind], *path, value=value)
+    except ValueError as error:
+        assert "\n" not in str(error)
+        return
+    predict = predict_multinomial if kind == "multinomial" else predict_gaussian
+    for query in ENTRY_QUERIES[kind]:
+        try:
+            probabilities = predict(model, query).probabilities
+        except ValueError as error:
+            assert kind == "multinomial"
+            assert str(error) == "the log-likelihood of every class runs past the float range"
+            continue
+        assert all(map(math.isfinite, probabilities))
+        assert math.fsum(probabilities) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
