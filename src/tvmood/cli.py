@@ -112,13 +112,15 @@ def _write_all(*paths: str) -> Iterator[list[TextIO]]:
 
 
 def _outputs(args: argparse.Namespace) -> tuple[str, ...]:
-    """The files a command writes: ``--out``, or evaluate's two report paths."""
+    """The files a command writes: ``--out``, or evaluate's two report paths.
+    Refuses an ``--out`` whose file name (evaluate's without ``.json``) is empty."""
     if getattr(args, "out", None) is None:
         return ()
-    if args.command != "evaluate":
-        return (args.out,)
-    prefix = args.out[:-5] if args.out.endswith(".json") else args.out
-    return (prefix + ".json", prefix + ".csv")
+    evaluate = args.command == "evaluate"
+    prefix = args.out[:-5] if evaluate and args.out.endswith(".json") else args.out
+    if not os.path.basename(prefix):
+        raise ValueError(f"--out {args.out!r} names no file")
+    return (prefix + ".json", prefix + ".csv") if evaluate else (prefix,)
 
 
 def _refuse_overwriting_inputs(args: argparse.Namespace) -> None:

@@ -154,9 +154,9 @@ def check_counts(
 class Document(Record):
     """One transcript item with per-term counts.
 
-    Immutable after construction; terms are lowercase. ``id`` and, when
-    given, ``genre`` are non-empty. ``timestamp`` may be None for documents
-    built programmatically; time-windowed operations reject such
+    Immutable after construction; terms are lowercase. ``id``, ``channel``
+    and, when given, ``genre`` are non-empty. ``timestamp`` may be None for
+    documents built programmatically; time-windowed operations reject such
     documents, everything else accepts them. ``total_tokens`` is derived:
     the exact integer sum of the term counts.
     """
@@ -177,6 +177,8 @@ class Document(Record):
         super().__init__(id, channel, term_counts, genre, timestamp)
         if not self.id:
             raise ValueError("document id is empty")
+        if not self.channel:
+            raise ValueError(f"document {self.id!r}: channel is empty")
         if self.genre == "":
             raise ValueError(f"document {self.id!r}: genre is empty")
         if not _checked:

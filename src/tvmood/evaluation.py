@@ -249,7 +249,8 @@ def run_cv(
         raise ValueError(f"row {mixed!r} is not a {representation} row, as the first row is")
     if config is None:
         config = ClassifierConfig(DEFAULT_NB[representation])
-    check_representation(representation, config.kind)
+    if rows:  # with no row, the representation is a fallback and k names the fault
+        check_representation(representation, config.kind)
 
     unlabeled = [row.id for row in rows if row.genre is None]
     if unlabeled:

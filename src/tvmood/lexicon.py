@@ -18,8 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from itertools import chain, cycle
-from operator import eq
+from itertools import cycle
 from typing import Iterable, TextIO
 
 from .corpus import MAX_FLOAT, tokenize
@@ -58,17 +57,13 @@ def normalize_sd(raw_sd: float) -> float:
     return raw_sd / RAW_SPAN
 
 
-def _check_words(words: list[str]) -> None:
-    joined = " ".join(words)  # checked in C; the loop names a bad word
-    if joined.split() == words and joined == joined.lower():
-        return
-    for word in words:
-        if not word:
-            raise ValueError("word is empty")
-        if any(ch.isspace() for ch in word):
-            raise ValueError(f"word {word!r} contains whitespace")
-        if word != word.lower():
-            raise ValueError(f"word {word!r} is not lowercase")
+def _check_word(word: str) -> None:
+    if not word:
+        raise ValueError("word is empty")
+    if any(ch.isspace() for ch in word):
+        raise ValueError(f"word {word!r} contains whitespace")
+    if word != word.lower():
+        raise ValueError(f"word {word!r} is not lowercase")
 
 
 class AffectLexicon(Record):
@@ -90,13 +85,8 @@ class AffectLexicon(Record):
         super().__init__(table)
         if _checked:
             return
-        _check_words(list(self.table))
-        values = list(chain.from_iterable(self.table.values()))
-        # without a NaN, the one value that differs from itself, min and max are reliable
-        fine = set(map(len, self.table.values())) <= {3} and all(map(eq, values, values))
-        if fine and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
-            return
         for word, t in self.table.items():
+            _check_word(word)
             if len(t) != 3 or not all(0.0 <= x <= 1.0 for x in t):
                 what = "three finite values in [0, 1]"
                 raise ValueError(f"word {word!r}: means {t!r} are not {what}")
@@ -131,7 +121,7 @@ def _check_row(row: list[str], line: int) -> None:
                 raise ValueError(f"non-numeric {column} value {cell!r}") from None
         for scale, cell in zip(cycle((normalize_rating, normalize_sd)), row[1:]):
             scale(float(cell))
-        _check_words([row[0].strip().lower()])
+        _check_word(row[0].strip().lower())
     except ValueError as exc:
         raise LexiconError(f"line {line}: {exc}") from None
 
@@ -168,7 +158,7 @@ def parse_lexicon(source: str | TextIO | Iterable[str]) -> AffectLexicon:
             except ValueError:  # a wrong column count or a non-numeric cell
                 _check_row(row, start)
             word = word.strip().lower()
-            # the checks of normalize_rating, normalize_sd and _check_words, inline
+            # the checks of normalize_rating, normalize_sd and _check_word, inline
             if not (
                 1.0 <= v <= 9.0 and 1.0 <= a <= 9.0 and 1.0 <= d <= 9.0
                 and 0.0 <= vs <= MAX_FLOAT and 0.0 <= as_ <= MAX_FLOAT and 0.0 <= ds <= MAX_FLOAT

@@ -16,8 +16,6 @@ silent last-wins; :func:`has_shape` is the one shape rule of their fields.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-
 _set = object.__setattr__
 
 
@@ -77,14 +75,11 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 
 def has_shape(value: object, depth: int, kinds: tuple | None, length: int | None = None) -> bool:
-    """Whether ``value`` is lists or tuples nested ``depth`` deep around ``length``
-    leaves (any number where None) of the types ``kinds`` (any where None), no bool."""
-    values = [value]
-    for _ in range(depth):  # C-level passes, a level at a time
-        if not all(map(isinstance, values, repeat((list, tuple)))):
-            return False
-        values = list(chain.from_iterable(values))
-    return length in (None, len(values)) and (
-        kinds is None
-        or bool not in set(map(type, values)) and all(map(isinstance, values, repeat(kinds)))
+    """Whether ``value`` is lists or tuples nested ``depth`` deep, the outermost of
+    ``length`` items (any number where None), around leaves of the types ``kinds``
+    (any where None), no bool."""
+    if depth == 0:
+        return kinds is None or not isinstance(value, bool) and isinstance(value, kinds)
+    return isinstance(value, (list, tuple)) and length in (None, len(value)) and all(
+        has_shape(item, depth - 1, kinds) for item in value
     )

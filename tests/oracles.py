@@ -32,6 +32,8 @@ density term is the bit-exact reference for ``classify.predict_gaussian``.
 CSV rows whose fields are formatted by hand (``repr`` of a float,
 ``str(int(x))`` of a count, ``""`` of a missing value) are the byte-exact
 references for the four CSV writers, which hand ``csv.writer`` raw values.
+Checking a whole nesting level at a time, in C-level ``map`` passes, is the
+reference for ``record.has_shape``, which checks item by item.
 """
 
 from __future__ import annotations
@@ -746,3 +748,19 @@ def report_csv_formatted(report):
     weighted = (report.weighted_tp_rate, report.weighted_fp_rate, report.weighted_auc)
     rows.append(("weighted_average", *map(repr, weighted)))
     return _csv_text(rows)
+
+
+def has_shape_bulk(value, depth, kinds, length=None):
+    """Reference for ``record.has_shape``: lists or tuples nested ``depth`` deep
+    around ``length`` leaves (any number where None) of the types ``kinds`` (any
+    where None), no bool, flattened a level at a time."""
+    values = [value]
+    for _ in range(depth):
+        if not all(map(isinstance, values, itertools.repeat((list, tuple)))):
+            return False
+        values = list(itertools.chain.from_iterable(values))
+    return length in (None, len(values)) and (
+        kinds is None
+        or bool not in set(map(type, values))
+        and all(map(isinstance, values, itertools.repeat(kinds)))
+    )

@@ -870,6 +870,50 @@ def test_empty_genre_is_one_line_error_naming_its_line(tmp_path, capsys, lexicon
     assert not any(path.exists() for path in outputs)
 
 
+@pytest.mark.parametrize("command", WRITERS, ids=WRITER_IDS)
+def test_empty_channel_is_one_line_error_naming_its_line(tmp_path, capsys, lexicon_path, command):
+    """No command writes a row or a series for a channel called ""."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"id":"a","channel":"","timestamp":"2013-01-01T00:00:00Z","text":"joy joy"}\n',
+        encoding="utf-8",
+    )
+    out, outputs = _outputs(command, tmp_path)
+    assert main([*command, "--lexicon", lexicon_path, "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 1: document 'a': channel is empty\n"
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize(
+    "command,out",
+    [
+        (["score"], ""),
+        (["features"], ""),
+        (["synth"], ""),
+        (EVALUATE, ""),
+        (EVALUATE, ".json"),
+        (EVALUATE, "sub/"),
+    ],
+    ids=["score", "features", "synth", "evaluate", "evaluate-json", "evaluate-dir"],
+)
+def test_out_that_names_no_file_is_refused(
+    tmp_path, monkeypatch, capsys, lexicon_path, corpus_path, command, out
+):
+    """Refused before anything is read: a temporary beside the working
+    directory, or a hidden ``.json`` and ``.csv`` report, is never written."""
+    profiles = tmp_path / "profiles.json"
+    profile = {"label": "up", "document_count": 2, "target": [0.8, 0.5, 0.5]}
+    profiles.write_text(json.dumps([profile]), encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    before = sorted(tmp_path.iterdir())
+    inputs = ["--profiles", str(profiles)] if command[0] == "synth" else ["--corpus", corpus_path]
+    assert main([*command, "--lexicon", lexicon_path, *inputs, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out {out!r} names no file\n"
+    assert sorted(tmp_path.iterdir()) == before and not any(work.iterdir())
+
+
 def test_over_long_count_is_one_line_error_naming_its_line(tmp_path, capsys, lexicon_path, corpus_path):
     # json.loads refuses an integer of more than 4,300 digits with a plain ValueError
     big = ('{"id":"big","channel":"cnn","timestamp":"2013-01-07T00:00:00Z",'

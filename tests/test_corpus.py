@@ -375,6 +375,13 @@ def test_empty_genre_is_rejected_naming_its_line(mode, body):
         read_text("\n".join(lines), mode=mode)
 
 
+@pytest.mark.parametrize("mode,body", [("text", "text"), ("counts", "term_counts")])
+def test_empty_channel_is_rejected_naming_its_line(mode, body):
+    content = "joy joy" if mode == "text" else {"joy": 2}
+    with pytest.raises(CorpusError, match=r"^line 1: document 'a': channel is empty$"):
+        read_text(record("a", channel="", **{body: content}), mode=mode)
+
+
 def test_load_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         read_text("", mode="tokens")
@@ -410,6 +417,8 @@ def test_document_validation():
         Document("a", "cnn", {"x": 1}, timestamp=datetime(2013, 1, 7))
     with pytest.raises(ValueError, match="id"):
         Document("", "cnn", {"x": 1})
+    with pytest.raises(ValueError, match=r"^document 'a': channel is empty$"):
+        Document("a", "", {"x": 1})
     with pytest.raises(ValueError, match=r"^document 'a': genre is empty$"):
         Document("a", "cnn", {"x": 1}, "")
     with pytest.raises(ValueError, match=r"^document 'a': term 'Fire' is not lowercase$"):

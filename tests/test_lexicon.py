@@ -90,6 +90,10 @@ def test_non_finite_sd_is_rejected(raw):
             {"joy": (0.5, math.nan, 0.5)},
             r"word 'joy': means \(0.5, nan, 0.5\) are not three finite values in \[0, 1\]",
         ),
+        (  # the first faulty entry in table order, its word before its means
+            {"ok": (2.0, 0.5, 0.5), "Bad": (0.5, 0.5, 0.5)},
+            r"word 'ok': means \(2.0, 0.5, 0.5\) are not three finite values in \[0, 1\]",
+        ),
     ],
 )
 def test_direct_construction_checks_every_word_and_value(table, message):

@@ -18,6 +18,8 @@ import sys
 from datetime import timedelta
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tvmood
 from tvmood.affect import AffectScore, AffectSeries, MatchStats, SeriesPoint
@@ -33,10 +35,11 @@ from tvmood.classify import (
 from tvmood.corpus import Document
 from tvmood.evaluation import ClassifierConfig, ClassMetrics, EvalReport, FoldAssignment
 from tvmood.lexicon import AffectLexicon
-from tvmood.record import Record, unique_keys
+from tvmood.record import Record, has_shape, unique_keys
 from tvmood.synth import GenreProfile
 
 from conftest import T0
+from oracles import has_shape_bulk
 
 HALF = math.log(0.5)
 
@@ -281,3 +284,27 @@ def test_unique_keys_builds_the_dict_or_names_the_first_repeated_key():
     for text, key in (('{"a": 1, "b": 2, "b": 3, "a": 4}', "b"), ('{"a": {"c": 1, "c": 1}}', "c")):
         with pytest.raises(ValueError, match=f"^repeated key '{key}'$"):
             json.loads(text, object_pairs_hook=unique_keys)
+
+
+_LEAVES = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=2), st.none())
+
+
+def _nested(depth):
+    """Leaves, or lists and tuples of up to four values nested at most ``depth`` deep."""
+    if depth == 0:
+        return _LEAVES
+    items = _nested(depth - 1)
+    return _LEAVES | st.lists(items, max_size=4) | st.lists(items, max_size=4).map(tuple)
+
+
+@given(
+    _nested(2),
+    st.integers(0, 2),
+    st.sampled_from([None, (str,), (int,), (int, float), (int, float, type(None))]),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_has_shape_agrees_with_the_level_at_a_time_reference(value, depth, kinds, length):
+    """Item by item or a level at a time, the same verdict; ``length`` is
+    drawn at depth 1 only, where the outer list's items are its leaves."""
+    length = length if depth == 1 else None
+    assert has_shape(value, depth, kinds, length) == has_shape_bulk(value, depth, kinds, length)

@@ -194,6 +194,10 @@ REFUSALS = {
         lambda: run_cv([], 2, 0),
         ValueError, "k=2 exceeds the instance count 0",
     ),
+    "run-cv-no-rows-multinomial": (
+        lambda: run_cv([], 2, 0, ClassifierConfig("multinomial")),
+        ValueError, "k=2 exceeds the instance count 0",
+    ),
     **{
         f"run-cv-single-class-{kind}": (
             lambda kind=kind: run_cv(ONE_CLASS, 2, 0, ClassifierConfig(kind)),
