@@ -2,14 +2,15 @@
 
 Each oracle recomputes an expected value along a different path from the
 implementation under test: match-then-strip tokenizing, token expansion
-with plain numpy statistics for weighted scoring, direct density products in
-arbitrary precision (mpmath) for Gaussian Naive Bayes, exact rationals
-(Fraction) for multinomial Naive Bayes, and an explicit threshold-sweep ROC
-integration for AUC. Exact rationals that round each square once are the
-references for the moments of ``classify._moments`` and the sd of
-``affect.match_stats``. The dense-row Gaussian Naive Bayes reference
-(per-class rescans, two-pass moments) is the bit-exact reference for
-``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows,
+with the standard library's ``statistics`` (exact sums, rounded once on 3.11
+and later) for weighted scoring and the Gaussian Naive Bayes moments, direct
+density products in arbitrary precision (mpmath) for Gaussian Naive Bayes,
+exact rationals (Fraction) for multinomial Naive Bayes, and an explicit
+threshold-sweep ROC integration for AUC. Exact rationals that round each
+square once are the references for the moments of ``classify._moments``
+and the sd of ``affect.match_stats``. The dense-row Gaussian Naive Bayes
+reference (per-class rescans, two-pass moments) is the bit-exact reference
+for ``classify.train_gaussian`` and ``classify.predict_gaussian`` on dense rows,
 and the trainer that collects values per feature, not per class, is the
 bit-exact reference for ``classify.train_gaussian`` on any input.
 The row-by-row lexicon parser and the per-term lookup loop are the
@@ -45,13 +46,13 @@ import math
 import operator
 import random
 import re
+import statistics
 import sys
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from tvmood.affect import (
     SERIES_CSV_HEADER,
@@ -104,8 +105,8 @@ def expansion_stats(counts, lexicon, dim):
     return {
         "min": values[0],
         "max": values[-1],
-        "mean": float(np.mean(values)),
-        "sd": float(np.std(values)),
+        "mean": statistics.mean(values),
+        "sd": statistics.pstdev(values),
         # lower-middle element for even totals
         "median": values[(len(values) + 1) // 2 - 1],
     }
@@ -127,7 +128,7 @@ def gaussian_posterior(instances, labels, query):
     for feature in range(n_features):
         values = feature_values(feature, instances)
         if values:
-            global_max = max(global_max, float(np.var(values)))
+            global_max = max(global_max, statistics.pvariance(values))
     floor = (
         VARIANCE_FLOOR_SCALE * global_max if global_max > 0 else VARIANCE_FLOOR_SCALE
     )
@@ -142,8 +143,8 @@ def gaussian_posterior(instances, labels, query):
             values = feature_values(feature, subset)
             if not values:
                 continue
-            mean = float(np.mean(values))
-            variance = max(float(np.var(values)), floor)
+            mean = statistics.mean(values)
+            variance = max(statistics.pvariance(values), floor)
             deviation = mpmath.mpf(query[feature]) - mpmath.mpf(mean)
             mass *= mpmath.exp(-(deviation ** 2) / (2 * variance)) / mpmath.sqrt(
                 2 * mpmath.pi * variance
@@ -735,9 +736,9 @@ def features_csv_formatted(documents, lexicon):
     rows = [("id", "genre") + FEATURE_NAMES]
     for doc in documents:
         row = extract_meta(doc, lexicon)
-        statistics = ["" if value is None else repr(value) for value in row[:15]]
+        stats = ["" if value is None else repr(value) for value in row[:15]]
         counts = [str(int(value)) for value in row[15:]]
-        rows.append([doc.id, doc.genre or "", *statistics, *counts])
+        rows.append([doc.id, doc.genre or "", *stats, *counts])
     return _csv_text(rows)
 
 

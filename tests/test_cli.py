@@ -990,16 +990,27 @@ def test_repeated_keys_end_in_exit_2_naming_the_key(tmp_path, capsys, lexicon_pa
     assert not out.exists()
 
 
+def _decoder_text(text):
+    """What the running interpreter's ``json.loads`` says about ``text``."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as error:
+        return str(error)
+
+
 @pytest.mark.parametrize(
     "data,fragment",
     [
         (b"[" * 100000, "maximum recursion depth exceeded"),
-        (b"[1, ]", "Expecting value: line 1 column 5 (char 4)"),
+        (b"[1 2]", "Expecting ',' delimiter: line 1 column 4 (char 3)"),
+        # 3.13 names the trailing comma, 3.10-3.12 expect a value: the whole
+        # line is the interpreter's own text
+        (b"[1, ]", _decoder_text("[1, ]") + "\n"),
         (b"\xff[]", "'utf-8' codec can't decode byte 0xff"),
         (b"{}", "the file must hold a JSON array"),
         (b"[]", "the file holds no profiles"),
     ],
-    ids=["deep-nesting", "bad-json", "bad-utf8", "not-array", "no-profiles"],
+    ids=["deep-nesting", "bad-json", "trailing-comma", "bad-utf8", "not-array", "no-profiles"],
 )
 def test_synth_unreadable_profiles_name_the_flag(tmp_path, capsys, lexicon_path, data, fragment):
     profiles = tmp_path / "profiles.json"
